@@ -5,7 +5,7 @@ the pullback of its volume form, an 8-form with 12870 coefficients.  The
 average is proportional to Phi: this demo fits the constant and checks the
 noise floor on the 12168 slots where Phi vanishes.
 
-Run time: about half a minute for the default 100k samples.
+Run time: a few seconds for the default 100k samples.
 """
 
 import numpy as np

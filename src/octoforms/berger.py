@@ -14,19 +14,31 @@ A[i, :] holds the coordinates of e_i m), so
 
     coeff(S, T) = eps(S) * det(A[rows not in S, T]) / (1 + |m|^2)^4,
 
-with eps(S) the Laplace sign of eliminating the identity columns.  All
-det(A[R, T]) minors are evaluated by one dynamic program over column-deleted
-subminors, vectorized across a block of samples.
+with eps(S) the Laplace sign of eliminating the identity columns.  A is a
+right octonion multiplication matrix, so A A^T = |m|^2 I and det A = |m|^8,
+and Jacobi's complementary-minor theorem gives, with 0-based indices,
+
+    det A[R, T] = (-1)^(sum(R) + sum(T)) * |m|^(2k - 8) * det A[R^c, T^c]
+
+for |R| = |T| = k.  One dynamic program over column-deleted subminors,
+vectorized across 128-sample chunks of a block, therefore builds only the
+minors of sizes 1-4 (size 4 only for row sets holding row 0).  Every other
+slot reads its complementary minor, its sign folded into the slot's eps and
+its power of |m|^2 into the sample weight the minors are summed against.
 
 Determinism: samples are generated by the counter-based Philox generator, 12
 uniforms per sample (so every fixed-size block starts on a counter boundary),
-converted by Box-Muller; blocks have a fixed size, block groups are fixed in
-number, and reduction folds group results in index order.  The output is
-therefore bit-identical for a given seed regardless of the worker count.
+converted by Box-Muller; blocks and their chunks have a fixed size, block
+groups are fixed in number, per-chunk sums go through einsum's fixed-order
+loops rather than BLAS, the fit uses correctly rounded sums, and reduction
+folds group results in index order.  The output is therefore bit-identical
+per seed, independent of the worker count and of the BLAS thread count, for
+a given numpy build and CPU.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 from dataclasses import dataclass
@@ -35,18 +47,28 @@ from itertools import combinations
 
 import numpy as np
 
-from .canonical import spin9_form
+from .canonical import spin9_psi
+from .exterior import tau4_direct
 
 _BLOCK = 1024
 _GROUPS = 64
+_CHUNK = 128  # samples per DP pass: a level's minors stay in cache
 _DRAWS_PER_SAMPLE = 12  # multiple of 4: Philox counter units hold 4 doubles
 
 
 @lru_cache(maxsize=1)
-def _oct_tensor_f64() -> np.ndarray:
+def _signed_picks() -> tuple:
+    """Row q of the table [A; -A] as sign[q] * m[pick[q]], q = 8 i + c.
+
+    A[i, c] is the e_c coordinate of e_i m; left multiplication by e_i is a
+    signed permutation, so exactly one m_j feeds it, with the sign T[i, j, c].
+    """
     from .octform import _OCT_TENSOR
 
-    return _OCT_TENSOR.astype(np.float64)
+    by_row = _OCT_TENSOR.transpose(0, 2, 1).reshape(64, 8)  # [8 i + c, j]
+    pick = np.abs(by_row).argmax(axis=1)
+    sign = by_row[np.arange(64), pick].astype(np.float64)
+    return np.concatenate([pick, pick]), np.concatenate([sign, -sign])
 
 
 @lru_cache(maxsize=1)
@@ -78,71 +100,82 @@ def _eps(s_bits: tuple) -> int:
     return -1 if (sum(s_bits) + k + k * (k + 1) // 2) % 2 else 1
 
 
+def _is_direct(k: int, rows: tuple) -> bool:
+    """Whether det A[rows, T], |T| = k, is a DP state or its Jacobi partner.
+
+    Levels 1-3 are computed whole; level 4 only for row sets holding row 0,
+    since the other half are the complementary minors of the first.
+    """
+    return k < 4 or (k == 4 and 0 in rows)
+
+
 @lru_cache(maxsize=1)
 def _plan():
-    """Static DP plan: per level, the state tables and the slot hookup."""
+    """Static DP plan: per level 1-4 the state tables, per level 0-4 the hooks.
+
+    Level k holds det A[R, T] for pairs of k-subsets, R and T sorted (at
+    level 4, only R holding row 0); level 0 is the empty minor 1.  A slot
+    (S, T) with a direct minor hooks to the state (S^c, T).  Every other slot
+    hooks, by Jacobi's theorem, to the state (S, T^c) at level 8 - |T|: the
+    sign (-1)^(sum(S^c) + sum(T)) is folded into eps, and |m|^(2(|T|-4))
+    into the weight column the level's minors are reduced against.
+    """
+    full = tuple(range(8))
     levels = []
-    prev_index = {((), ()): 0}
-    slot_of = _slot_of_mask()
-    for k in range(1, 9):
-        states = []
-        rows_idx = []
-        prev_idx = []
-        tcols = []
+    indexes = [{((), ()): 0}]
+    for k in range(1, 5):
+        prev_index = indexes[-1]
         index = {}
-        for rset in combinations(range(8), k):
-            for tset in combinations(range(8), k):
-                index[(rset, tset)] = len(states)
-                states.append((rset, tset))
-                t_last = tset[-1]
-                tcols.append(t_last)
-                rows_idx.append(rset)
+        prev_idx = []
+        gather = []
+        for rset in combinations(full, k):
+            if not _is_direct(k, rset):
+                continue
+            for tset in combinations(full, k):
+                index[(rset, tset)] = len(index)
+                # Laplace expansion along the last column; a negative
+                # cofactor sign reads the negated half of the table [A; -A]
                 prev_idx.append(
-                    [
-                        prev_index[(rset[:p] + rset[p + 1 :], tset[:-1])]
-                        for p in range(k)
-                    ]
+                    [prev_index[(rset[:p] + rset[p + 1 :], tset[:-1])] for p in range(k)]
                 )
-        signs = np.array([(-1) ** (p + 1 + k) for p in range(k)], dtype=np.float64)
-        rows_arr = np.array(rows_idx, dtype=np.int64)
-        tcol_arr = np.array(tcols, dtype=np.int64)
+                gather.append(
+                    [rset[p] * 8 + tset[-1] + 64 * ((p + 1 + k) % 2) for p in range(k)]
+                )
+        # one contiguous row per expansion term p: the level-(k-1) states,
+        # and the flat indices into [A; -A], with A in its row-major (64,) layout
         levels.append(
             {
-                "k": k,
-                "prev": np.array(prev_idx, dtype=np.int64),
-                "signs": signs,
-                # flat index into the (64,) layout of a sample's 8x8 matrix
-                "gather": rows_arr * 8 + tcol_arr[:, None],
-                "index": index,
+                "prev": np.ascontiguousarray(np.array(prev_idx, dtype=np.int64).T),
+                "gather": np.ascontiguousarray(np.array(gather, dtype=np.int64).T),
             }
         )
-        prev_index = index
+        indexes.append(index)
 
-    # slots grouped by |T| = DP level; |T| = 0 handled separately (minor = 1)
-    hooks = []
+    slot_of = _slot_of_mask()
+    hooks = [{"state": [], "slot": [], "eps": [], "col": []} for _ in range(5)]
     for k in range(0, 9):
-        state_pos = []
-        slot_pos = []
-        eps = []
-        for sset in combinations(range(8), 8 - k):
-            comp = tuple(i for i in range(8) if i not in sset)
-            for tset in combinations(range(8), k):
-                mask = 0
-                for i in sset:
-                    mask |= 1 << i
-                for t in tset:
-                    mask |= 1 << (8 + t)
-                slot_pos.append(slot_of[mask])
-                eps.append(_eps(sset))
-                if k:
-                    state_pos.append(levels[k - 1]["index"][(comp, tset)])
-        hooks.append(
-            {
-                "state": np.array(state_pos, dtype=np.int64) if k else None,
-                "slot": np.array(slot_pos, dtype=np.int64),
-                "eps": np.array(eps, dtype=np.float64),
-            }
-        )
+        for sset in combinations(full, 8 - k):
+            comp = tuple(i for i in full if i not in sset)
+            for tset in combinations(full, k):
+                mask = sum(1 << i for i in sset) + sum(1 << (8 + t) for t in tset)
+                eps = _eps(sset)
+                if _is_direct(k, comp):
+                    level, key = k, (comp, tset)
+                else:
+                    level = 8 - k
+                    key = (sset, tuple(t for t in full if t not in tset))
+                    eps *= -1 if (sum(comp) + sum(tset)) % 2 else 1
+                hook = hooks[level]
+                hook["state"].append(indexes[level][key])
+                hook["slot"].append(slot_of[mask])
+                hook["eps"].append(eps)
+                hook["col"].append(1 if k > 4 else 0)
+    for level, hook in enumerate(hooks):
+        for key in ("state", "slot", "col"):
+            hook[key] = np.array(hook[key], dtype=np.int64)
+        hook["eps"] = np.array(hook["eps"], dtype=np.float64)
+        # powers of |m|^2 in the weight columns: |T| = level, then |T| = 8 - level
+        hook["powers"] = [0] if level == 4 else [0, 4 - level]
     return levels, hooks
 
 
@@ -178,34 +211,57 @@ def _process_block(seed: int, block: int, count: int, sums, sumsq):
     # orientation of every line basis chosen so the estimator aligns with +Phi
     w = np.where(valid, -((1.0 + mm) ** -4), 0.0)
     ww = w * w
+    # weight columns w |m|^(2e) and w^2 |m|^(4e), e = 0..4: the Jacobi factors
+    mm_pow = mm[None, :] ** np.arange(5)[:, None]
+    w_cols = (w * mm_pow).astype(np.float32)
+    ww_cols = (ww * mm_pow * mm_pow).astype(np.float32)
 
-    a = np.einsum("bj,ijc->bic", m8, _oct_tensor_f64())
-    # the minor recursion runs in float32: its rounding (~1e-8 relative) is
+    # the minor recursion runs in float32: its rounding (~1e-7 relative) is
     # far below the Monte-Carlo noise, and it is equally deterministic
-    a_flat = np.ascontiguousarray(a.reshape(count, 64).T).astype(np.float32)
-    w32 = w.astype(np.float32)
-    ww32 = ww.astype(np.float32)
+    pick, sign = _signed_picks()
+    table = (sign[:, None] * m8.T[pick]).astype(np.float32)
     levels, hooks = _plan()
+    sizes = [1] + [lv["gather"].shape[1] for lv in levels]
+    acc = [np.zeros((len(h["powers"]), size)) for h, size in zip(hooks, sizes)]
+    acc2 = [np.zeros_like(x) for x in acc]
 
-    # per level, slot positions are distinct, so fancy += is safe; minors are
-    # folded against the weights by one matvec before the slot gather
-    hook = hooks[0]
-    sums[hook["slot"]] += hook["eps"] * w.sum()
-    sumsq[hook["slot"]] += ww.sum()
+    # flat scratch, viewed as contiguous (rows, n) arrays chunk by chunk, so
+    # the hot loop allocates nothing; np.take writes unbuffered with
+    # mode="clip", and the plan's indices are in range by construction
+    width = min(_CHUNK, count)
+    store = [np.empty(size * width, dtype=np.float32) for size in sizes]
+    term = np.empty(max(sizes) * width, dtype=np.float32)
+    factor = np.empty_like(term)
+    for lo in range(0, count, _CHUNK):
+        n = min(_CHUNK, count - lo)
+        views = [buf[: size * n].reshape(size, n) for buf, size in zip(store, sizes)]
+        a_pm = np.ascontiguousarray(table[:, lo : lo + n])
+        minors = views[:1]
+        minors[0].fill(1.0)
+        for lv, size, d in zip(levels, sizes[1:], views[1:]):
+            d_prev = minors[-1]
+            t = term[: size * n].reshape(size, n)
+            f = factor[: size * n].reshape(size, n)
+            for p, (g, pv) in enumerate(zip(lv["gather"], lv["prev"])):
+                np.take(a_pm, g, axis=0, out=d if p == 0 else t, mode="clip")
+                np.take(d_prev, pv, axis=0, out=f, mode="clip")
+                if p == 0:
+                    d *= f
+                else:
+                    t *= f
+                    d += t
+            minors.append(d)
+        # reductions run through einsum's fixed summation order, not BLAS
+        for j, (hook, d) in enumerate(zip(hooks, minors)):
+            cols = hook["powers"]
+            acc[j] += np.einsum("ec,sc->es", w_cols[cols, lo : lo + n], d)
+            sq = np.multiply(d, d, out=term[: d.size].reshape(d.shape))
+            acc2[j] += np.einsum("ec,sc->es", ww_cols[cols, lo : lo + n], sq)
 
-    d_prev = np.ones((1, count), dtype=np.float32)
-    for lv in levels:
-        k = lv["k"]
-        prev, signs, gather = lv["prev"], lv["signs"], lv["gather"]
-        d_k = np.zeros((len(gather), count), dtype=np.float32)
-        for p in range(k):
-            d_k += np.float32(signs[p]) * a_flat[gather[:, p], :] * d_prev[prev[:, p], :]
-        hook = hooks[k]
-        mv = d_k @ w32
-        mv2 = (d_k * d_k) @ ww32
-        sums[hook["slot"]] += hook["eps"] * mv[hook["state"]].astype(np.float64)
-        sumsq[hook["slot"]] += mv2[hook["state"]].astype(np.float64)
-        d_prev = d_k
+    # per level, slot positions are distinct, so fancy += is safe
+    for j, hook in enumerate(hooks):
+        sums[hook["slot"]] += hook["eps"] * acc[j][hook["col"], hook["state"]]
+        sumsq[hook["slot"]] += acc2[j][hook["col"], hook["state"]]
 
 
 def _group_worker(args):
@@ -243,13 +299,21 @@ class FitReport:
     max_zero_sigma_ratio: float
 
 
+@lru_cache(maxsize=1)
 def phi_dense() -> np.ndarray:
-    """The canonical 8-form as a dense 12870-slot integer vector."""
-    phi = spin9_form()
+    """The canonical 8-form as a dense, read-only 12870-slot integer vector.
+
+    Taken from the sub-Pfaffian route, tau4_direct divided by its content,
+    which gives the same exact form as the charpoly route at a fraction of
+    its cost.
+    """
+    tau4 = tau4_direct(spin9_psi())
+    phi = tau4.exact_div(tau4.coeff_gcd())
     out = np.zeros(12870, dtype=np.int64)
     slot_of = _slot_of_mask()
     for m, c in phi.mask_items():
         out[slot_of[m]] = c
+    out.flags.writeable = False
     return out
 
 
@@ -257,7 +321,8 @@ def berger_mc(samples: int, seed: int = 0, workers: int = 1):
     """Average the line-volume pullbacks over `samples` uniform lines.
 
     Returns (SampledForm, FitReport).  Bit-reproducible for fixed seed and
-    sample count, independent of the worker count.
+    sample count, independent of the worker count and of BLAS threads, for a
+    given numpy build and CPU.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -290,10 +355,12 @@ def berger_mc(samples: int, seed: int = 0, workers: int = 1):
         var *= samples / (samples - 1)
     sigma_mean = np.sqrt(var / samples)
 
-    phi = phi_dense().astype(np.float64)
-    dot = float(mean @ phi)
-    fitted = dot / float(phi @ phi)
-    cos = dot / (float(np.linalg.norm(mean)) * float(np.linalg.norm(phi)))
+    # correctly rounded sums, so the fit does not depend on BLAS threads
+    phi = phi_dense()
+    phi_sq = int(phi @ phi)  # exact: int64
+    dot = math.fsum(mean * phi)
+    fitted = dot / phi_sq
+    cos = dot / (math.sqrt(math.fsum(mean * mean)) * math.sqrt(phi_sq))
     zero = phi == 0
     ratios = np.abs(mean[zero]) / np.where(sigma_mean[zero] > 0, sigma_mean[zero], np.inf)
     report = FitReport(

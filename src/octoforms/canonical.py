@@ -232,7 +232,7 @@ def pontrjagin_report() -> dict:
             "p4(M) = (1/128) (35 p1(E)^4 - 120 p1(E)^2 p2(E) + 400 p1(E) p3(E) - 1664 p4(E))",
         ],
         "normalizations": {
-            "tau4_content": spin9_form().coeff_gcd() and spin9_taus()[3].coeff_gcd(),
+            "tau4_content": taus[3].coeff_gcd(),
             "tau4_monomials": len(taus[3]),
             "tau8_top_coefficient": taus[7].coefficient(top),
         },

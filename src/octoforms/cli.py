@@ -33,7 +33,7 @@ from .serialize import (
     multivector_to_json,
     rational_str,
 )
-from .spheres import build_fields, sigma, verify_system
+from .spheres import build_fields, hr_decompose, sigma, verify_system
 from . import verifysuite
 
 _FORMS = {
@@ -52,6 +52,28 @@ def _default_workers() -> int:
         except ValueError:
             pass
     return 1
+
+
+def _int_at_least(low: int):
+    """argparse type: an int >= low, so a smaller value is a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _sphere_dim(text: str) -> int:
+    """argparse type: an m whose field system is in scope (m >= 1, q < 3)."""
+    m = _int_at_least(1)(text)
+    if hr_decompose(m).q >= 3:
+        raise argparse.ArgumentTypeError(
+            f"m = {m} has q >= 3, out of scope; the paper defers the general recursion"
+        )
+    return m
 
 
 def _cmd_form(args) -> int:
@@ -278,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_charpoly)
 
     p = sub.add_parser("fields", help="vector fields on S^{m-1}")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_sphere_dim, required=True)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--json", action="store_true")
     p.add_argument("--seed", type=int, default=0)
@@ -293,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("clifford", help="standard Clifford systems and extensions")
     p.add_argument("--kind", choices=("pauli_U2", "quaternionic_Sp2Sp1", "spin9"),
                    default="spin9")
-    p.add_argument("--extend", type=int, default=0)
+    p.add_argument("--extend", type=_int_at_least(0), default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_clifford)
 
@@ -305,9 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_clifford_structure)
 
     p = sub.add_parser("berger", help="Monte-Carlo line-integral reconstruction")
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=_int_at_least(1), default=_default_workers())
     p.add_argument("--json", action="store_true")
     p.add_argument("--full", action="store_true", help="include all 12870 coefficients")
     p.set_defaults(func=_cmd_berger)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exterior import Multivector
+from .exterior import Multivector, _indices_to_mask
 from .linalg import Matrix
 
 
@@ -39,10 +39,15 @@ def multivector_to_json(mv: Multivector) -> dict:
 
 
 def multivector_from_json(obj: dict) -> Multivector:
-    mv = Multivector.zero(obj["n"])
+    """Inverse of multivector_to_json; terms on a repeated blade are summed."""
+    terms: dict = {}
     for term in obj["terms"]:
-        mv = mv + Multivector.blade(obj["n"], term["blade"], parse_rational(term["coeff"]))
-    return mv
+        blade = term["blade"]
+        if list(blade) != sorted(blade):
+            raise ValueError("blade indices must be strictly increasing")
+        mask = _indices_to_mask(blade)
+        terms[mask] = terms.get(mask, 0) + parse_rational(term["coeff"])
+    return Multivector(obj["n"], terms)
 
 
 def multivector_to_csv(mv: Multivector) -> str:

@@ -1,5 +1,7 @@
 """Monte-Carlo line integral: oracle checks, determinism, convergence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,51 @@ def test_block_slot_values_against_determinant_oracle():
         assert np.isclose(total[slot], sums[slot], rtol=1e-6, atol=1e-9), slot
 
 
+def test_every_slot_against_float64_determinants():
+    """All 12870 slot sums of a 16-sample block against float64 determinants.
+
+    Each slot value is -det of the 8x8 submatrix of the orthonormal line
+    basis [I | A] / sqrt(1 + |m|^2), summed over the samples; this pins the
+    sign and the |m| power of every Jacobi complementary minor.  The DP runs
+    in float32, so the tolerance is 8 float32 epsilons of each slot's
+    Hadamard bound |m|^|T| / (1 + |m|^2)^4, summed over the samples.
+    """
+    from octoforms.cayley_dickson import CDElement
+
+    count = 16
+    sums = np.zeros(12870)
+    sumsq = np.zeros(12870)
+    _process_block(123, 0, count, sums, sumsq)
+
+    masks = slot_masks()
+    cols = np.array([[i for i in range(16) if int(m) >> i & 1] for m in masks])
+    n_primed = (cols >= 8).sum(axis=1)
+    want = np.zeros(12870)
+    want_sq = np.zeros(12870)
+    scale = np.zeros(12870)
+    scale_sq = np.zeros(12870)
+    for v in _sample_sphere9(123, 0, count):
+        m = v[:8] / (1.0 + v[8])
+        mm = float(m @ m)
+        m_oct = CDElement(3, [float(x) for x in m])
+        a = np.array(
+            [[float(c) for c in (CDElement.unit(3, i) * m_oct).coeffs] for i in range(8)]
+        )
+        basis = np.hstack([np.eye(8), a]) / np.sqrt(1.0 + mm)
+        det = np.linalg.det(np.transpose(basis[:, cols], (1, 0, 2)))
+        want -= det  # estimator orientation flip
+        want_sq += det * det
+        bound = np.sqrt(mm) ** n_primed / (1.0 + mm) ** 4
+        scale += bound
+        scale_sq += bound * bound
+
+    tol = 8 * np.finfo(np.float32).eps
+    # every slot is far from zero at this tolerance, so no sign can slip
+    assert np.all(np.abs(want) > 2 * tol * scale)
+    assert np.all(np.abs(sums - want) <= tol * scale)
+    assert np.all(np.abs(sumsq - want_sq) <= tol * scale_sq)
+
+
 def test_bit_reproducibility_across_workers():
     f1, r1 = berger_mc(3000, seed=42, workers=1)
     f2, r2 = berger_mc(3000, seed=42, workers=2)
@@ -84,6 +131,32 @@ def test_bit_reproducibility_across_workers():
     assert r1.fitted_scale == r2.fitted_scale
     f3, _ = berger_mc(3000, seed=43, workers=1)
     assert not np.array_equal(f1.coeffs, f3.coeffs)
+
+
+def test_cli_output_independent_of_blas_threads():
+    """`berger --json --full` stdout is byte-identical under one BLAS thread
+    and under the default thread count."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import octoforms
+
+    src = str(Path(octoforms.__file__).resolve().parent.parent)
+    argv = [sys.executable, "-m", "octoforms.cli", "berger", "--samples", "2048",
+            "--workers", "2", "--json", "--full"]
+    outputs = []
+    for threads in ("1", None):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run(argv, env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(json.loads(outputs[0])["coefficients"]) == 12870
 
 
 def test_cosine_alignment_small_run():

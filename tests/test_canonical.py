@@ -148,8 +148,10 @@ def test_pontrjagin_report_rows():
     assert rows["p2(M)"]["pi_power"] == -4
     assert rows["p4(M)"]["coefficient"] == Fraction(-13, 256)
     assert rows["p4(M)"]["pi_power"] == -8
+    assert rep["normalizations"]["tau4_content"] == 360
     text = render_pontrjagin_text(rep)
     assert "-45/2" in text and "-13/256" in text and "p1(M) = 0" in text
+    assert "gcd(tau4) = 360" in text
 
 
 def test_fl_runs_under_10s():

@@ -5,6 +5,8 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
+import pytest
+
 from octoforms.canonical import spin9_form
 from octoforms.cli import main
 from octoforms.exterior import Multivector
@@ -38,6 +40,20 @@ def test_multivector_json_roundtrip():
     assert multivector_from_json(obj) == mv
     # blades sorted lexicographically
     assert obj["terms"][0]["blade"] == [1, 2, 3, 4]
+
+
+def test_multivector_from_json_sums_repeated_blades():
+    obj = {
+        "n": 8,
+        "grade": 2,
+        "terms": [
+            {"blade": [1, 3], "coeff": "1/2"},
+            {"blade": [2, 5], "coeff": "4"},
+            {"blade": [1, 3], "coeff": "3/2"},
+            {"blade": [2, 5], "coeff": "-4"},
+        ],
+    }
+    assert multivector_from_json(obj) == Multivector.blade(8, [1, 3], 2)
 
 
 def test_csv_format():
@@ -148,6 +164,22 @@ def test_unknown_command_exits_2():
 def test_unknown_flag_exits_2():
     code, _, _ = run_cli("form", "--which", "spin9", "--bogus")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fields", "--m", "4096"),
+        ("fields", "--m", "0"),
+        ("berger", "--samples", "0"),
+        ("berger", "--samples", "10", "--workers", "0"),
+        ("clifford", "--extend", "-1"),
+    ],
+)
+def test_out_of_range_arguments_exit_2(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert "must be >= " in err or "out of scope" in err
 
 
 def test_pontrjagin_subcommand():

@@ -158,3 +158,13 @@ def test_extend_with_extra_structures():
     assert c4.n == 2 * delta(4)
     with pytest.raises(ValueError):
         extend(pauli, extra=[pauli.mats[0] @ pauli.mats[1]])
+
+
+def test_verify_suite_counts_the_standard_systems():
+    from octoforms.clifford import STANDARD_KINDS
+    from octoforms.verifysuite import _check_clifford_systems
+
+    ok, detail = _check_clifford_systems()
+    assert ok
+    assert len(STANDARD_KINDS) == 3
+    assert detail.startswith("3 standard systems")
