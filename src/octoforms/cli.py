@@ -58,7 +58,10 @@ def _int_at_least(low: int):
     """argparse type: an int >= low, so a smaller value is a usage error."""
 
     def parse(text: str) -> int:
-        value = int(text)
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
