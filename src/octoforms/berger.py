@@ -52,7 +52,7 @@ from .exterior import tau4_direct
 
 _BLOCK = 1024
 _GROUPS = 64
-_CHUNK = 128  # samples per DP pass: a level's minors stay in cache
+_CHUNK = 128  # samples per DP pass, so a level's minors stay cache-sized
 _DRAWS_PER_SAMPLE = 12  # multiple of 4: Philox counter units hold 4 doubles
 
 
@@ -101,9 +101,10 @@ def _eps(s_bits: tuple) -> int:
 
 
 def _is_direct(k: int, rows: tuple) -> bool:
-    """Whether det A[rows, T], |T| = k, is a DP state or its Jacobi partner.
+    """True if det A[rows, T], |T| = k, is a DP state; False if it is read
+    from its Jacobi partner det A[rows^c, T^c].
 
-    Levels 1-3 are computed whole; level 4 only for row sets holding row 0,
+    Levels 0-3 are computed whole; level 4 only for row sets holding row 0,
     since the other half are the complementary minors of the first.
     """
     return k < 4 or (k == 4 and 0 in rows)
