@@ -23,9 +23,9 @@ from .exterior import (
     Multivector,
     charpoly_coeffs,
     kahler_form,
-    wedge_dicts,
+    wedge_sum,
 )
-from .linalg import Matrix
+from .linalg import Matrix, _accumulate
 from .octform import coordinate_octonion_form
 
 
@@ -65,21 +65,8 @@ def cgm_form() -> Multivector:
     total: dict = {}
     for a in range(9):
         for a2 in range(a, 9):
-            inner: dict = {}
-            for b in range(9):
-                for m, c in wedge_dicts(f.entry_dict(a, b), f.entry_dict(a2, b)).items():
-                    v = inner.get(m, 0) + c
-                    if v:
-                        inner[m] = v
-                    else:
-                        inner.pop(m, None)
-            mult = 1 if a2 == a else 2
-            for m, c in wedge_dicts(inner, inner).items():
-                v = total.get(m, 0) + mult * c
-                if v:
-                    total[m] = v
-                else:
-                    total.pop(m, None)
+            inner = wedge_sum([(f.entry_dict(a, b), f.entry_dict(a2, b)) for b in range(9)], n)
+            _accumulate(total, wedge_sum([(inner, inner)], n).items(), 1 if a2 == a else 2)
     return Multivector(n, total)
 
 
@@ -202,8 +189,54 @@ def tau8_and_ratio() -> tuple:
     if c8 == 0:
         raise ValueError("tau_8 vanishes; characteristic polynomial is degenerate")
     t4 = taus[3]
-    c44 = Multivector(16, wedge_dicts(t4._t, t4._t)).coefficient(top)
+    c44 = t4.wedge(t4).coefficient(top)
     return c8, Fraction(c44, c8)
+
+
+# p_k(M) of a compact Spin(9)-holonomy M^16 in terms of the classes p_i(E) of
+# its rank-16 bundle E: the printed relation and its terms, each a rational
+# factor and the indices i of the p_i(E) it multiplies.
+_PONTRJAGIN_RELATIONS = (
+    ("p1(M) = 2 p1(E)", ((2, (1,)),)),
+    ("p2(M) = (7/4) p1(E)^2 - p2(E)", ((Fraction(7, 4), (1, 1)), (-1, (2,)))),
+    (
+        "p3(M) = (1/8) (7 p1(E)^3 - 12 p1(E) p2(E) + 16 p3(E))",
+        ((Fraction(7, 8), (1, 1, 1)), (Fraction(-12, 8), (1, 2)), (Fraction(16, 8), (3,))),
+    ),
+    (
+        "p4(M) = (1/128) (35 p1(E)^4 - 120 p1(E)^2 p2(E) + 400 p1(E) p3(E) - 1664 p4(E))",
+        (
+            (Fraction(35, 128), (1, 1, 1, 1)),
+            (Fraction(-120, 128), (1, 1, 2)),
+            (Fraction(400, 128), (1, 3)),
+            (Fraction(-1664, 128), (4,)),
+        ),
+    ),
+)
+
+
+def _manifold_classes(bundle_classes: list) -> list:
+    """The p_k(M) rows derived exactly from the p_i(E) rows.
+
+    A term vanishes when one of its factors does.  A product of nonzero
+    classes would need the cup product of their forms, which the rows do not
+    carry, so it is an error.
+    """
+    rows = []
+    for k, (_, terms) in enumerate(_PONTRJAGIN_RELATIONS, start=1):
+        row = {"class": f"p{k}(M)", "coefficient": Fraction(0), "pi_power": 0, "of": "1"}
+        for scale, factors in terms:
+            classes = [bundle_classes[i - 1] for i in factors]
+            if any(c["coefficient"] == 0 for c in classes):
+                continue
+            if len(classes) > 1:
+                raise ValueError(f"p{k}(M) needs a product of nonzero bundle classes")
+            row["coefficient"] += scale * classes[0]["coefficient"]
+            row["pi_power"], row["of"] = classes[0]["pi_power"], classes[0]["of"]
+        if row["coefficient"] == 0:
+            row["pi_power"], row["of"] = 0, "1"
+        rows.append(row)
+    return rows
 
 
 def pontrjagin_report() -> dict:
@@ -212,25 +245,16 @@ def pontrjagin_report() -> dict:
     with the power of pi they multiply."""
     taus = spin9_taus()
     top = tuple(range(1, 17))
+    bundle_classes = [
+        {"class": "p1(E)", "coefficient": Fraction(0), "pi_power": 0, "of": "1"},
+        {"class": "p2(E)", "coefficient": Fraction(360, 16), "pi_power": -4, "of": "[Phi_Spin9]"},
+        {"class": "p3(E)", "coefficient": Fraction(0), "pi_power": 0, "of": "1"},
+        {"class": "p4(E)", "coefficient": Fraction(1, 256), "pi_power": -8, "of": "[tau8(psi)]"},
+    ]
     return {
-        "manifold_classes": [
-            {"class": "p1(M)", "coefficient": Fraction(0), "pi_power": 0, "of": "1"},
-            {"class": "p2(M)", "coefficient": Fraction(-45, 2), "pi_power": -4, "of": "[Phi_Spin9]"},
-            {"class": "p3(M)", "coefficient": Fraction(0), "pi_power": 0, "of": "1"},
-            {"class": "p4(M)", "coefficient": Fraction(-13, 256), "pi_power": -8, "of": "[tau8(psi)]"},
-        ],
-        "bundle_classes": [
-            {"class": "p1(E)", "coefficient": Fraction(0), "pi_power": 0, "of": "1"},
-            {"class": "p2(E)", "coefficient": Fraction(360, 16), "pi_power": -4, "of": "[Phi_Spin9]"},
-            {"class": "p3(E)", "coefficient": Fraction(0), "pi_power": 0, "of": "1"},
-            {"class": "p4(E)", "coefficient": Fraction(1, 256), "pi_power": -8, "of": "[tau8(psi)]"},
-        ],
-        "relations": [
-            "p1(M) = 2 p1(E)",
-            "p2(M) = (7/4) p1(E)^2 - p2(E)",
-            "p3(M) = (1/8) (7 p1(E)^3 - 12 p1(E) p2(E) + 16 p3(E))",
-            "p4(M) = (1/128) (35 p1(E)^4 - 120 p1(E)^2 p2(E) + 400 p1(E) p3(E) - 1664 p4(E))",
-        ],
+        "manifold_classes": _manifold_classes(bundle_classes),
+        "bundle_classes": bundle_classes,
+        "relations": [text for text, _ in _PONTRJAGIN_RELATIONS],
         "normalizations": {
             "tau4_content": taus[3].coeff_gcd(),
             "tau4_monomials": len(taus[3]),

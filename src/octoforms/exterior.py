@@ -5,12 +5,15 @@ Blades are bitmasks: bit p set means index p+1 belongs to the blade (indices
 are 1-based at the API surface).  The wedge sign is the parity of the number
 of index crossings when merging two disjoint blades.
 
-Two wedge engines coexist: a pure-Python dict engine valid for any n and any
-rational coefficients, and a vectorized integer kernel (n <= 16) used by the
-characteristic-polynomial loop.  The kernel accumulates integer-valued
-float64 partial sums and is guarded so every intermediate stays below 2**52,
-where float64 arithmetic on integers is exact; it falls back to the dict
-engine otherwise.  Both engines are cross-checked in the test suite.
+One exterior-product core serves real and octonion coefficients.  It is
+parametrised by the coefficient structure tensor T[a, b, c], the coefficient
+of unit c in the product of units a and b: 1x1x1 for R, the octonion table
+for O (``octform``).  ``wedge_sum`` runs ``_wedge_kernel``, a numpy kernel
+that accumulates exactly in int64 for n <= 16 and ``int`` coefficients under
+the bound ``linalg._INT64_SAFE``, once a call holds more than
+``_KERNEL_MIN_WORK`` blade pairs.  Otherwise, or when the kernel declines, it
+runs the pure-Python reference built on ``wedge_dicts``, exact for any n and
+any rational coefficients.  Tests compare the two engines.
 """
 
 from __future__ import annotations
@@ -21,12 +24,30 @@ from math import gcd
 
 import numpy as np
 
-from .linalg import Matrix
+from .linalg import _INT64_SAFE, Matrix, _accumulate
 
 _POP16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.int64)
 
-# float64 sums of integers are exact strictly below 2**53; keep headroom.
-_FLOAT_EXACT = 2**52
+# Structure tensor of the real coefficients: 1 * 1 = 1.
+_REAL = np.ones((1, 1, 1), dtype=np.int64)
+
+# Blade pairs per wedge_sum call up to which the reference engine runs.  The
+# kernel is faster from a few hundred pairs on, but the Spin(9) charpoly,
+# Psi_8 and CGM routes ran no faster with 400 or 200 than with 2000.
+_KERNEL_MIN_WORK = 2000
+
+
+def _odd_crossings_mask(mask_a: int) -> int:
+    """The bits k with an odd number of bits of mask_a above k.
+
+    The sign of e^A ^ e^B is the parity of popcount(B & this mask of A).
+    """
+    odd = 0
+    while mask_a:
+        low = mask_a & -mask_a
+        odd ^= low - 1
+        mask_a ^= low
+    return odd
 
 
 def merge_sign(mask_a: int, mask_b: int) -> int:
@@ -35,13 +56,7 @@ def merge_sign(mask_a: int, mask_b: int) -> int:
     Crossings are pairs (a, b) with a in A, b in B, a > b: exactly the swaps
     needed to sort the concatenation of the two increasing index lists.
     """
-    inv = 0
-    a = mask_a
-    while a:
-        low = a & -a
-        inv += (mask_b & (low - 1)).bit_count()
-        a ^= low
-    return -1 if inv & 1 else 1
+    return -1 if (mask_b & _odd_crossings_mask(mask_a)).bit_count() & 1 else 1
 
 
 def _indices_to_mask(indices) -> int:
@@ -122,14 +137,7 @@ class Multivector:
 
     def __add__(self, other: "Multivector") -> "Multivector":
         self._check(other)
-        t = dict(self._t)
-        for m, c in other._t.items():
-            v = t.get(m, 0) + c
-            if v:
-                t[m] = v
-            else:
-                t.pop(m, None)
-        return Multivector(self.n, t)
+        return Multivector(self.n, _accumulate(dict(self._t), other._t.items()))
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         return self + (-other)
@@ -173,7 +181,7 @@ class Multivector:
 
     def wedge(self, other: "Multivector") -> "Multivector":
         self._check(other)
-        return Multivector(self.n, wedge_dicts(self._t, other._t))
+        return Multivector(self.n, wedge_sum([(self._t, other._t)], self.n))
 
     def coeff_gcd(self) -> int:
         g = 0
@@ -190,9 +198,6 @@ class Multivector:
             out[m] = q
         return Multivector(self.n, out)
 
-    def max_abs(self):
-        return max((abs(c) for c in self._t.values()), default=0)
-
     def is_integer(self) -> bool:
         return all(not isinstance(c, Fraction) or c.denominator == 1 for c in self._t.values())
 
@@ -208,110 +213,111 @@ def _div_exact(c, k: int):
 
 
 def wedge_dicts(a: dict, b: dict) -> dict:
-    """Exact dict-engine wedge; loops the smaller factor outside."""
-    if len(a) > len(b):
-        # wedge is graded-commutative; swapping costs a sign per term pair,
-        # so keep the loop order and swap operands explicitly instead.
-        out = {}
-        for mb, cb in b.items():
-            for ma, ca in a.items():
-                if ma & mb:
-                    continue
-                s = merge_sign(ma, mb)
-                m = ma | mb
-                v = out.get(m, 0) + (ca * cb if s > 0 else -ca * cb)
-                if v:
-                    out[m] = v
-                else:
-                    out.pop(m, None)
-        return out
-    out = {}
+    """Exact wedge of two {mask: coefficient} dicts: the reference engine."""
+    out: dict = {}
     for ma, ca in a.items():
-        for mb, cb in b.items():
-            if ma & mb:
-                continue
-            s = merge_sign(ma, mb)
-            m = ma | mb
-            v = out.get(m, 0) + (ca * cb if s > 0 else -ca * cb)
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
+        odd = _odd_crossings_mask(ma)
+        _accumulate(
+            out,
+            [
+                (ma | mb, -ca * cb if (mb & odd).bit_count() & 1 else ca * cb)
+                for mb, cb in b.items()
+                if not ma & mb
+            ],
+        )
     return out
 
 
-def _dict_is_int(d: dict) -> bool:
-    return all(isinstance(c, int) for c in d.values())
+def _largest_int(x: dict, d: int):
+    """max |c| over the coefficients of x, or None unless all are Python ints.
 
-
-def _to_arrays(d: dict):
-    masks = np.fromiter(d.keys(), dtype=np.int64, count=len(d))
-    coeffs = np.fromiter((float(v) for v in d.values()), dtype=np.float64, count=len(d))
-    return masks, coeffs
-
-
-class _KernelUnsafe(Exception):
-    pass
-
-
-def _kernel_wedge_sum(pairs, n: int) -> dict:
-    """Sum of wedges of (small int dict, large int dict) pairs, n <= 16.
-
-    Accumulates into a dense float64 buffer via bincount; every partial sum is
-    integer-valued and bounded below 2**52, else _KernelUnsafe is raised.
+    The check must be explicit: numpy's int64 conversion truncates a Fraction.
     """
+    vals = list(x.values()) if d == 1 else [v for c in x.values() for v in c]
+    return max(map(abs, vals)) if set(map(type, vals)) == {int} else None
+
+
+def _wedge_kernel(pairs, n: int, tensor):
+    """Vectorized exact sum of a ^ b over pairs of {mask: coefficient} dicts.
+
+    Coefficients are ints (d = 1) or d-tuples of ints, multiplied through the
+    d x d x d structure tensor, whose entries lie in {-1, 0, 1}.  Every int64
+    intermediate is bounded by d^2 * min(A, B) * max|a| * max|b| summed over
+    the pairs, with A, B the pair's term counts: for fixed output blade and
+    fixed term of a at most one term of b contributes.  Returns None, so the
+    caller takes the reference engine, when n > 16, a coefficient is not an
+    int, or that bound reaches _INT64_SAFE.
+    """
+    d = tensor.shape[0]
     if n > 16:
-        raise _KernelUnsafe
-    size = 1 << n
-    buf = np.zeros(size, dtype=np.float64)
+        return None
     bound = 0
     for a, b in pairs:
-        if not a or not b:
-            continue
-        if not (_dict_is_int(a) and _dict_is_int(b)):
-            raise _KernelUnsafe
-        max_a = max(abs(c) for c in a.values())
-        max_b = max(abs(c) for c in b.values())
-        bound += min(len(a), len(b)) * max_a * max_b
-        if bound >= _FLOAT_EXACT:
-            raise _KernelUnsafe
-        mb, cb = _to_arrays(b)
-        for ma, ca in a.items():
-            alive = ((mb & ma) == 0).astype(np.float64)
-            inv = np.zeros(len(mb), dtype=np.int64)
-            rest = ma
-            while rest:
-                low = rest & -rest
-                inv += _POP16[mb & (low - 1)]
-                rest ^= low
-            signs = 1.0 - 2.0 * (inv & 1)
-            vals = cb * (float(ca) * signs) * alive
-            buf += np.bincount(mb | ma, weights=vals, minlength=size)
-    nz = np.nonzero(buf)[0]
-    vals = buf[nz]
-    if not np.all(vals == np.rint(vals)):
-        raise AssertionError("kernel produced a non-integer value")
-    return {int(m): int(v) for m, v in zip(nz, vals)}
-
-
-def wedge_sum(pairs, n: int) -> dict:
-    """Exact sum of pairwise wedges; kernel when profitable, dicts otherwise."""
-    pairs = [(a, b) for a, b in pairs if a and b]
-    work = sum(len(a) * len(b) for a, b in pairs)
-    if n <= 16 and work > 2000:
-        try:
-            return _kernel_wedge_sum(pairs, n)
-        except _KernelUnsafe:
-            pass
-    out: dict = {}
+        top_a, top_b = _largest_int(a, d), _largest_int(b, d)
+        if top_a is None or top_b is None:
+            return None
+        bound += d * d * min(len(a), len(b)) * top_a * top_b
+        if bound >= _INT64_SAFE:
+            return None
+    bits = np.int64(1) << np.arange(n, dtype=np.int64)
+    t_flat = tensor.reshape(d, d * d)
+    buf = np.zeros((1 << n, d), dtype=np.int64)
     for a, b in pairs:
-        for m, c in wedge_dicts(a, b).items():
-            v = out.get(m, 0) + c
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-    return out
+        ma = np.fromiter(a, dtype=np.int64, count=len(a))
+        mb = np.fromiter(b, dtype=np.int64, count=len(b))
+        ca = np.array(list(a.values()), dtype=np.int64).reshape(len(a), d)
+        cb = np.array(list(b.values()), dtype=np.int64).reshape(len(b), d)
+        # the _odd_crossings_mask of every A_p, then the sign rule for the block
+        odd = np.bitwise_xor.reduce(np.where((ma[:, None] & bits) != 0, bits - 1, 0), axis=1)
+        signs = 1 - 2 * (_POP16[odd[:, None] & mb[None, :]] & 1)
+        signs *= (ma[:, None] & mb[None, :]) == 0
+        # prods[p, q, c] = sum_ab ca[p, a] cb[q, b] T[a, b, c], in two steps
+        prods = np.einsum("qb,pbc->pqc", cb, (ca @ t_flat).reshape(len(a), d, d))
+        prods *= signs[:, :, None]
+        np.add.at(buf, (ma[:, None] | mb[None, :]).ravel(), prods.reshape(-1, d))
+    nz = np.flatnonzero(buf.any(axis=1))
+    if d == 1:
+        return dict(zip(nz.tolist(), buf[nz, 0].tolist()))
+    return dict(zip(nz.tolist(), map(tuple, buf[nz].tolist())))
+
+
+def _wedge_reference(pairs, tensor) -> dict:
+    """Dict-engine sum of a ^ b over pairs, coefficients through the tensor.
+
+    For d > 1 it is the componentwise sum
+    out_c = sum_ij T[i, j, c] * wedge_dicts(a_i, b_j).
+    """
+    d = tensor.shape[0]
+    if d == 1:
+        out: dict = {}
+        for a, b in pairs:
+            _accumulate(out, wedge_dicts(a, b).items())
+        return out
+    parts = [{} for _ in range(d)]
+    for a, b in pairs:
+        a_i = [{m: c[i] for m, c in a.items() if c[i]} for i in range(d)]
+        b_j = [{m: c[j] for m, c in b.items() if c[j]} for j in range(d)]
+        for i, j in zip(*np.nonzero(tensor.any(axis=2))):
+            w = wedge_dicts(a_i[i], b_j[j])
+            for c in np.flatnonzero(tensor[i, j]):
+                _accumulate(parts[c], w.items(), int(tensor[i, j, c]))
+    return {m: tuple(p.get(m, 0) for p in parts) for m in set().union(*parts)}
+
+
+def wedge_sum(pairs, n: int, tensor=_REAL) -> dict:
+    """Exact sum of a ^ b over (a, b) pairs of {mask: coefficient} dicts.
+
+    With the default tensor coefficients are rationals; with a d x d x d
+    structure tensor they are d-tuples, multiplied in operand order.  The
+    kernel runs when the call holds more than _KERNEL_MIN_WORK blade pairs
+    and accepts them; the reference engine runs otherwise.
+    """
+    pairs = [(a, b) for a, b in pairs if a and b]
+    if sum(len(a) * len(b) for a, b in pairs) > _KERNEL_MIN_WORK:
+        out = _wedge_kernel(pairs, n, tensor)
+        if out is not None:
+            return out
+    return _wedge_reference(pairs, tensor)
 
 
 def kahler_form(j, n: int | None = None) -> Multivector:
@@ -409,45 +415,34 @@ def charpoly_coeffs(f: FormMatrix) -> list:
     for step in range(1, k + 1):
         tr: dict = {}
         for i in range(k):
-            for m, c in cur[i][i].items():
-                v = tr.get(m, 0) + c
-                if v:
-                    tr[m] = v
-                else:
-                    tr.pop(m, None)
+            _accumulate(tr, cur[i][i].items())
         c_step = {m: _div_exact(-c, step) for m, c in tr.items()}
         taus.append(Multivector(n, c_step))
         if step == k:
             break
-        nxt = []
         for i in range(k):
-            row = []
-            for j in range(k):
-                pairs = []
-                for t in range(k):
-                    b = cur[t][j]
-                    if t == j and c_step:
-                        b = dict(b)
-                        for m, c in c_step.items():
-                            v = b.get(m, 0) + c
-                            if v:
-                                b[m] = v
-                            else:
-                                b.pop(m, None)
-                    if psi[i][t] and b:
-                        pairs.append((psi[i][t], b))
-                row.append(wedge_sum(pairs, n))
-            nxt.append(row)
-        cur = nxt
+            cur[i][i] = _accumulate(dict(cur[i][i]), c_step.items())
+        cur = [
+            [wedge_sum([(psi[i][t], cur[t][j]) for t in range(k)], n) for j in range(k)]
+            for i in range(k)
+        ]
     return taus
 
 
 def tau2_direct(f: FormMatrix) -> Multivector:
     """Second characteristic coefficient via the direct sum of squares."""
-    out = Multivector.zero(f.n)
-    for (a, b), mv in f._upper.items():
-        out = out + mv.wedge(mv)
-    return out
+    total: dict = {}
+    for mv in f._upper.values():
+        _accumulate(total, wedge_dicts(mv._t, mv._t).items())
+    return Multivector(f.n, total)
+
+
+def _sub_pfaffian(entry, a: int, b: int, c: int, d: int) -> dict:
+    """entry(a,b) ^ entry(c,d) - entry(a,c) ^ entry(b,d) + entry(a,d) ^ entry(b,c)."""
+    pf: dict = {}
+    for sgn, (p, q, r, s) in ((1, (a, b, c, d)), (-1, (a, c, b, d)), (1, (a, d, b, c))):
+        _accumulate(pf, wedge_dicts(entry(p, q), entry(r, s)).items(), sgn)
+    return pf
 
 
 def tau4_coefficient(f: FormMatrix, indices) -> "int | Fraction":
@@ -459,15 +454,8 @@ def tau4_coefficient(f: FormMatrix, indices) -> "int | Fraction":
         return {m: c for m, c in f.entry_dict(a, b).items() if not (m & ~target)}
 
     total = 0
-    for a, b, c, d in combinations(range(f.k), 4):
-        pf: dict = {}
-        for sgn, (p, q, r, s) in ((1, (a, b, c, d)), (-1, (a, c, b, d)), (1, (a, d, b, c))):
-            for m, coeff in wedge_dicts(restricted(p, q), restricted(r, s)).items():
-                v = pf.get(m, 0) + sgn * coeff
-                if v:
-                    pf[m] = v
-                else:
-                    pf.pop(m, None)
+    for quad in combinations(range(f.k), 4):
+        pf = _sub_pfaffian(restricted, *quad)
         total += wedge_dicts(pf, pf).get(target, 0)
     return total
 
@@ -481,14 +469,7 @@ def tau4_direct(f: FormMatrix) -> Multivector:
     if f.k < 4:
         raise ValueError("tau4 needs a matrix of size >= 4")
     total: dict = {}
-    for a, b, c, d in combinations(range(f.k), 4):
-        pf = Multivector(f.n, wedge_dicts(f.entry_dict(a, b), f.entry_dict(c, d)))
-        pf = pf - Multivector(f.n, wedge_dicts(f.entry_dict(a, c), f.entry_dict(b, d)))
-        pf = pf + Multivector(f.n, wedge_dicts(f.entry_dict(a, d), f.entry_dict(b, c)))
-        for m, coeff in wedge_dicts(pf._t, pf._t).items():
-            v = total.get(m, 0) + coeff
-            if v:
-                total[m] = v
-            else:
-                total.pop(m, None)
+    for quad in combinations(range(f.k), 4):
+        pf = _sub_pfaffian(f.entry_dict, *quad)
+        _accumulate(total, wedge_dicts(pf, pf).items())
     return Multivector(f.n, total)

@@ -208,6 +208,17 @@ def _strip_content(row: dict) -> dict:
     return row
 
 
+def _accumulate(out: dict, items, scale=1) -> dict:
+    """Add scale * c into out[k] for each (k, c), dropping zeros; returns out."""
+    for k, c in items:
+        v = out.get(k, 0) + scale * c
+        if v:
+            out[k] = v
+        else:
+            out.pop(k, None)
+    return out
+
+
 class RowSpace:
     """Incremental row space over the rationals.
 
@@ -237,16 +248,8 @@ class RowSpace:
                 return True
             a = piv[col]
             b = row[col]
-            new = {}
-            for k, v in row.items():
-                new[k] = a * v
-            for k, v in piv.items():
-                w = new.get(k, 0) - b * v
-                if w:
-                    new[k] = w
-                else:
-                    new.pop(k, None)
-            row = _strip_content(new)
+            new = {k: a * v for k, v in row.items()}
+            row = _strip_content(_accumulate(new, piv.items(), -b))
         return False
 
     def contains(self, row: dict) -> bool:

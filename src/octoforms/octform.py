@@ -8,6 +8,10 @@ wedges must keep the intended parenthesization; nothing here reassociates.
 Conjugation negates the seven imaginary components coefficient-wise; this is
 the unique extension of octonion conjugation satisfying
 conj(alpha ^ beta) = (-1)^{kl} conj(beta) ^ conj(alpha) on k- and l-forms.
+
+The wedge is ``exterior.wedge_sum`` with the octonion structure tensor, so
+real and octonion forms share one exterior-product core and its exactness
+rules (int64 kernel or the componentwise dict reference).
 """
 
 from __future__ import annotations
@@ -15,30 +19,12 @@ from __future__ import annotations
 import numpy as np
 
 from .cayley_dickson import basis_products
-from .exterior import _POP16, merge_sign
-
-_OCT_TABLE = basis_products(3)
+from .exterior import wedge_sum
 
 # Structure tensor T[a, b, c] = coefficient of e_c in e_a * e_b.
 _OCT_TENSOR = np.zeros((8, 8, 8), dtype=np.int64)
-for (_a, _b), (_c, _s) in _OCT_TABLE.items():
+for (_a, _b), (_c, _s) in basis_products(3).items():
     _OCT_TENSOR[_a, _b, _c] = _s
-
-_INT64_SAFE = 2**62
-
-
-def oct_mul8(a: tuple, b: tuple) -> tuple:
-    """Octonion product of two coefficient 8-tuples."""
-    out = [0] * 8
-    for p, ca in enumerate(a):
-        if not ca:
-            continue
-        for q, cb in enumerate(b):
-            if not cb:
-                continue
-            r, s = _OCT_TABLE[(p, q)]
-            out[r] += s * ca * cb
-    return tuple(out)
 
 
 def oct_conj8(a: tuple) -> tuple:
@@ -75,13 +61,9 @@ class OctForm:
     def __add__(self, other: "OctForm") -> "OctForm":
         if self.n != other.n:
             raise ValueError("ambient dimension mismatch")
-        t = {m: list(c) for m, c in self._t.items()}
+        t = dict(self._t)
         for m, c in other._t.items():
-            if m in t:
-                for i in range(8):
-                    t[m][i] += c[i]
-            else:
-                t[m] = list(c)
+            t[m] = tuple(x + y for x, y in zip(t.get(m, (0,) * 8), c))
         return OctForm(self.n, t)
 
     def __sub__(self, other: "OctForm") -> "OctForm":
@@ -105,71 +87,11 @@ class OctForm:
     def imaginary_is_zero(self) -> bool:
         return all(all(x == 0 for x in c[1:]) for c in self._t.values())
 
-    def max_abs(self) -> int:
-        return max((max(abs(x) for x in c) for c in self._t.values()), default=0)
-
     def wedge(self, other: "OctForm") -> "OctForm":
         """self ^ other, multiplying coefficients in this operand order."""
         if self.n != other.n:
             raise ValueError("ambient dimension mismatch")
-        la, lb = len(self._t), len(other._t)
-        if self.n <= 16 and la * lb > 3000:
-            out = _oct_wedge_kernel(self, other)
-            if out is not None:
-                return out
-        return self._wedge_dict(other)
-
-    def _wedge_dict(self, other: "OctForm") -> "OctForm":
-        out: dict = {}
-        for ma, ca in self._t.items():
-            for mb, cb in other._t.items():
-                if ma & mb:
-                    continue
-                prod = oct_mul8(ca, cb)
-                s = merge_sign(ma, mb)
-                m = ma | mb
-                acc = out.get(m)
-                if acc is None:
-                    out[m] = [s * x for x in prod] if s < 0 else list(prod)
-                else:
-                    if s > 0:
-                        for i in range(8):
-                            acc[i] += prod[i]
-                    else:
-                        for i in range(8):
-                            acc[i] -= prod[i]
-        return OctForm(self.n, out)
-
-
-def _oct_wedge_kernel(a: OctForm, b: OctForm):
-    """Vectorized integer wedge for n <= 16; None if the int64 bound fails."""
-    ma = np.fromiter(a._t.keys(), dtype=np.int64, count=len(a._t))
-    mb = np.fromiter(b._t.keys(), dtype=np.int64, count=len(b._t))
-    ca = np.array([a._t[int(m)] for m in ma], dtype=np.int64)
-    cb = np.array([b._t[int(m)] for m in mb], dtype=np.int64)
-    bound = 64 * min(len(ma), len(mb)) * int(np.abs(ca).max()) * int(np.abs(cb).max())
-    if bound >= _INT64_SAFE:
-        return None
-
-    cross = ma[:, None] & mb[None, :]
-    alive = cross == 0
-    inv = np.zeros(cross.shape, dtype=np.int64)
-    for p, mask_a in enumerate(ma):
-        rest = int(mask_a)
-        while rest:
-            low = rest & -rest
-            inv[p] += _POP16[mb & (low - 1)]
-            rest ^= low
-    signs = np.where(inv & 1, -1, 1) * alive
-    # products[p, q, c] = (ca[p] * cb[q])_c as octonions
-    prods = np.einsum("pa,qb,abc->pqc", ca, cb, _OCT_TENSOR)
-    prods *= signs[:, :, None]
-    out_masks = (ma[:, None] | mb[None, :]).ravel()
-    prods = prods.reshape(-1, 8)
-    buf = np.zeros((1 << a.n, 8), dtype=np.int64)
-    np.add.at(buf, out_masks, prods)
-    nz = np.nonzero(np.any(buf, axis=1))[0]
-    return OctForm(a.n, {int(m): tuple(int(x) for x in buf[m]) for m in nz})
+        return OctForm(self.n, wedge_sum([(self._t, other._t)], self.n, _OCT_TENSOR))
 
 
 def coordinate_octonion_form(n: int, offset: int) -> OctForm:

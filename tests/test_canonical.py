@@ -6,6 +6,7 @@ import pytest
 
 from octoforms.canonical import (
     _fpq_values,
+    _manifold_classes,
     cgm_form,
     fpq_identity_check,
     kotrbaty_psi8,
@@ -152,6 +153,25 @@ def test_pontrjagin_report_rows():
     text = render_pontrjagin_text(rep)
     assert "-45/2" in text and "-13/256" in text and "p1(M) = 0" in text
     assert "gcd(tau4) = 360" in text
+
+
+def test_pontrjagin_manifold_classes_are_derived():
+    rep = pontrjagin_report()
+    bundle = rep["bundle_classes"]
+    assert _manifold_classes(bundle) == rep["manifold_classes"]
+    derived = [r["coefficient"] for r in _manifold_classes(bundle)]
+    assert derived == [0, Fraction(-45, 2), 0, Fraction(-13, 256)]
+
+    changed = [dict(r) for r in bundle]
+    changed[1]["coefficient"] = Fraction(7, 3)
+    changed[3]["coefficient"] = Fraction(1, 13)
+    rows = _manifold_classes(changed)
+    assert [r["coefficient"] for r in rows] == [0, Fraction(-7, 3), 0, Fraction(-1, 1)]
+    assert rows[3]["of"] == "[tau8(psi)]" and rows[3]["pi_power"] == -8
+
+    changed[0].update(coefficient=Fraction(1), pi_power=-2, of="[p1]")
+    with pytest.raises(ValueError):
+        _manifold_classes(changed)
 
 
 def test_fl_runs_under_10s():

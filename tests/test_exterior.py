@@ -1,4 +1,5 @@
-"""Exterior engine: signs, both wedge paths, Kahler forms, charpoly routes."""
+"""Exterior engine: signs, the wedge kernel and its reference, Kahler forms,
+charpoly routes."""
 
 import random
 from fractions import Fraction
@@ -8,19 +9,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octoforms.canonical import spin9_psi
+from octoforms import exterior
+from octoforms.canonical import spin9_psi, spin9_taus
 from octoforms.clifford import standard_system
 from octoforms.exterior import (
+    _REAL,
     FormMatrix,
     Multivector,
-    _kernel_wedge_sum,
+    _wedge_kernel,
+    _wedge_reference,
     charpoly_coeffs,
     kahler_form,
     merge_sign,
     tau4_coefficient,
     tau4_direct,
     wedge_dicts,
+    wedge_sum,
 )
+from octoforms.linalg import _INT64_SAFE
+from octoforms.octform import _OCT_TENSOR
 
 
 def sort_parity_sign(a_indices, b_indices):
@@ -83,9 +90,75 @@ def test_kernel_agrees_with_dict_engine():
         a = rand_mv(16, 2, 30, rng)
         b = rand_mv(16, rng.choice([2, 4]), 60, rng)
         pairs = [(dict(a.mask_items()), dict(b.mask_items()))]
-        got = _kernel_wedge_sum(pairs, 16)
+        got = _wedge_kernel(pairs, 16, _REAL)
         want = wedge_dicts(dict(a.mask_items()), dict(b.mask_items()))
         assert got == want
+
+
+def spy_kernel(monkeypatch):
+    """Record what every _wedge_kernel call returns (None: it declined)."""
+    calls = []
+    real = exterior._wedge_kernel
+
+    def spy(*args):
+        calls.append(real(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(exterior, "_wedge_kernel", spy)
+    return calls
+
+
+def coeff(tensor, slot, c):
+    """c as a real coefficient, or c times unit `slot` as a d-tuple."""
+    d = tensor.shape[0]
+    return c if d == 1 else tuple(c if i == slot else 0 for i in range(d))
+
+
+# a = top_a e^1 and b = 2048 blades above index 1, one of them with
+# coefficient top_b: a single pair with min(A, B) = 1, so the int64 bound
+# d^2 * top_a * top_b sits at its edge when top_a = top_b = 2**31 / d.
+@pytest.mark.parametrize("tensor", [_REAL, _OCT_TENSOR], ids=["R", "O"])
+@pytest.mark.parametrize("excess, kernel_runs", [(-1, True), (0, False)])
+def test_int64_bound_edge(monkeypatch, tensor, excess, kernel_runs):
+    d = tensor.shape[0]
+    top = 2**31 // d
+    assert d * d * top * top == _INT64_SAFE
+    a = {0b1: coeff(tensor, 0, top)}
+    b = {m << 1: coeff(tensor, 3, 1) for m in range(1, 2049)}
+    b[0b110] = coeff(tensor, 3, top + excess)
+    calls = spy_kernel(monkeypatch)
+    out = wedge_sum([(a, b)], 16, tensor)
+    assert len(calls) == 1 and (calls[0] is not None) == kernel_runs
+    assert out[0b111] == coeff(tensor, 3, top * (top + excess))
+    assert out == _wedge_reference([(a, b)], tensor)
+
+
+@pytest.mark.parametrize("tensor", [_REAL, _OCT_TENSOR], ids=["R", "O"])
+@pytest.mark.parametrize("case", ["fraction", "n17"])
+def test_kernel_declines_fraction_and_wide_forms(monkeypatch, tensor, case):
+    rng = random.Random(7)
+    n = 17 if case == "n17" else 16
+    masks = rng.sample(range(1, 1 << n), 120)
+    a = {m: coeff(tensor, rng.randrange(tensor.shape[0]), rng.randint(1, 5)) for m in masks[:60]}
+    b = {m: coeff(tensor, rng.randrange(tensor.shape[0]), rng.randint(1, 5)) for m in masks[60:]}
+    if case == "fraction":
+        a[masks[0]] = coeff(tensor, 0, Fraction(1, 3))
+    calls = spy_kernel(monkeypatch)
+    out = wedge_sum([(a, b)], n, tensor)
+    assert calls == [None]
+    assert out == _wedge_reference([(a, b)], tensor)
+    if tensor is _REAL:
+        assert out == wedge_dicts(a, b)
+
+
+def test_tau4_direct_does_not_use_the_kernel(monkeypatch):
+    want = spin9_taus()[3]
+
+    def refuse(*args):
+        raise AssertionError("tau4_direct must stay on the dict engine")
+
+    monkeypatch.setattr(exterior, "_wedge_kernel", refuse)
+    assert tau4_direct(spin9_psi()) == want
 
 
 def test_psi78_squared_coefficient():

@@ -1,9 +1,11 @@
 """Octonion-coefficient forms: conjugation rules and engine agreement."""
 
 import random
+from fractions import Fraction
 
 from octoforms.cayley_dickson import CDElement
-from octoforms.octform import OctForm, coordinate_octonion_form, oct_conj8, oct_mul8
+from octoforms.exterior import _wedge_kernel, _wedge_reference
+from octoforms.octform import _OCT_TENSOR, OctForm, coordinate_octonion_form, oct_conj8
 
 
 def rand_octform(n, grade, terms, rng, lo=-4, hi=4):
@@ -18,13 +20,15 @@ def rand_octform(n, grade, terms, rng, lo=-4, hi=4):
     return OctForm(n, data)
 
 
-def test_oct_mul8_matches_cd_mul():
+def test_scalar_wedge_matches_cd_mul():
+    # on 0-forms the wedge is the octonion product through the structure tensor
     rng = random.Random(0)
     for _ in range(30):
         a = tuple(rng.randint(-5, 5) for _ in range(8))
         b = tuple(rng.randint(-5, 5) for _ in range(8))
-        want = (CDElement(3, a) * CDElement(3, b)).coeffs
-        assert oct_mul8(a, b) == tuple(want)
+        want = OctForm(1, {0: tuple((CDElement(3, a) * CDElement(3, b)).coeffs)})
+        assert OctForm(1, {0: a}).wedge(OctForm(1, {0: b})) == want
+        assert OctForm(1, _wedge_kernel([({0: a}, {0: b})], 1, _OCT_TENSOR)) == want
 
 
 def test_conjugation_involution():
@@ -50,7 +54,22 @@ def test_wedge_kernel_agrees_with_dict():
     for _ in range(5):
         a = rand_octform(16, 2, 40, rng)
         b = rand_octform(16, 2, 40, rng)
-        assert a.wedge(b) == a._wedge_dict(b)
+        pairs = [(dict(a.mask_items()), dict(b.mask_items()))]
+        got = _wedge_kernel(pairs, 16, _OCT_TENSOR)
+        assert got == _wedge_reference(pairs, _OCT_TENSOR)
+        assert a.wedge(b) == OctForm(16, got)
+
+
+def test_wedge_keeps_fraction_coefficients():
+    # large enough for the kernel, which must decline rational coefficients
+    # instead of truncating them to int64
+    dx = coordinate_octonion_form(16, 0)
+    dy = coordinate_octonion_form(16, 8)
+    a = dx.conjugate().wedge(dx).wedge(dy)
+    b = Fraction(1, 3) * a
+    ba = b.wedge(a)
+    assert len(ba) == 1568
+    assert 3 * ba == a.wedge(a)
 
 
 def test_wedge_respects_operand_order():
