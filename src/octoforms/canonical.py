@@ -33,7 +33,7 @@ from .octform import coordinate_octonion_form
 def spin9_psi() -> FormMatrix:
     """The 9x9 skew matrix of Kahler 2-forms psi_ab of J_ab = I_a I_b."""
     c = standard_system("spin9")
-    return FormMatrix.from_endomorphisms(c.int_arrays())
+    return FormMatrix.from_endomorphisms(c.mats)
 
 
 @lru_cache(maxsize=None)
@@ -134,7 +134,7 @@ def quaternionic_forms() -> tuple:
     tau_2(theta) = -2 Omega_L is pinned by the acceptance suite.
     """
     c = standard_system("quaternionic_Sp2Sp1")
-    theta = FormMatrix.from_endomorphisms(c.int_arrays())
+    theta = FormMatrix.from_endomorphisms(c.mats)
     eye2 = Matrix.identity(2)
     omega_l = Multivector.zero(8)
     for t in (1, 2, 3):

@@ -118,14 +118,14 @@ def _cmd_fields(args) -> int:
         report = verify_system(system, samples=1, seed=args.seed)
         code = 0 if report.ok else 1
     if args.json:
-        from .serialize import int_matrix_to_triplets
-
         payload = {
             "m": args.m,
             "sigma": sigma(args.m),
             "count": len(system.fields),
             "notes": list(system.notes),
-            "fields": [int_matrix_to_triplets(a) for a in system.fields],
+            # [row, column, sign] triplets, 0-based, in row order
+            "fields": [list(zip(range(args.m), a.perm.tolist(), a.sign.tolist()))
+                       for a in system.fields],
         }
         if report is not None:
             payload["verified"] = report.ok

@@ -261,7 +261,9 @@ def _wedge_kernel(pairs, n: int, tensor):
             return None
     bits = np.int64(1) << np.arange(n, dtype=np.int64)
     t_flat = tensor.reshape(d, d * d)
-    buf = np.zeros((1 << n, d), dtype=np.int64)
+    # one flat buffer, entry blade * d + c: np.add.at is much slower on a 2-D
+    # buffer, and adding one component per call needs no (pairs x d) index
+    buf = np.zeros((1 << n) * d, dtype=np.int64)
     for a, b in pairs:
         ma = np.fromiter(a, dtype=np.int64, count=len(a))
         mb = np.fromiter(b, dtype=np.int64, count=len(b))
@@ -271,10 +273,15 @@ def _wedge_kernel(pairs, n: int, tensor):
         odd = np.bitwise_xor.reduce(np.where((ma[:, None] & bits) != 0, bits - 1, 0), axis=1)
         signs = 1 - 2 * (_POP16[odd[:, None] & mb[None, :]] & 1)
         signs *= (ma[:, None] & mb[None, :]) == 0
-        # prods[p, q, c] = sum_ab ca[p, a] cb[q, b] T[a, b, c], in two steps
-        prods = np.einsum("qb,pbc->pqc", cb, (ca @ t_flat).reshape(len(a), d, d))
-        prods *= signs[:, :, None]
-        np.add.at(buf, (ma[:, None] | mb[None, :]).ravel(), prods.reshape(-1, d))
+        # prods[c, p, q] = sum_ab ca[p, a] cb[q, b] T[a, b, c], in two steps
+        prods = np.einsum("qb,pbc->cpq", cb, (ca @ t_flat).reshape(len(a), d, d), order="C")
+        prods *= signs
+        idx = (ma[:, None] | mb[None, :]).ravel()
+        idx *= d
+        for c in range(d):
+            np.add.at(buf, idx, prods[c].ravel())
+            idx += 1
+    buf = buf.reshape(1 << n, d)
     nz = np.flatnonzero(buf.any(axis=1))
     if d == 1:
         return dict(zip(nz.tolist(), buf[nz, 0].tolist()))

@@ -13,6 +13,10 @@ which is constant on fibers and satisfies sum lambda^2 = 1 on the sphere.
 Off the sphere each lambda is homogeneous of degree 2.  The line at infinity
 l_inf = {(0, y)} maps to (0,...,0,-1) in this chart; the paper's prose places
 it over the north pole, a sign convention documented here and not patched.
+
+The nine I_a are signed permutations, held as ``linalg.SignedPerm``, so each
+section I_a N is an exact O(16) gather.  The action at a general rational
+(u, r) is a rational ``linalg.Matrix``.
 """
 
 from __future__ import annotations
@@ -47,21 +51,6 @@ class SpherePoint16:
 @lru_cache(maxsize=1)
 def spin9_involutions() -> tuple:
     return standard_system("spin9").mats
-
-
-@lru_cache(maxsize=1)
-def _involution_perms() -> tuple:
-    """(source column, sign) per row of each I_a; they are signed permutations."""
-    perms = []
-    for mat in spin9_involutions():
-        rows = []
-        for i in range(16):
-            entries = [(j, mat[i, j]) for j in range(16) if mat[i, j]]
-            if len(entries) != 1 or entries[0][1] not in (1, -1):
-                raise AssertionError("involution is not a signed permutation")
-            rows.append(entries[0])
-        perms.append(tuple(rows))
-    return tuple(perms)
 
 
 def hopf_action(u: CDElement, r) -> Matrix:
@@ -108,10 +97,7 @@ def hopf_map(p: SpherePoint16) -> tuple:
 def spin9_sections(p: SpherePoint16) -> list:
     """The nine vectors I_a N at N = p, as exact coordinate lists."""
     coords = p.coords()
-    return [
-        [c if s > 0 else -c for c, s in ((coords[j], s) for j, s in rows)]
-        for rows in _involution_perms()
-    ]
+    return [a.apply(coords) for a in spin9_involutions()]
 
 
 def reconstruct(p: SpherePoint16) -> list:

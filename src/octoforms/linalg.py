@@ -1,9 +1,12 @@
 """Exact dense linear algebra over the rationals.
 
 Matrices are immutable, row-major, with ``int`` or ``fractions.Fraction``
-entries.  Everything here is pure and safe to share across threads.  Rank and
-Lie-closure computations reduce integer rows fraction-free (cross-multiplied,
-gcd-normalized), so no rational blow-up occurs even for 128x128 inputs.
+entries.  Signed permutation matrices, which make up the Clifford systems,
+the sphere fields and the Hopf involutions, are held as ``SignedPerm`` (a
+column and a sign per row) instead.  Everything here is pure and safe to
+share across threads.  Rank and Lie-closure computations reduce integer rows
+fraction-free (cross-multiplied, gcd-normalized), so no rational blow-up
+occurs even for 128x128 inputs.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ from fractions import Fraction
 from math import gcd
 
 import numpy as np
-
-Scalar = "int | Fraction"
 
 # numpy int64 products must stay below this; all matrices handled here have
 # entries of magnitude a few thousand at most.
@@ -60,11 +61,6 @@ class Matrix:
             for i in range(height):
                 rows.append([x for b in brow for x in b.row(i)])
         return cls.from_rows(rows)
-
-    @classmethod
-    def from_array(cls, arr) -> "Matrix":
-        arr = np.asarray(arr)
-        return cls(arr.shape[0], arr.shape[1], [int(x) for x in arr.ravel()])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -181,20 +177,101 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.rows, b.cols, out)
 
 
-def is_symmetric(a: Matrix) -> bool:
-    return a.is_symmetric()
+class SignedPerm:
+    """Immutable signed permutation matrix: row i has sign[i] in column perm[i].
 
+    Products, transposes, Kronecker products, comparisons and traces cost
+    O(n); ``np.asarray`` gives the dense int64 matrix.
+    """
 
-def is_skew(a: Matrix) -> bool:
-    return a.is_skew()
+    __slots__ = ("perm", "sign")
 
+    def __init__(self, perm, sign):
+        perm, sign = np.asarray(perm), np.asarray(sign)
+        n = len(perm)
+        if perm.shape != (n,) or sign.shape != (n,):
+            raise ValueError("perm and sign must be vectors of one length")
+        if not (np.abs(sign) == 1).all():
+            raise ValueError("not a signed permutation: an entry is not 0, 1 or -1")
+        if not np.array_equal(np.sort(perm), np.arange(n)):
+            raise ValueError("not a signed permutation: a column is repeated")
+        self.perm = perm.astype(np.int64)
+        self.sign = sign.astype(np.int64)
+        self.perm.flags.writeable = False
+        self.sign.flags.writeable = False
 
-def trace(a: Matrix):
-    return a.trace()
+    @classmethod
+    def of(cls, x) -> "SignedPerm":
+        """The signed permutation equal to a square Matrix or array x.
 
+        Raises ValueError when x is not one: a non-integer Matrix, an entry
+        other than 0 and +-1, a row without exactly one nonzero entry, or a
+        repeated column.
+        """
+        if isinstance(x, SignedPerm):
+            return x
+        arr = x.to_int_array() if isinstance(x, Matrix) else np.asarray(x)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ValueError("a signed permutation is a square matrix")
+        nonzero = arr != 0
+        if not (nonzero.sum(axis=1) == 1).all():
+            raise ValueError("not a signed permutation: a row has no single nonzero entry")
+        perm = nonzero.argmax(axis=1)
+        return cls(perm, arr[np.arange(len(perm)), perm])
 
-def transpose(a: Matrix) -> Matrix:
-    return a.transpose()
+    @classmethod
+    def identity(cls, n: int) -> "SignedPerm":
+        return cls(np.arange(n), np.ones(n, dtype=np.int64))
+
+    @property
+    def n(self) -> int:
+        return len(self.perm)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, SignedPerm)
+            and np.array_equal(self.perm, other.perm)
+            and np.array_equal(self.sign, other.sign)
+        )
+
+    def __hash__(self):
+        return hash((self.perm.tobytes(), self.sign.tobytes()))
+
+    def __matmul__(self, other: "SignedPerm") -> "SignedPerm":
+        if not isinstance(other, SignedPerm):
+            return NotImplemented
+        if other.n != self.n:
+            raise ValueError(f"dimension mismatch: {self.n} @ {other.n}")
+        return SignedPerm(other.perm[self.perm], self.sign * other.sign[self.perm])
+
+    def __neg__(self) -> "SignedPerm":
+        return SignedPerm(self.perm, -self.sign)
+
+    @property
+    def T(self) -> "SignedPerm":
+        inverse = np.argsort(self.perm)
+        return SignedPerm(inverse, self.sign[inverse])
+
+    def kron(self, other: "SignedPerm") -> "SignedPerm":
+        """Kronecker product: block (i, perm[i]) holds sign[i] * other."""
+        perm = self.perm[:, None] * other.n + other.perm[None, :]
+        return SignedPerm(perm.ravel(), np.outer(self.sign, other.sign).ravel())
+
+    def apply(self, vec) -> list:
+        """Matrix-vector product on an exact coefficient sequence."""
+        vec = list(vec)
+        if len(vec) != self.n:
+            raise ValueError("vector length mismatch")
+        pairs = zip(self.perm.tolist(), self.sign.tolist())
+        return [vec[j] if s > 0 else -vec[j] for j, s in pairs]
+
+    def trace(self) -> int:
+        return int(self.sign[self.perm == np.arange(self.n)].sum())
+
+    def __array__(self, dtype=None, copy=None):
+        out = np.zeros((self.n, self.n), dtype=np.int64 if dtype is None else dtype)
+        out[np.arange(self.n), self.perm] = self.sign
+        return out
 
 
 def _strip_content(row: dict) -> dict:
@@ -251,13 +328,6 @@ class RowSpace:
             new = {k: a * v for k, v in row.items()}
             row = _strip_content(_accumulate(new, piv.items(), -b))
         return False
-
-    def contains(self, row: dict) -> bool:
-        saved = dict(self._pivots)
-        grew = self.add(row)
-        if grew:
-            self._pivots = saved
-        return not grew
 
 
 def _row_of_fractions(entries) -> dict:

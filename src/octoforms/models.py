@@ -5,7 +5,9 @@ K ox R^16 for K = C, H, O: the K-units act by right multiplication on the
 K factor (kron(R_u, Id16)) and the nine octonionic involutions act on the
 R^16 factor (kron(Id, I_a)).  Compositions J_ab = gen_a gen_b land in skew
 endomorphisms; their spans and Lie closures realize spin(10), spin(12) and
-spin(16) inside the respective orthogonal algebras.
+spin(16) inside the respective orthogonal algebras.  Every generator is a
+signed permutation, held as ``linalg.SignedPerm``; the Kahler forms and the
+Lie closures read them as dense arrays.
 
 The Grassmannian families use the Spin(8) generators m_u on O + O and the
 m_{u,v} = m_u m_v compositions, applied diagonally to tangent vectors listed
@@ -18,12 +20,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-import numpy as np
-
 from .cayley_dickson import CDElement, right_mult_matrix
 from .clifford import independence_count, standard_system
 from .exterior import FormMatrix, Multivector, kahler_form, tau2_direct, tau4_coefficient
-from .linalg import Matrix, lie_closure_dim
+from .linalg import Matrix, SignedPerm, lie_closure_dim
 
 MODEL_NAMES = ("eiii", "evi", "eviii", "gr8r", "gr4c", "gr2h")
 
@@ -32,33 +32,28 @@ MODEL_NAMES = ("eiii", "evi", "eviii", "gr8r", "gr4c", "gr2h")
 class EvenCliffordModel:
     name: str
     ambient_dim: int
-    generators: tuple  # numpy int64 arrays
+    generators: tuple  # SignedPerm
     rank: int
-
-    def generator(self, a: int) -> np.ndarray:
-        return self.generators[a]
-
-
-def _ru(level: int, t: int) -> np.ndarray:
-    return right_mult_matrix(CDElement.unit(level, t)).to_int_array()
 
 
 def _rosenfeld_generators(level: int) -> list:
     """kron(R_u, Id16) for the imaginary units, then kron(Id, I_a)."""
-    spin9 = standard_system("spin9").int_arrays()
     d = 1 << level
-    eye16 = np.eye(16, dtype=np.int64)
-    eyed = np.eye(d, dtype=np.int64)
-    gens = [np.kron(_ru(level, t), eye16) for t in range(1, d)]
-    gens.extend(np.kron(eyed, i_a) for i_a in spin9)
+    eye16 = SignedPerm.identity(16)
+    gens = [
+        SignedPerm.of(right_mult_matrix(CDElement.unit(level, t))).kron(eye16)
+        for t in range(1, d)
+    ]
+    gens.extend(SignedPerm.identity(d).kron(i_a) for i_a in standard_system("spin9").mats)
     return gens
 
 
-def _m_u(u: CDElement) -> np.ndarray:
-    ru = right_mult_matrix(u).to_int_array()
-    ruc = right_mult_matrix(u.conjugate()).to_int_array()
-    z = np.zeros((8, 8), dtype=np.int64)
-    return np.block([[z, ru], [-ruc, z]])
+def _m_u(u: CDElement) -> SignedPerm:
+    """offdiag(R_u, -R_conj(u)) for a unit basis octonion u."""
+    z = Matrix.zero(8, 8)
+    ru = right_mult_matrix(u)
+    ruc = right_mult_matrix(u.conjugate())
+    return SignedPerm.of(Matrix.from_blocks([[z, ru], [-ruc, z]]))
 
 
 def build_model(name: str) -> EvenCliffordModel:
@@ -80,7 +75,7 @@ def build_model(name: str) -> EvenCliffordModel:
         # units spanning F = <1, i, j, k, e, f> inside O
         gens = [_m_u(CDElement.unit(3, t)) for t in range(6)]
         return EvenCliffordModel(name, 16, tuple(gens), 6)
-    gens = standard_system("quaternionic_Sp2Sp1").int_arrays()
+    gens = standard_system("quaternionic_Sp2Sp1").mats
     return EvenCliffordModel("gr2h", 8, tuple(gens), 5)
 
 
@@ -89,7 +84,7 @@ def lambda2_generators(model: EvenCliffordModel) -> list:
     out = []
     for a, b in combinations(range(len(model.generators)), 2):
         j = model.generators[a] @ model.generators[b]
-        if not np.array_equal(j, -j.T):
+        if j.T != -j:
             raise AssertionError(f"J_{a}{b} is not skew-symmetric")
         out.append(j)
     return out
@@ -167,7 +162,7 @@ def structure_census(deep: bool = False) -> dict:
     from a C_6 inside the standard spin9 system on R^16; 35 still exceeds the
     21-dimensional component of the Spin(7) 2-form decomposition.
     """
-    spin9 = standard_system("spin9").int_arrays()
+    spin9 = standard_system("spin9").mats
     j_pairs = [
         spin9[a] @ spin9[b] for a, b in combinations(range(9), 2)
     ]
@@ -178,7 +173,7 @@ def structure_census(deep: bool = False) -> dict:
     c6_triples = [
         c6[a] @ c6[b] @ c6[c] for a, b, c in combinations(range(7), 3)
     ]
-    quat = standard_system("quaternionic_Sp2Sp1").int_arrays()
+    quat = standard_system("quaternionic_Sp2Sp1").mats
     quat_pairs = [quat[a] @ quat[b] for a, b in combinations(range(5), 2)]
 
     eiii = build_model("eiii")

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from .exterior import Multivector, _indices_to_mask
-from .linalg import Matrix
+from .linalg import SignedPerm
 
 
 def rational_str(x) -> str:
@@ -57,13 +59,6 @@ def multivector_to_csv(mv: Multivector) -> str:
     return "\n".join(lines) + "\n"
 
 
-def matrix_to_json(m: Matrix) -> list:
-    return [[rational_str(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
-
-
-def int_matrix_to_triplets(arr) -> list:
-    """Sparse triplet rows [row, col, value] of an integer matrix, 0-based."""
-    import numpy as np
-
-    rows, cols = np.nonzero(arr)
-    return [[int(r), int(c), int(arr[r, c])] for r, c in zip(rows, cols)]
+def matrix_to_json(m: SignedPerm) -> list:
+    """Dense rows of entry strings."""
+    return [[rational_str(x) for x in row] for row in np.asarray(m).tolist()]

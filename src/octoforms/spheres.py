@@ -2,11 +2,11 @@
 
 For m = (2k+1) 2^p 16^q (0 <= p <= 3) the sphere S^{m-1} carries exactly
 sigma(m) = 2^p + 8q - 1 linearly independent tangent fields.  All fields here
-are linear, A_i x at x, compiled to signed-permutation matrices, so tangency
-and orthonormality on the whole sphere reduce to three exact matrix
-conditions:
+are linear, A_i x at x, with A_i a signed permutation held as
+``linalg.SignedPerm`` and built by Kronecker products and products.  So
+tangency and orthonormality on the whole sphere reduce to exact O(m) checks:
 
-    A skew,   A^T A = Id,   A^T B + B^T A = 0  (distinct fields).
+    A skew,   A^T A = Id (true of any signed permutation),   A^T B + B^T A = 0.
 
 Construction by q:
   q = 0: right multiplications by the imaginary units of C, H, O.
@@ -18,10 +18,11 @@ Construction by q:
 Odd factors 2k+1 enter through the diagonal (block-repeated) extension.
 
 The printed level-3 left multiplication table is transcribed verbatim; its
-L_e row contains "k s6" where the octonion product table gives "k s8".  The
-builder tries the verbatim table first and falls back to the table derived
-from genuine octonion left multiplication when the matrix conditions fail,
-recording the switch in the system notes: both outcomes stay observable.
+L_e row contains "k s6" where the octonion product table gives "k s8", so it
+is not a signed permutation.  The builder tries the verbatim table first and
+falls back to the table derived from genuine octonion left multiplication when
+it is rejected, recording the switch in the system notes: both outcomes stay
+observable.
 """
 
 from __future__ import annotations
@@ -29,11 +30,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
 from .cayley_dickson import CDElement, left_mult_matrix, right_mult_matrix
 from .clifford import standard_system
+from .linalg import SignedPerm
 
 # Formal left multiplication tables, printed form.  Row u, slot t holds the
 # signed source index: L_u(s^1..s^l) has sign * s^{|entry|} in slot t, slots
@@ -97,14 +100,18 @@ def sigma(m: int) -> int:
 
 @dataclass(frozen=True)
 class VectorFieldSystem:
+    """Fields A_i x on S^{m-1}, held as SignedPerm: inputs are converted once
+    by SignedPerm.of."""
+
     m: int
     fields: tuple
     notes: tuple = ()
 
     def __post_init__(self):
-        for a in self.fields:
-            if a.shape != (self.m, self.m):
-                raise ValueError("field size mismatch")
+        fields = tuple(SignedPerm.of(a) for a in self.fields)
+        if any(a.n != self.m for a in fields):
+            raise ValueError("field size mismatch")
+        object.__setattr__(self, "fields", fields)
 
 
 @dataclass(frozen=True)
@@ -117,30 +124,15 @@ class FieldsReport:
         return self.ok
 
 
-def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # entries are in {-1, 0, 1} and m <= 512, so every float64 intermediate
-    # is an exact integer far below 2**53
-    out = a.astype(np.float64) @ b.astype(np.float64)
-    res = out.astype(np.int64)
-    if not np.array_equal(res, out):
-        raise AssertionError("inexact product")
-    return res
-
-
 def _matrix_conditions(fields) -> list:
-    failures = []
-    m = fields[0].shape[0]
-    eye = np.eye(m, dtype=np.int64)
-    for i, a in enumerate(fields):
-        if not np.array_equal(a, -a.T):
-            failures.append(f"field {i} is not skew")
-        if not np.array_equal(_exact_matmul(a.T, a), eye):
-            failures.append(f"field {i} is not orthogonal")
-    for i in range(len(fields)):
-        for j in range(i + 1, len(fields)):
-            g = _exact_matmul(fields[i].T, fields[j])
-            if not np.array_equal(g, -g.T):
-                failures.append(f"fields {i},{j} break A^T B + B^T A = 0")
+    """Failures of A skew and A^T B + B^T A = 0, in O(m) per field pair;
+    A^T A = Id holds for every signed permutation."""
+    failures = [f"field {i} is not skew" for i, a in enumerate(fields) if a.T != -a]
+    transposes = [a.T for a in fields]
+    for i, j in combinations(range(len(fields)), 2):
+        g = transposes[i] @ fields[j]
+        if g.T != -g:
+            failures.append(f"fields {i},{j} break A^T B + B^T A = 0")
     return failures
 
 
@@ -163,7 +155,7 @@ def verify_system(v: VectorFieldSystem, samples: int = 2, seed: int = 0) -> Fiel
         norm2 = sum(a * a for a in x)
         images = []
         for idx, a in enumerate(v.fields):
-            ax = _apply_signed_perm(a, x)
+            ax = a.apply(x)
             images.append(ax)
             if sum(p * q for p, q in zip(ax, x)) != 0:
                 failures.append(f"field {idx} not tangent at sample point")
@@ -174,18 +166,6 @@ def verify_system(v: VectorFieldSystem, samples: int = 2, seed: int = 0) -> Fiel
                 if dot != want:
                     failures.append(f"fields {i},{j} not orthonormal at sample point")
     return FieldsReport(ok=not failures, failures=tuple(failures), notes=v.notes)
-
-
-def _apply_signed_perm(a: np.ndarray, x: list) -> list:
-    rows, cols = np.nonzero(a)
-    out = [0] * a.shape[0]
-    for r, c in zip(rows, cols):
-        out[r] += int(a[r, c]) * x[c]
-    return out
-
-
-def _kron_eye(blocks: int, a: np.ndarray) -> np.ndarray:
-    return np.kron(np.eye(blocks, dtype=np.int64), a)
 
 
 def _left_mult_from_table(row: str, l: int) -> np.ndarray:
@@ -201,6 +181,8 @@ def formal_left_mults(l: int, printed: bool = True) -> list:
 
     printed=True transcribes the published table; printed=False derives the
     table from genuine left multiplication in the level log2(l) algebra.
+    Both are l x l int64 arrays: the printed level-3 L_e is not a signed
+    permutation.
     """
     if l not in (2, 4, 8):
         raise ValueError("formal left multiplications exist for l in {2, 4, 8}")
@@ -216,109 +198,98 @@ def formal_left_mults(l: int, printed: bool = True) -> list:
 
 
 def _spin9_j_fields() -> list:
-    mats = standard_system("spin9").int_arrays()
-    i9 = mats[8]
-    return [mats[a] @ i9 for a in range(8)]
+    mats = standard_system("spin9").mats
+    return [mats[a] @ mats[8] for a in range(8)]
 
 
-_D16 = np.diag([1] * 8 + [-1] * 8).astype(np.int64)
+_D16 = SignedPerm(range(16), [1] * 8 + [-1] * 8)
+_EYE16 = SignedPerm.identity(16)
 
 
-def _base_16(p: int, printed: bool) -> tuple:
-    """The 2^p * 16 system (q = 1); returns (fields, notes)."""
-    j16 = _spin9_j_fields()
-    blocks = 1 << p
-    fields = [_kron_eye(blocks, j) for j in j16]
-    notes = []
+def _base_16(p: int, printed: bool) -> list:
+    """The 2^p * 16 system (q = 1); raises ValueError when the formal left
+    multiplication table is not made of signed permutations (printed, p = 3)."""
+    slots = SignedPerm.identity(1 << p)
+    fields = [slots.kron(j) for j in _spin9_j_fields()]
     if p >= 1:
-        d = _kron_eye(blocks, _D16)
-        for lu in formal_left_mults(blocks, printed=printed):
-            fields.append(d @ np.kron(lu, np.eye(16, dtype=np.int64)))
-    return fields, notes
+        d = slots.kron(_D16)
+        for lu in formal_left_mults(1 << p, printed=printed):
+            fields.append(d @ SignedPerm.of(lu).kron(_EYE16))
+    return fields
 
 
-def _base_256(p: int, printed: bool) -> tuple:
-    """The 2^p * 256 system (q = 2, p <= 1); returns (fields, notes)."""
+def _base_256(p: int) -> list:
+    """The 2^p * 256 system (q = 2, p <= 1)."""
     if p > 1:
         raise ValueError(
             "q = 2 constructions are given for p <= 1 (up to S^511); "
             "higher p defers to the general linear-algebra formalism"
         )
     j16 = _spin9_j_fields()
-    blocks = 16 * (1 << p)  # sedenion slots
-    d = _kron_eye(blocks, _D16)
-    fields = [_kron_eye(blocks, j) for j in j16]
-    level2 = [
-        d @ _kron_eye(1 << p, np.kron(j, np.eye(16, dtype=np.int64))) for j in j16
-    ]
-    fields.extend(level2)
+    slots = SignedPerm.identity(16 << p)  # sedenion slots
+    d = slots.kron(_D16)
+    fields = [slots.kron(j) for j in j16]
+    fields.extend(d @ SignedPerm.identity(1 << p).kron(j.kron(_EYE16)) for j in j16)
     if p == 1:
         fields.append(d @ _d2_512() @ _li_512())
-    return fields, []
+    return fields
 
 
-def _li_512() -> np.ndarray:
-    eye = np.eye(256, dtype=np.int64)
-    z = np.zeros((256, 256), dtype=np.int64)
-    return np.block([[z, -eye], [eye, z]])
+def _li_512() -> SignedPerm:
+    """offdiag(-Id256, Id256)."""
+    return SignedPerm([1, 0], [-1, 1]).kron(SignedPerm.identity(256))
 
 
-def _d2_512() -> np.ndarray:
-    d2_half = np.diag([1] * 128 + [-1] * 128).astype(np.int64)
-    return np.kron(np.eye(2, dtype=np.int64), d2_half)
+def _d2_512() -> SignedPerm:
+    """Id2 ox diag(Id128, -Id128)."""
+    flip = SignedPerm([0, 1], [1, -1])
+    return SignedPerm.identity(2).kron(flip.kron(SignedPerm.identity(128)))
 
 
-def naive_s511_extra() -> np.ndarray:
+def naive_s511_extra() -> SignedPerm:
     """D(L_i N) on R^512 without the D2 conjugation: the documented failure.
 
     Orthogonal to the eight J_a N but not to the level-2 fields; the working
     field is D(D2(L_i N)).
     """
-    d = _kron_eye(32, _D16)
-    return d @ _li_512()
+    return SignedPerm.identity(32).kron(_D16) @ _li_512()
 
 
 def build_fields(m: int, formal_left: str = "auto") -> VectorFieldSystem:
     """Maximal system of sigma(m) orthonormal tangent fields on S^{m-1}.
 
     formal_left: "auto" tries the printed level-3 table and switches to the
-    octonion-table variant if verification fails; "printed" and "table" force
-    one variant (the forced printed variant is not verified here).
+    octonion-table variant when that table is not a signed permutation;
+    "printed" and "table" force one variant, and the forced printed variant
+    raises ValueError at level 3.
     """
     dec = hr_decompose(m)
     if dec.q >= 3:
         raise ValueError("q >= 3 is out of scope; the paper defers the general recursion")
-    notes: list = []
-
-    def assemble(printed: bool) -> list:
-        if dec.q == 0:
-            if dec.p == 0:
-                return []
-            units = [
-                right_mult_matrix(CDElement.unit(dec.p, t)).to_int_array()
-                for t in range(1, 1 << dec.p)
-            ]
-            return units
-        if dec.q == 1:
-            fields, _ = _base_16(dec.p, printed)
-            return fields
-        fields, _ = _base_256(dec.p, printed)
-        return fields
-
-    uses_l8 = dec.q == 1 and dec.p == 3
-    printed = formal_left != "table"
-    fields = assemble(printed)
-    if uses_l8 and formal_left == "auto":
-        if _matrix_conditions(fields):
-            fields = assemble(False)
-            notes.append(
+    notes = ()
+    if dec.q == 0:
+        fields = [
+            SignedPerm.of(right_mult_matrix(CDElement.unit(dec.p, t)))
+            for t in range(1, 1 << dec.p)
+        ]
+    elif dec.q == 2:
+        fields = _base_256(dec.p)
+    elif dec.p == 3 and formal_left == "auto":
+        try:
+            fields = _base_16(3, printed=True)
+        except ValueError:
+            fields = _base_16(3, printed=False)
+            notes = (
                 "printed formal left multiplication table fails orthonormality "
-                "(row L_e, term k s6); using the octonion product table (k s8)"
+                "(row L_e, term k s6); using the octonion product table (k s8)",
             )
+    else:
+        fields = _base_16(dec.p, printed=formal_left != "table")
     if dec.k > 0:
-        fields = [_kron_eye(2 * dec.k + 1, a) for a in fields]
+        odd = SignedPerm.identity(2 * dec.k + 1)
+        fields = [odd.kron(a) for a in fields]
 
-    system = VectorFieldSystem(m=m, fields=tuple(fields), notes=tuple(notes))
+    system = VectorFieldSystem(m=m, fields=tuple(fields), notes=notes)
     expected = sigma(m)
     if len(system.fields) != expected:
         raise AssertionError(f"built {len(system.fields)} fields, expected sigma({m}) = {expected}")
@@ -329,7 +300,7 @@ def fixed_beta_variant(beta: int) -> VectorFieldSystem:
     """The eight fields I_a I_beta (a != beta) on S^15, for any 1 <= beta <= 9."""
     if not 1 <= beta <= 9:
         raise ValueError("beta must be in 1..9")
-    mats = standard_system("spin9").int_arrays()
+    mats = standard_system("spin9").mats
     ib = mats[beta - 1]
     fields = [mats[a] @ ib for a in range(9) if a != beta - 1]
     return VectorFieldSystem(m=16, fields=tuple(fields))

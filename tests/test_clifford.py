@@ -1,5 +1,8 @@
 """Clifford systems: axioms, extensions, invariants, dimension table."""
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from octoforms.clifford import (
@@ -14,7 +17,7 @@ from octoforms.clifford import (
     trace_invariant,
     verify,
 )
-from octoforms.linalg import Matrix
+from octoforms.linalg import Matrix, SignedPerm
 
 
 def test_standard_systems_verify():
@@ -31,14 +34,14 @@ def test_standard_systems_verify():
 def test_spin9_block_shapes():
     c = standard_system("spin9")
     eye8 = Matrix.identity(8)
-    i9 = c.mats[8]
+    i9 = np.asarray(c.mats[8])
     for p in range(8):
         assert i9[p, p] == 1
         assert i9[8 + p, 8 + p] == -1
-    i1 = c.mats[0]
+    i1 = np.asarray(c.mats[0])
     assert all(i1[p, 8 + p] == 1 and i1[8 + p, p] == 1 for p in range(8))
     quat = standard_system("quaternionic_Sp2Sp1")
-    i5 = quat.mats[4]
+    i5 = np.asarray(quat.mats[4])
     assert all(i5[p, p] == 1 and i5[4 + p, 4 + p] == -1 for p in range(4))
 
 
@@ -47,6 +50,14 @@ def test_identity_pair_fails_anticommutation():
     rep = verify(CliffordSystem(n=2, mats=(eye, eye)))
     assert not rep.ok
     assert any("P_0 P_1" in f for f in rep.failures)
+
+
+def test_system_rejects_non_signed_permutations():
+    eye = Matrix.identity(2)
+    with pytest.raises(ValueError):
+        CliffordSystem(n=2, mats=(eye, eye.scaled(Fraction(1, 2))))
+    with pytest.raises(ValueError):
+        CliffordSystem(n=2, mats=(eye, np.array([[0, 1], [1, 1]])))
 
 
 def test_unknown_kind():
@@ -104,7 +115,7 @@ def test_trace_invariants():
 
 def test_orthonormality_of_involutions():
     c = standard_system("spin9")
-    arrs = c.int_arrays()
+    arrs = [np.asarray(p) for p in c.mats]
     for i, p in enumerate(arrs):
         assert abs(p.trace()) in (0, c.n)
         for q in arrs[i + 1 :]:
@@ -114,10 +125,10 @@ def test_orthonormality_of_involutions():
 def test_compose_j_properties():
     c = standard_system("spin9")
     j12 = compose_J(c, (1, 2))
-    assert j12.is_skew()
-    assert j12 @ j12 == Matrix.identity(16).scaled(-1)
+    assert j12.T == -j12
+    assert j12 @ j12 == -SignedPerm.identity(16)
     j123 = compose_J(c, (1, 2, 3))
-    assert j123.is_skew()
+    assert j123.T == -j123
     with pytest.raises(ValueError):
         compose_J(c, (2, 1))
     with pytest.raises(ValueError):
@@ -131,6 +142,8 @@ def test_independence_counts():
     assert independence_count(all_J_pairs(c)) == 36
     assert independence_count(all_J_triples(c)) == 84
     assert independence_count([Matrix.identity(4), Matrix.identity(4)]) == 1
+    half = Matrix.identity(2).scaled(Fraction(1, 2))
+    assert independence_count([Matrix.identity(2), half]) == 1
 
 
 def test_c6_triples_break_spin7_bound():
@@ -150,8 +163,8 @@ def test_extend_with_extra_structures():
     from octoforms.cayley_dickson import CDElement, right_mult_matrix
 
     pauli = standard_system("pauli_U2")
-    assert pauli.mats[0] @ pauli.mats[1] == right_mult_matrix(CDElement.unit(2, 1))
-    assert pauli.mats[0] @ pauli.mats[2] == right_mult_matrix(CDElement.unit(2, 2))
+    assert pauli.mats[0] @ pauli.mats[1] == SignedPerm.of(right_mult_matrix(CDElement.unit(2, 1)))
+    assert pauli.mats[0] @ pauli.mats[2] == SignedPerm.of(right_mult_matrix(CDElement.unit(2, 2)))
     rk = right_mult_matrix(CDElement.unit(2, 3))
     c4 = extend(pauli, extra=[rk])
     assert len(c4.mats) == 5 and c4.n == 8 and verify(c4).ok

@@ -170,7 +170,7 @@ def test_psi78_squared_coefficient():
 
 
 def test_kahler_form_examples():
-    mats = standard_system("spin9").int_arrays()
+    mats = standard_system("spin9").mats
     psi12 = kahler_form(mats[0] @ mats[1])
     assert psi12.coefficient((1, 2)) == -1
     assert psi12.coefficient((3, 4)) == 1

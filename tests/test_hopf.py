@@ -18,15 +18,15 @@ from octoforms.hopf import (
     reconstruct,
     spin9_sections,
 )
-from octoforms.linalg import Matrix
+from octoforms.linalg import Matrix, SignedPerm
 
 
 def test_action_at_basis_vectors_gives_involutions():
     mats = standard_system("spin9").mats
     zero = CDElement.zero(3)
-    assert hopf_action(zero, 1) == mats[8]
-    assert hopf_action(CDElement.unit(3, 0), 0) == mats[0]
-    assert hopf_action(CDElement.unit(3, 1), 0) == mats[1]
+    assert SignedPerm.of(hopf_action(zero, 1)) == mats[8]
+    assert SignedPerm.of(hopf_action(CDElement.unit(3, 0), 0)) == mats[0]
+    assert SignedPerm.of(hopf_action(CDElement.unit(3, 1), 0)) == mats[1]
 
 
 def test_action_squares_to_identity_on_random_units():

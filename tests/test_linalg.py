@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octoforms.clifford import standard_system
-from octoforms.linalg import Matrix, lie_closure_dim, mat_mul, rank
+from octoforms.linalg import Matrix, SignedPerm, lie_closure_dim, mat_mul, rank
 
 
 def bareiss_rank(rows):
@@ -51,7 +51,7 @@ def test_identity_product():
 
 
 def test_spin9_involution_relations():
-    mats = standard_system("spin9").mats
+    mats = [Matrix.from_rows(np.asarray(p).tolist()) for p in standard_system("spin9").mats]
     eye = Matrix.identity(16)
     assert mat_mul(mats[0], mats[0]) == eye
     anti = mat_mul(mats[0], mats[1]) + mat_mul(mats[1], mats[0])
@@ -87,13 +87,13 @@ def test_rank_matches_bareiss_oracle(rows):
 
 
 def test_lie_closure_spin9_is_36():
-    mats = standard_system("spin9").int_arrays()
+    mats = standard_system("spin9").mats
     pairs = [mats[a] @ mats[b] for a in range(9) for b in range(a + 1, 9)]
     assert lie_closure_dim(pairs) == 36
 
 
 def test_lie_closure_order_independent():
-    mats = standard_system("spin9").int_arrays()
+    mats = standard_system("spin9").mats
     gens = [mats[a] @ mats[8] for a in range(4)]
     base = lie_closure_dim(gens)
     rng = random.Random(11)
@@ -114,7 +114,7 @@ def test_lie_closure_rejects_non_skew():
 
 
 def test_lie_closure_max_dim_bound():
-    mats = standard_system("spin9").int_arrays()
+    mats = standard_system("spin9").mats
     pairs = [mats[a] @ mats[b] for a in range(9) for b in range(a + 1, 9)]
     with pytest.raises(ValueError):
         lie_closure_dim(pairs, max_dim=10)
@@ -127,3 +127,62 @@ def test_kron_and_blocks():
     assert k.rows == 4 and k[0, 1] == 1 and k[2, 3] == 1 and k[0, 3] == 0
     b = Matrix.from_blocks([[a, eye], [eye, a]])
     assert b.rows == 4 and b[0, 2] == 1 and b[0, 1] == 1
+
+
+@st.composite
+def signed_perms(draw, n):
+    perm = draw(st.permutations(range(n)))
+    sign = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    return SignedPerm(perm, sign)
+
+
+def dense(p: SignedPerm) -> np.ndarray:
+    """Reference dense int64 matrix, built row by row from (perm, sign)."""
+    out = np.zeros((p.n, p.n), dtype=np.int64)
+    for i, (j, s) in enumerate(zip(p.perm, p.sign)):
+        out[i, j] = s
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 7).flatmap(
+        lambda n: st.tuples(
+            signed_perms(n),
+            signed_perms(n),
+            signed_perms(3),
+            st.lists(rational, min_size=n, max_size=n),
+        )
+    )
+)
+def test_signed_perm_matches_dense(args):
+    a, b, c, vec = args
+    da, db, dc = dense(a), dense(b), dense(c)
+    assert np.array_equal(np.asarray(a), da)
+    assert np.array_equal(dense(a @ b), da @ db)
+    assert np.array_equal(dense(a.T), da.T)
+    assert np.array_equal(dense(-a), -da)
+    assert np.array_equal(dense(a.kron(c)), np.kron(da, dc))
+    assert a.apply(vec) == Matrix.from_rows(da.tolist()).apply(vec)
+    assert type(a.trace()) is int and a.trace() == int(np.trace(da))
+    assert SignedPerm.of(da) == a and (a @ b == b @ a) == np.array_equal(da @ db, db @ da)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        [[2, 0], [0, 1]],  # an entry of 2
+        [[1, 1], [0, 1]],  # a row with two nonzeros
+        [[1, 0], [1, 0]],  # a repeated column
+        [[0, 0], [0, 1]],  # a zero row
+        Matrix.from_rows([[Fraction(1, 2), 0], [0, 1]]),  # a rational Matrix
+        [[1, 0, 0], [0, 1, 0]],  # not square
+    ],
+)
+def test_signed_perm_of_rejects_non_signed_permutations(x):
+    with pytest.raises(ValueError):
+        SignedPerm.of(x)
+
+
+def test_signed_perm_of_matrix():
+    assert SignedPerm.of(Matrix.from_rows([[0, -1], [1, 0]])) == SignedPerm([1, 0], [-1, 1])

@@ -69,8 +69,9 @@ def test_s31_ninth_field_row():
 
 
 def test_printed_l8_table_fails_and_corrected_passes():
-    forced = build_fields(128, formal_left="printed")
-    assert _matrix_conditions(list(forced.fields))
+    # the printed L_e row sends two slots to s6: no signed permutation
+    with pytest.raises(ValueError, match="not a signed permutation"):
+        build_fields(128, formal_left="printed")
     corrected = build_fields(128, formal_left="table")
     assert not _matrix_conditions(list(corrected.fields))
     auto = build_fields(128)
@@ -142,3 +143,5 @@ def test_broken_systems_fail():
     ident = VectorFieldSystem(m=16, fields=(eye,))
     rep = verify_system(ident, samples=0)
     assert not rep.ok and any("skew" in f for f in rep.failures)
+    with pytest.raises(ValueError):
+        VectorFieldSystem(m=2, fields=(np.array([[0, 2], [-2, 0]]),))
