@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 from .cayley_dickson import CDElement, left_mult_matrix
 from .clifford import standard_system
@@ -25,7 +26,7 @@ from .exterior import (
     kahler_form,
     wedge_sum,
 )
-from .linalg import Matrix, _accumulate
+from .linalg import Matrix, _accumulate, _clear_denominators
 from .octform import coordinate_octonion_form
 
 
@@ -70,6 +71,9 @@ def cgm_form() -> Multivector:
     return Multivector(n, total)
 
 
+_UPPER = tuple(combinations(range(9), 2))
+
+
 def _random_skew_entries(rng: random.Random) -> dict:
     x = {}
     for a in range(9):
@@ -79,29 +83,28 @@ def _random_skew_entries(rng: random.Random) -> dict:
 
 
 def _fpq_values(x: dict):
-    """F, P, Q of the scalar skew matrix with upper entries x[(a, b)]."""
+    """F, P, Q of the scalar skew matrix with upper entries x[(a, b)].
 
-    def ent(a, b):
-        if a == b:
-            return Fraction(0)
-        if a < b:
-            return x[(a, b)]
-        return -x[(b, a)]
-
-    f = Fraction(0)
-    for a in range(9):
-        for b in range(9):
-            for a2 in range(9):
-                for b2 in range(9):
-                    f += ent(a, b) * ent(a, b2) * ent(a2, b) * ent(a2, b2)
-    p = sum(x[k] * x[k] for k in x)
-    q = Fraction(0)
-    from itertools import combinations
-
+    F and Q are homogeneous of degree 4 in the entries and P of degree 2, so
+    they are computed over Z on the integer matrix s x, where s is the lcm of
+    the denominators, and returned exactly as F/s^4, P/s^2 and Q/s^4.  F stays
+    the literal quadruple sum of x_ab x_ab' x_a'b x_a'b'.
+    """
+    ints, s = _clear_denominators(x[k] for k in _UPPER)
+    rows = [[0] * 9 for _ in range(9)]
+    for (a, b), v in zip(_UPPER, ints):
+        rows[a][b], rows[b][a] = v, -v
+    f = 0
+    for ra in rows:
+        for ra2 in rows:
+            for xab, xa2b in zip(ra, ra2):
+                f += sum(xab * xab2 * xa2b * xa2b2 for xab2, xa2b2 in zip(ra, ra2))
+    p = sum(v * v for v in ints)
+    q = 0
     for a1, a2, a3, a4 in combinations(range(9), 4):
-        pf = ent(a1, a2) * ent(a3, a4) - ent(a1, a3) * ent(a2, a4) + ent(a1, a4) * ent(a2, a3)
+        pf = rows[a1][a2] * rows[a3][a4] - rows[a1][a3] * rows[a2][a4] + rows[a1][a4] * rows[a2][a3]
         q += pf * pf
-    return f, p, q
+    return Fraction(f, s**4), Fraction(p, s**2), Fraction(q, s**4)
 
 
 @dataclass(frozen=True)

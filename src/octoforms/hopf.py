@@ -15,8 +15,9 @@ l_inf = {(0, y)} maps to (0,...,0,-1) in this chart; the paper's prose places
 it over the north pole, a sign convention documented here and not patched.
 
 The nine I_a are signed permutations, held as ``linalg.SignedPerm``, so each
-section I_a N is an exact O(16) gather.  The action at a general rational
-(u, r) is a rational ``linalg.Matrix``.
+section I_a N is an exact O(16) gather, and so is each right multiplication
+y -> y u_t in lambda.  The action at a general rational (u, r) is a rational
+``linalg.Matrix``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import lru_cache
 
 from .cayley_dickson import CDElement, right_mult_matrix
 from .clifford import standard_system
-from .linalg import Matrix
+from .linalg import Matrix, SignedPerm, _dot
 
 
 @dataclass(frozen=True)
@@ -67,16 +68,17 @@ def hopf_action(u: CDElement, r) -> Matrix:
     )
 
 
-def _dot(a, b):
-    return sum(p * q for p, q in zip(a, b))
+@lru_cache(maxsize=1)
+def _right_unit_mults() -> tuple:
+    """y -> y u_t for the units u_1..u_7 = i..h, as signed permutations."""
+    return tuple(SignedPerm.of(right_mult_matrix(CDElement.unit(3, t))) for t in range(1, 8))
 
 
 def lambda_coeffs_raw(x: CDElement, y: CDElement) -> tuple:
     """The nine lambda values without the sphere-membership check."""
     lam = [2 * _dot(x.coeffs, y.coeffs)]
-    for t in range(1, 8):
-        yu = y * CDElement.unit(3, t)
-        lam.append(-2 * _dot(x.coeffs, yu.coeffs))
+    for r in _right_unit_mults():
+        lam.append(-2 * _dot(x.coeffs, r.apply(y.coeffs)))
     lam.append(x.norm2() - y.norm2())
     return tuple(lam)
 

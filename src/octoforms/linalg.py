@@ -12,7 +12,8 @@ occurs even for 128x128 inputs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 import numpy as np
 
@@ -330,13 +331,24 @@ class RowSpace:
         return False
 
 
+def _clear_denominators(values) -> tuple[list[int], int]:
+    """(ints, scale): scale is the lcm of the denominators of the exact
+    rationals ``values`` (1 when there are none), ints the values times scale
+    as Python ints."""
+    values = list(values)
+    scale = lcm(*(v.denominator for v in values if isinstance(v, Fraction)))
+    return [int(v * scale) for v in values], scale
+
+
+def _dot(a, b):
+    """Exact dot product of two coefficient sequences."""
+    return sum(map(mul, a, b))
+
+
 def _row_of_fractions(entries) -> dict:
     """Clear denominators of one row; scaling does not change the row space."""
-    den = 1
-    for v in entries:
-        if isinstance(v, Fraction):
-            den = den * v.denominator // gcd(den, v.denominator)
-    return {j: int(v * den) for j, v in enumerate(entries) if v}
+    ints, _ = _clear_denominators(entries)
+    return {j: v for j, v in enumerate(ints) if v}
 
 
 def rank(m: Matrix) -> int:
@@ -352,13 +364,8 @@ def _as_int_matrices(generators) -> list[np.ndarray]:
     for g in generators:
         if isinstance(g, Matrix):
             g._require_square()
-            den = 1
-            for v in g._e:
-                if isinstance(v, Fraction):
-                    den = den * v.denominator // gcd(den, v.denominator)
-            arr = np.array(
-                [int(v * den) for v in g._e], dtype=np.int64
-            ).reshape(g.rows, g.cols)
+            ints, _ = _clear_denominators(g._e)
+            arr = np.array(ints, dtype=np.int64).reshape(g.rows, g.cols)
         else:
             arr = np.asarray(g, dtype=np.int64)
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:

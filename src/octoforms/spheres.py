@@ -36,7 +36,7 @@ import numpy as np
 
 from .cayley_dickson import CDElement, left_mult_matrix, right_mult_matrix
 from .clifford import standard_system
-from .linalg import SignedPerm
+from .linalg import SignedPerm, _clear_denominators, _dot
 
 # Formal left multiplication tables, printed form.  Row u, slot t holds the
 # signed source index: L_u(s^1..s^l) has sign * s^{|entry|} in slot t, slots
@@ -147,23 +147,28 @@ def _rational_unit_vector(m: int, rng) -> list:
 
 
 def verify_system(v: VectorFieldSystem, samples: int = 2, seed: int = 0) -> FieldsReport:
-    """Exact matrix conditions plus sampled-point tangency/orthonormality."""
+    """Exact matrix conditions plus sampled-point tangency/orthonormality.
+
+    Tangency and orthonormality at x are homogeneous of degree 2 in x, so the
+    rational sample point is scaled once to the integer vector s x (s the lcm
+    of its denominators) and every dot product is an integer one, compared
+    with the integer norm^2 of s x.
+    """
     failures = list(_matrix_conditions(list(v.fields)))
     rng = random.Random(seed)
     for _ in range(samples):
-        x = _rational_unit_vector(v.m, rng)
-        norm2 = sum(a * a for a in x)
+        x, _ = _clear_denominators(_rational_unit_vector(v.m, rng))
+        norm2 = _dot(x, x)
         images = []
         for idx, a in enumerate(v.fields):
             ax = a.apply(x)
             images.append(ax)
-            if sum(p * q for p, q in zip(ax, x)) != 0:
+            if _dot(ax, x) != 0:
                 failures.append(f"field {idx} not tangent at sample point")
         for i in range(len(images)):
             for j in range(i, len(images)):
-                dot = sum(p * q for p, q in zip(images[i], images[j]))
                 want = norm2 if i == j else 0
-                if dot != want:
+                if _dot(images[i], images[j]) != want:
                     failures.append(f"fields {i},{j} not orthonormal at sample point")
     return FieldsReport(ok=not failures, failures=tuple(failures), notes=v.notes)
 
@@ -255,13 +260,12 @@ def naive_s511_extra() -> SignedPerm:
     return SignedPerm.identity(32).kron(_D16) @ _li_512()
 
 
-def build_fields(m: int, formal_left: str = "auto") -> VectorFieldSystem:
+def build_fields(m: int) -> VectorFieldSystem:
     """Maximal system of sigma(m) orthonormal tangent fields on S^{m-1}.
 
-    formal_left: "auto" tries the printed level-3 table and switches to the
-    octonion-table variant when that table is not a signed permutation;
-    "printed" and "table" force one variant, and the forced printed variant
-    raises ValueError at level 3.
+    At level 3 the printed formal table is tried first; the octonion-table
+    variant replaces it, with a note, when the printed table is not made of
+    signed permutations.
     """
     dec = hr_decompose(m)
     if dec.q >= 3:
@@ -274,17 +278,15 @@ def build_fields(m: int, formal_left: str = "auto") -> VectorFieldSystem:
         ]
     elif dec.q == 2:
         fields = _base_256(dec.p)
-    elif dec.p == 3 and formal_left == "auto":
+    else:
         try:
-            fields = _base_16(3, printed=True)
+            fields = _base_16(dec.p, printed=True)
         except ValueError:
-            fields = _base_16(3, printed=False)
+            fields = _base_16(dec.p, printed=False)
             notes = (
                 "printed formal left multiplication table fails orthonormality "
                 "(row L_e, term k s6); using the octonion product table (k s8)",
             )
-    else:
-        fields = _base_16(dec.p, printed=formal_left != "table")
     if dec.k > 0:
         odd = SignedPerm.identity(2 * dec.k + 1)
         fields = [odd.kron(a) for a in fields]

@@ -1,6 +1,8 @@
 """The canonical 8-form: all of its constructions agree, exactly."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -78,6 +80,41 @@ def test_fpq_trivial_and_single_pair():
     f, p, q = _fpq_values(x)
     assert (f, p, q) == (2, 1, 0)
     assert f == 2 * p * p - 4 * q
+
+
+def _fpq_reference(x: dict):
+    """F, P, Q by Fraction arithmetic on the entries as given."""
+
+    def ent(a, b):
+        if a == b:
+            return Fraction(0)
+        if a < b:
+            return x[(a, b)]
+        return -x[(b, a)]
+
+    f = Fraction(0)
+    for a in range(9):
+        for b in range(9):
+            for a2 in range(9):
+                for b2 in range(9):
+                    f += ent(a, b) * ent(a, b2) * ent(a2, b) * ent(a2, b2)
+    p = sum(x[k] * x[k] for k in x)
+    q = Fraction(0)
+    for a1, a2, a3, a4 in combinations(range(9), 4):
+        pf = ent(a1, a2) * ent(a3, a4) - ent(a1, a3) * ent(a2, a4) + ent(a1, a4) * ent(a2, a3)
+        q += pf * pf
+    return f, p, q
+
+
+def test_fpq_values_match_fraction_reference():
+    for seed, dens in ((0, (1, 4)), (1, (5,)), (2, (1, 2, 3, 6))):
+        rng = random.Random(seed)
+        x = {
+            (a, b): Fraction(rng.randint(-12, 12), rng.choice(dens))
+            for a in range(9)
+            for b in range(a + 1, 9)
+        }
+        assert _fpq_values(x) == _fpq_reference(x), seed
 
 
 def test_fpq_random_trials():

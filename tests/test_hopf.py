@@ -9,6 +9,7 @@ from octoforms.cayley_dickson import CDElement
 from octoforms.clifford import standard_system
 from octoforms.hopf import (
     SpherePoint16,
+    _right_unit_mults,
     fiber_orthogonality_check,
     hopf_action,
     hopf_map,
@@ -142,3 +143,11 @@ def test_off_sphere_rejected():
         fiber_orthogonality_check(
             SpherePoint16(x=one, y=CDElement.zero(3)), [1, 2, 3]
         )
+
+
+def test_right_unit_mults_match_cd_mul():
+    rng = random.Random(11)
+    for _ in range(20):
+        y = CDElement(3, [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(8)])
+        for t, r in enumerate(_right_unit_mults(), start=1):
+            assert r.apply(y.coeffs) == list((y * CDElement.unit(3, t)).coeffs)

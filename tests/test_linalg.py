@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octoforms.clifford import standard_system
-from octoforms.linalg import Matrix, SignedPerm, lie_closure_dim, mat_mul, rank
+from octoforms.linalg import (
+    Matrix,
+    SignedPerm,
+    _clear_denominators,
+    lie_closure_dim,
+    mat_mul,
+    rank,
+)
 
 
 def bareiss_rank(rows):
@@ -67,6 +74,22 @@ def test_trace_and_dimension_errors():
         mat_mul(Matrix.zero(2, 3), Matrix.zero(2, 3))
     with pytest.raises(ValueError):
         Matrix.zero(2, 3).trace()
+
+
+def test_clear_denominators():
+    assert _clear_denominators([Fraction(0)] * 3) == ([0, 0, 0], 1)
+    assert _clear_denominators([]) == ([], 1)
+    ints, scale = _clear_denominators([Fraction(-3, 4), 2, Fraction(5, -6), Fraction(0)])
+    assert (ints, scale) == ([-9, 24, -10, 0], 12)
+    assert all(type(v) is int for v in ints)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.fractions(max_denominator=30), max_size=8))
+def test_clear_denominators_scales_exactly(values):
+    ints, scale = _clear_denominators(values)
+    assert scale >= 1 and [Fraction(v, scale) for v in ints] == values
+    assert all(scale % v.denominator == 0 for v in values)
 
 
 @settings(max_examples=25, deadline=None)

@@ -6,6 +6,7 @@ import pytest
 from octoforms.cayley_dickson import CDElement, left_mult_matrix
 from octoforms.spheres import (
     VectorFieldSystem,
+    _base_16,
     _matrix_conditions,
     build_fields,
     fixed_beta_variant,
@@ -71,9 +72,9 @@ def test_s31_ninth_field_row():
 def test_printed_l8_table_fails_and_corrected_passes():
     # the printed L_e row sends two slots to s6: no signed permutation
     with pytest.raises(ValueError, match="not a signed permutation"):
-        build_fields(128, formal_left="printed")
-    corrected = build_fields(128, formal_left="table")
-    assert not _matrix_conditions(list(corrected.fields))
+        _base_16(3, printed=True)
+    corrected = _base_16(3, printed=False)
+    assert not _matrix_conditions(corrected)
     auto = build_fields(128)
     assert auto.notes and "L_e" in auto.notes[0]
     assert verify_system(auto, samples=1).ok
@@ -143,5 +144,12 @@ def test_broken_systems_fail():
     ident = VectorFieldSystem(m=16, fields=(eye,))
     rep = verify_system(ident, samples=0)
     assert not rep.ok and any("skew" in f for f in rep.failures)
+    # the sampled-point check names exactly the broken condition: a field
+    # paired with itself is not orthogonal, the identity is not tangent, and
+    # every |A x|^2 still matches |x|^2
+    at_point = [f for f in verify_system(dup, samples=1).failures if "sample point" in f]
+    assert at_point == ["fields 0,1 not orthonormal at sample point"]
+    at_point = [f for f in verify_system(ident, samples=1).failures if "sample point" in f]
+    assert at_point == ["field 0 not tangent at sample point"]
     with pytest.raises(ValueError):
         VectorFieldSystem(m=2, fields=(np.array([[0, 2], [-2, 0]]),))
