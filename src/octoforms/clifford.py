@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .cayley_dickson import CDElement, right_mult_matrix
-from .linalg import RowSpace, SignedPerm, _as_int_matrices, _vec_sparse
+from .linalg import RowSpace, SignedPerm, _elements, _flat_row
 
 STANDARD_KINDS = ("pauli_U2", "quaternionic_Sp2Sp1", "spin9")
 _KIND_LEVEL = {"pauli_U2": 1, "quaternionic_Sp2Sp1": 2, "spin9": 3}
@@ -182,9 +182,11 @@ def independence_count(mats) -> int:
     """Rank of the Gram matrix under <A, B> = tr(A^T B)/n.
 
     That is the rank of the flattened matrices, found exactly by row
-    reduction; each input is scaled to integers first, which keeps the rank.
+    reduction.  A ``SignedPerm`` gives its n-entry row directly; any other
+    input is scaled to integers first, which keeps the rank.
     """
+    n, elements = _elements(mats)
     space = RowSpace()
-    for m in _as_int_matrices(mats):
-        space.add(_vec_sparse(m))
+    for x in elements:
+        space.add(_flat_row(x, n))
     return space.dim

@@ -6,7 +6,9 @@ the sphere fields and the Hopf involutions, are held as ``SignedPerm`` (a
 column and a sign per row) instead.  Everything here is pure and safe to
 share across threads.  Rank and Lie-closure computations reduce integer rows
 fraction-free (cross-multiplied, gcd-normalized), so no rational blow-up
-occurs even for 128x128 inputs.
+occurs.  The Lie closure keeps signed permutations as ``SignedPerm`` and
+brackets them in O(n); other matrices are bracketed as sparse dicts of
+Python ints.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from operator import mul
 
 import numpy as np
 
-# numpy int64 products must stay below this; all matrices handled here have
-# entries of magnitude a few thousand at most.
+# The int64 wedge kernel (exterior._wedge_kernel) keeps its products below this.
 _INT64_SAFE = 2**62
 
 
@@ -202,6 +203,20 @@ class SignedPerm:
         self.sign.flags.writeable = False
 
     @classmethod
+    def _trusted(cls, perm: np.ndarray, sign: np.ndarray) -> "SignedPerm":
+        """Wrap vectors already known to form a signed permutation, unchecked.
+
+        Products, negation, transposes and Kronecker products of valid
+        signed permutations are valid, so they skip ``__init__``'s checks.
+        """
+        self = object.__new__(cls)
+        self.perm = perm.astype(np.int64, copy=False)
+        self.sign = sign.astype(np.int64, copy=False)
+        self.perm.flags.writeable = False
+        self.sign.flags.writeable = False
+        return self
+
+    @classmethod
     def of(cls, x) -> "SignedPerm":
         """The signed permutation equal to a square Matrix or array x.
 
@@ -243,20 +258,20 @@ class SignedPerm:
             return NotImplemented
         if other.n != self.n:
             raise ValueError(f"dimension mismatch: {self.n} @ {other.n}")
-        return SignedPerm(other.perm[self.perm], self.sign * other.sign[self.perm])
+        return SignedPerm._trusted(other.perm[self.perm], self.sign * other.sign[self.perm])
 
     def __neg__(self) -> "SignedPerm":
-        return SignedPerm(self.perm, -self.sign)
+        return SignedPerm._trusted(self.perm, -self.sign)
 
     @property
     def T(self) -> "SignedPerm":
         inverse = np.argsort(self.perm)
-        return SignedPerm(inverse, self.sign[inverse])
+        return SignedPerm._trusted(inverse, self.sign[inverse])
 
     def kron(self, other: "SignedPerm") -> "SignedPerm":
         """Kronecker product: block (i, perm[i]) holds sign[i] * other."""
         perm = self.perm[:, None] * other.n + other.perm[None, :]
-        return SignedPerm(perm.ravel(), np.outer(self.sign, other.sign).ravel())
+        return SignedPerm._trusted(perm.ravel(), np.outer(self.sign, other.sign).ravel())
 
     def apply(self, vec) -> list:
         """Matrix-vector product on an exact coefficient sequence."""
@@ -359,27 +374,60 @@ def rank(m: Matrix) -> int:
     return space.dim
 
 
-def _as_int_matrices(generators) -> list[np.ndarray]:
-    mats = []
-    for g in generators:
-        if isinstance(g, Matrix):
-            g._require_square()
-            ints, _ = _clear_denominators(g._e)
-            arr = np.array(ints, dtype=np.int64).reshape(g.rows, g.cols)
+def _entries(x) -> dict:
+    """The nonzero entries of a SignedPerm or sparse matrix as {(i, j): int}."""
+    if isinstance(x, SignedPerm):
+        return {(i, j): s for i, (j, s) in enumerate(zip(x.perm.tolist(), x.sign.tolist()))}
+    return x
+
+
+def _elements(mats) -> tuple[int, list]:
+    """(n, elements) for equally sized square matrices ``mats``.
+
+    A ``SignedPerm`` stays one; any other Matrix or array becomes the sparse
+    {(i, j): int} dict of its entries scaled to integers, which keeps every
+    span.  n is 0 when ``mats`` is empty.
+    """
+    sizes, out = set(), []
+    for m in mats:
+        if isinstance(m, SignedPerm):
+            sizes.add(m.n)
+            out.append(m)
+            continue
+        if isinstance(m, Matrix):
+            m._require_square()
+            n, values = m.rows, m._e
         else:
-            arr = np.asarray(g, dtype=np.int64)
+            arr = np.asarray(m)
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise ValueError("generators must be square")
-        mats.append(arr)
-    if len({m.shape for m in mats}) > 1:
+            n, values = arr.shape[0], arr.ravel().tolist()
+        ints, _ = _clear_denominators(values)
+        sizes.add(n)
+        out.append({divmod(k, n): v for k, v in enumerate(ints) if v})
+    if len(sizes) > 1:
         raise ValueError("generators differ in size")
-    return mats
+    return (sizes.pop() if sizes else 0), out
 
 
-def _vec_sparse(arr: np.ndarray) -> dict:
-    flat = arr.ravel()
-    idx = np.nonzero(flat)[0]
-    return {int(i): int(flat[i]) for i in idx}
+def _flat_row(x, n: int) -> dict:
+    """The ``RowSpace`` row of an n x n element: entry (i, j) in column i*n + j."""
+    if isinstance(x, SignedPerm):
+        return dict(zip((np.arange(n) * n + x.perm).tolist(), x.sign.tolist()))
+    return {i * n + j: v for (i, j), v in x.items()}
+
+
+def _sparse_bracket(a, b) -> dict:
+    """ab - ba as {(i, j): int}, exact in Python ints."""
+    a, b = _entries(a), _entries(b)
+    out: dict = {}
+    for x, y, scale in ((a, b, 1), (b, a, -1)):
+        y_rows: dict = {}
+        for (k, j), v in y.items():
+            y_rows.setdefault(k, []).append((j, v))
+        for (i, k), u in x.items():
+            _accumulate(out, (((i, j), u * v) for j, v in y_rows.get(k, ())), scale)
+    return out
 
 
 def lie_closure_dim(generators, max_dim: int | None = None) -> int:
@@ -388,41 +436,51 @@ def lie_closure_dim(generators, max_dim: int | None = None) -> int:
 
     Repeatedly brackets the current basis and extends it by every bracket that
     enlarges the row space, until stable.  Generators must be square, equally
-    sized and skew-symmetric; ``max_dim`` is a safety bound.
+    sized and skew-symmetric; ``max_dim`` (default n(n-1)/2, the dimension of
+    so(n)) is a safety bound, exceeding it raises ValueError.
+
+    Two signed permutations a, b bracket in O(n): when ab == ba the bracket
+    is 0, and when ab == -ba it is 2ab, kept as the signed permutation ab.
+    Every other bracket, and every one with a non-signed-permutation operand
+    (a Matrix or array, whose denominators are cleared first), is a sparse
+    dict product in Python ints, so the result is exact at any entry size.
     """
-    mats = _as_int_matrices(generators)
-    if not mats:
+    n, elements = _elements(generators)
+    if not elements:
         return 0
-    n = mats[0].shape[0]
     if max_dim is None:
         max_dim = n * (n - 1) // 2
-    for m in mats:
-        if not np.array_equal(m, -m.T):
+    for g in elements:
+        entries = _entries(g)
+        if any(entries.get((j, i)) != -v for (i, j), v in entries.items()):
             raise ValueError("generators must be skew-symmetric")
 
     space = RowSpace()
-    basis: list[np.ndarray] = []
-    for m in mats:
-        if space.add(_vec_sparse(m)):
-            basis.append(m)
+    basis: list = []
+
+    def keep(x):
+        if space.add(_flat_row(x, n)):
+            basis.append(x)
             if len(basis) > max_dim:
                 raise ValueError(f"Lie closure exceeds max_dim={max_dim}")
+
+    for g in elements:
+        keep(g)
 
     # Bracket every unordered pair exactly once, including pairs formed with
     # elements appended during the sweep.
     i = 0
     while i < len(basis):
         a = basis[i]
-        amax = int(np.abs(a).max())
         for j in range(i):
             b = basis[j]
-            bmax = int(np.abs(b).max())
-            if amax and bmax and 2 * n * amax * bmax >= _INT64_SAFE:
-                raise OverflowError("bracket coefficients exceed the int64 safety bound")
-            br = a @ b - b @ a
-            if space.add(_vec_sparse(br)):
-                basis.append(br)
-                if len(basis) > max_dim:
-                    raise ValueError(f"Lie closure exceeds max_dim={max_dim}")
+            if isinstance(a, SignedPerm) and isinstance(b, SignedPerm):
+                ab, ba = a @ b, b @ a
+                if ab == ba:
+                    continue
+                if ab == -ba:
+                    keep(ab)
+                    continue
+            keep(_sparse_bracket(a, b))
         i += 1
     return len(basis)

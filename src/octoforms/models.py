@@ -6,8 +6,8 @@ K factor (kron(R_u, Id16)) and the nine octonionic involutions act on the
 R^16 factor (kron(Id, I_a)).  Compositions J_ab = gen_a gen_b land in skew
 endomorphisms; their spans and Lie closures realize spin(10), spin(12) and
 spin(16) inside the respective orthogonal algebras.  Every generator is a
-signed permutation, held as ``linalg.SignedPerm``; the Kahler forms and the
-Lie closures read them as dense arrays.
+signed permutation, held as ``linalg.SignedPerm``; the Kahler forms read
+them as dense arrays, the Lie closures bracket them as signed permutations.
 
 The Grassmannian families use the Spin(8) generators m_u on O + O and the
 m_{u,v} = m_u m_v compositions, applied diagonally to tangent vectors listed
@@ -161,6 +161,10 @@ def structure_census(deep: bool = False) -> dict:
     so the 35 triple products witnessing the Spin(7) obstruction are computed
     from a C_6 inside the standard spin9 system on R^16; 35 still exceeds the
     21-dimensional component of the Spin(7) 2-form decomposition.
+
+    ``deep`` adds the lambda^2 closures of evi (66) and eviii (120).  They
+    stay out of the default, which every ``clifford-structure --census`` call
+    pays for.
     """
     spin9 = standard_system("spin9").mats
     j_pairs = [

@@ -36,7 +36,8 @@ from .hopf import (
     reconstruct,
     spin9_sections,
 )
-from .models import structure_census
+from .linalg import lie_closure_dim
+from .models import build_model, lambda2_generators, structure_census
 from .spheres import build_fields, sigma, verify_system
 
 
@@ -158,6 +159,13 @@ def _check_census():
     return ok, f"counts 36/84/35/10, closures 36/45, 35 > 21"
 
 
+def _check_model_closures():
+    evi = lie_closure_dim(lambda2_generators(build_model("evi")), max_dim=300)
+    eviii = lie_closure_dim(lambda2_generators(build_model("eviii")), max_dim=300)
+    ok = evi == 66 and eviii == 120
+    return ok, f"lambda^2 closures: evi {evi} = spin(12), eviii {eviii} = spin(16)"
+
+
 CHECKS = [
     ("charpoly-shape", _check_charpoly_shape),
     ("360-factor", _check_360_factor),
@@ -172,6 +180,7 @@ CHECKS = [
     ("clifford-systems", _check_clifford_systems),
     ("field-systems", _check_fields),
     ("structure-census", _check_census),
+    ("model-closures", _check_model_closures),
 ]
 
 

@@ -190,3 +190,26 @@ def test_pontrjagin_subcommand():
     rows = {r["class"]: r["coefficient"] for r in obj["manifold_classes"]}
     assert rows["p2(M)"] == "-45/2" and rows["p4(M)"] == "-13/256"
     assert rows["p1(M)"] == "0" and rows["p3(M)"] == "0"
+
+
+def test_clifford_structure_deep_census_subprocess():
+    """`clifford-structure --census --deep` runs the evi and eviii closures."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import octoforms
+
+    src = str(Path(octoforms.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "octoforms.cli", "clifford-structure", "--model", "eviii",
+            "--census", "--deep", "--json"]
+    proc = subprocess.run(argv, env=env, capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    payload = json.loads(proc.stdout)
+    assert payload["census"]["lie_eviii"] == 120
+    assert payload["census"]["lie_evi"] == 66
+    assert payload["model"] == {"name": "eviii", "ambient_dim": 128, "rank": 16,
+                                "lambda2_count": 120}

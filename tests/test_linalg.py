@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from octoforms.clifford import standard_system
+from octoforms import linalg
+from octoforms.clifford import independence_count, standard_system
 from octoforms.linalg import (
     Matrix,
     SignedPerm,
@@ -134,6 +135,8 @@ def test_lie_closure_single_generator():
 def test_lie_closure_rejects_non_skew():
     with pytest.raises(ValueError):
         lie_closure_dim([np.eye(2, dtype=np.int64)])
+    with pytest.raises(ValueError):
+        lie_closure_dim([SignedPerm([1, 0], [1, -1]), SignedPerm.identity(2)])
 
 
 def test_lie_closure_max_dim_bound():
@@ -141,6 +144,134 @@ def test_lie_closure_max_dim_bound():
     pairs = [mats[a] @ mats[b] for a in range(9) for b in range(a + 1, 9)]
     with pytest.raises(ValueError):
         lie_closure_dim(pairs, max_dim=10)
+
+
+def to_fraction_rows(g) -> list:
+    if isinstance(g, Matrix):
+        return [[Fraction(x) for x in g.row(i)] for i in range(g.rows)]
+    return [[Fraction(int(x)) for x in row] for row in np.asarray(g).tolist()]
+
+
+def reference_closure_dim(generators) -> int:
+    """Dense Fraction Lie closure: bracket every pair until the span is stable."""
+    basis = []
+
+    def grow(m):
+        flat = [[x for row in b for x in row] for b in basis + [m]]
+        if bareiss_rank(flat) > len(basis):
+            basis.append(m)
+
+    def product(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b))]
+                for i in range(len(a))]
+
+    for g in generators:
+        grow(to_fraction_rows(g))
+    i = 0
+    while i < len(basis):
+        for j in range(i):
+            ab, ba = product(basis[i], basis[j]), product(basis[j], basis[i])
+            grow([[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)])
+        i += 1
+    return len(basis)
+
+
+@st.composite
+def skew_generators(draw, n):
+    """A skew n x n generator: a SignedPerm (n even), an int array or a
+    Fraction Matrix."""
+    kinds = ("array", "matrix") + (("perm",) if n % 2 == 0 else ())
+    kind = draw(st.sampled_from(kinds))
+    if kind == "perm":
+        order = draw(st.permutations(range(n)))
+        perm, sign = [0] * n, [0] * n
+        for p, q in zip(order[::2], order[1::2]):
+            s = draw(st.sampled_from((1, -1)))
+            perm[p], sign[p], perm[q], sign[q] = q, s, p, -s
+        return SignedPerm(perm, sign)
+    entry = st.integers(-3, 3) if kind == "array" else rational
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = draw(entry)
+            rows[j][i] = -rows[i][j]
+    return np.array(rows, dtype=np.int64) if kind == "array" else Matrix.from_rows(rows)
+
+
+# Skew signed permutations on R^4: LEFT_I anticommutes with LEFT_J (their
+# bracket is 2 LEFT_I LEFT_J, a third one) and commutes with RIGHT_J.
+LEFT_I = SignedPerm([1, 0, 3, 2], [1, -1, 1, -1])
+LEFT_J = SignedPerm([2, 3, 0, 1], [1, -1, -1, 1])
+RIGHT_J = SignedPerm([2, 3, 0, 1], [1, 1, -1, -1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.lists(skew_generators(n), min_size=1, max_size=3)))
+@example([LEFT_I, LEFT_J])
+@example([LEFT_I, RIGHT_J])
+@example([LEFT_I, LEFT_J, np.asarray(RIGHT_J)])
+def test_lie_closure_matches_fraction_reference(gens):
+    assert lie_closure_dim(gens) == reference_closure_dim(gens)
+
+
+def test_lie_closure_signed_perm_fast_paths():
+    assert LEFT_I @ LEFT_J == -(LEFT_J @ LEFT_I)
+    assert LEFT_I @ RIGHT_J == RIGHT_J @ LEFT_I
+    assert lie_closure_dim([LEFT_I, LEFT_J]) == 3  # su(2)
+    assert lie_closure_dim([LEFT_I, RIGHT_J]) == 2  # abelian
+    assert lie_closure_dim([LEFT_I, LEFT_J, RIGHT_J]) == 4
+
+
+# Skew signed permutations on R^6 pairing (01)(23)(45) and (12)(34)(50): their
+# products have different permutations, so [a, b] is neither 0 nor +-2ab.
+NON_CLOSING = (
+    SignedPerm([1, 0, 3, 2, 5, 4], [1, -1, 1, -1, 1, -1]),
+    SignedPerm([5, 2, 1, 4, 3, 0], [1, 1, -1, 1, -1, -1]),
+)
+
+
+def test_lie_closure_general_bracket(monkeypatch):
+    a, b = NON_CLOSING
+    assert a.T == -a and b.T == -b
+    assert a @ b != b @ a and a @ b != -(b @ a)
+    calls = []
+    general = linalg._sparse_bracket
+    monkeypatch.setattr(linalg, "_sparse_bracket", lambda x, y: calls.append(1) or general(x, y))
+    dim = lie_closure_dim([a, b])
+    assert calls
+    assert dim == reference_closure_dim([a, b]) == 4
+
+
+def test_lie_closure_general_path_max_dim():
+    a, b = (np.asarray(p) for p in NON_CLOSING)
+    with pytest.raises(ValueError, match="max_dim=3"):
+        lie_closure_dim([a, b], max_dim=3)
+    assert lie_closure_dim([a, b], max_dim=4) == 4
+
+
+def test_lie_closure_exact_beyond_int64():
+    big = 2**40
+    a = np.array([[0, big, 0], [-big, 0, 0], [0, 0, 0]], dtype=np.int64)
+    b = Matrix.from_rows([[0, 0, 0], [0, 0, big], [0, -big, 0]])
+    assert lie_closure_dim([a, b]) == 3
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(signed_perms(n), min_size=1, max_size=4)))
+@example([SignedPerm([1, 2, 0], [1, -1, 1])])
+def test_independence_count_signed_perms_match_dense(perms):
+    dense_twins = [Matrix.from_rows(np.asarray(p).tolist()) for p in perms]
+    count = independence_count(perms)
+    assert count == independence_count(perms + dense_twins)
+    assert count == bareiss_rank([[Fraction(x) for x in np.asarray(p).ravel()] for p in perms])
+
+
+def test_inputs_must_share_one_size():
+    j2 = SignedPerm([1, 0], [1, -1])
+    with pytest.raises(ValueError, match="differ in size"):
+        independence_count([j2, Matrix.identity(3)])
+    with pytest.raises(ValueError, match="differ in size"):
+        lie_closure_dim([j2, np.zeros((3, 3), dtype=np.int64)])
 
 
 def test_kron_and_blocks():

@@ -1,6 +1,5 @@
 """Even Clifford structures: models, census, Grassmannian machinery."""
 
-import os
 import random
 from fractions import Fraction
 
@@ -168,11 +167,16 @@ def test_grassmann_apply_odd_length_rejected():
         grassmann_phi_apply(one, one, [one])
 
 
-@pytest.mark.skipif(
-    not os.environ.get("OCTOFORMS_DEEP"),
-    reason="minutes-scale 128x128 closure; set OCTOFORMS_DEEP=1 to run",
-)
 def test_deep_census_closures():
     c = structure_census(deep=True)
     assert c["lie_evi"] == 66  # exactly spin(12), not spin(12) + sp(1)
     assert c["lie_eviii"] == 120  # spin(16) = spin(9) + Lambda2_84
+
+
+def test_verify_model_closures_check():
+    from octoforms.verifysuite import CHECKS, _check_model_closures
+
+    ok, detail = _check_model_closures()
+    assert ok, detail
+    assert "66" in detail and "120" in detail
+    assert [name for name, _ in CHECKS][-1] == "model-closures"
