@@ -41,14 +41,14 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from .canonical import spin9_psi
-from .exterior import tau4_direct
+from .canonical import cgm_form
 
 _BLOCK = 1024
 _GROUPS = 64
@@ -71,21 +71,24 @@ def _signed_picks() -> tuple:
     return np.concatenate([pick, pick]), np.concatenate([sign, -sign])
 
 
+def _subsets(n: int, k: int) -> tuple:
+    """(elements, masks) of the k-subsets of range(n), in lexicographic order."""
+    el = np.array(list(combinations(range(n), k)), dtype=np.int64).reshape(math.comb(n, k), k)
+    return el, (1 << el).sum(axis=1)
+
+
 @lru_cache(maxsize=1)
 def slot_masks() -> np.ndarray:
     """Bitmasks of all C(16,8) grade-8 blades, ordered lexicographically."""
-    masks = []
-    for idx in combinations(range(16), 8):
-        m = 0
-        for i in idx:
-            m |= 1 << i
-        masks.append(m)
-    return np.array(masks, dtype=np.int64)
+    return _subsets(16, 8)[1]
 
 
 @lru_cache(maxsize=1)
-def _slot_of_mask() -> dict:
-    return {int(m): s for s, m in enumerate(slot_masks())}
+def _slot_of_mask() -> np.ndarray:
+    """The slot of each grade-8 blade mask, indexed by mask (-1 off grade 8)."""
+    out = np.full(1 << 16, -1, dtype=np.int64)
+    out[slot_masks()] = np.arange(12870)
+    return out
 
 
 def slot_blade(slot: int) -> tuple:
@@ -100,14 +103,16 @@ def _eps(s_bits: tuple) -> int:
     return -1 if (sum(s_bits) + k + k * (k + 1) // 2) % 2 else 1
 
 
-def _is_direct(k: int, rows: tuple) -> bool:
-    """True if det A[rows, T], |T| = k, is a DP state; False if it is read
-    from its Jacobi partner det A[rows^c, T^c].
+def _is_direct(k: int, rows: np.ndarray) -> np.ndarray:
+    """Per row-set mask R: True if det A[R, T], |T| = k, is a DP state; False
+    if it is read from its Jacobi partner det A[R^c, T^c].
 
     Levels 0-3 are computed whole; level 4 only for row sets holding row 0,
     since the other half are the complementary minors of the first.
     """
-    return k < 4 or (k == 4 and 0 in rows)
+    if k == 4:
+        return rows & 1 == 1
+    return np.full(len(rows), k < 4)
 
 
 @lru_cache(maxsize=1)
@@ -115,68 +120,64 @@ def _plan():
     """Static DP plan: per level 1-4 the state tables, per level 0-4 the hooks.
 
     Level k holds det A[R, T] for pairs of k-subsets, R and T sorted (at
-    level 4, only R holding row 0); level 0 is the empty minor 1.  A slot
-    (S, T) with a direct minor hooks to the state (S^c, T).  Every other slot
-    hooks, by Jacobi's theorem, to the state (S, T^c) at level 8 - |T|: the
-    sign (-1)^(sum(S^c) + sum(T)) is folded into eps, and |m|^(2(|T|-4))
-    into the weight column the level's minors are reduced against.
+    level 4, only R holding row 0); level 0 is the empty minor 1.  States are
+    numbered R-major in lexicographic order, so the state of (R, T) is
+    rank(R) C(8, k) + rank(T), with rank the lexicographic position of a
+    subset among those of its size: the row sets holding row 0 come first.
+    A slot (S, T) with a direct minor hooks to the state (S^c, T).  Every
+    other slot hooks, by Jacobi's theorem, to the state (S, T^c) at level
+    8 - |T|: the sign (-1)^(sum(S^c) + sum(T)) is folded into eps, and
+    |m|^(2(|T|-4)) into the weight column the level's minors are reduced
+    against.
     """
-    full = tuple(range(8))
+    subsets = [_subsets(8, k) for k in range(9)]
+    rank = np.zeros(256, dtype=np.int64)
+    for _, masks in subsets:
+        rank[masks] = np.arange(len(masks))
+
+    def states(k, r_masks, t_masks):
+        return (rank[r_masks] * math.comb(8, k))[:, None] + rank[t_masks][None, :]
+
     levels = []
-    indexes = [{((), ()): 0}]
     for k in range(1, 5):
-        prev_index = indexes[-1]
-        index = {}
-        prev_idx = []
-        gather = []
-        for rset in combinations(full, k):
-            if not _is_direct(k, rset):
-                continue
-            for tset in combinations(full, k):
-                index[(rset, tset)] = len(index)
-                # Laplace expansion along the last column; a negative
-                # cofactor sign reads the negated half of the table [A; -A]
-                prev_idx.append(
-                    [prev_index[(rset[:p] + rset[p + 1 :], tset[:-1])] for p in range(k)]
-                )
-                gather.append(
-                    [rset[p] * 8 + tset[-1] + 64 * ((p + 1 + k) % 2) for p in range(k)]
-                )
-        # one contiguous row per expansion term p: the level-(k-1) states,
-        # and the flat indices into [A; -A], with A in its row-major (64,) layout
-        levels.append(
-            {
-                "prev": np.ascontiguousarray(np.array(prev_idx, dtype=np.int64).T),
-                "gather": np.ascontiguousarray(np.array(gather, dtype=np.int64).T),
-            }
-        )
-        indexes.append(index)
+        t_el, t_masks = subsets[k]
+        keep = _is_direct(k, t_masks)  # the row sets: the same subsets, filtered
+        r_el, r_masks = t_el[keep], t_masks[keep]
+        t_rest = t_masks ^ (1 << t_el[:, -1])
+        # Laplace expansion along the last column, one row per expansion term
+        # p: the level-(k-1) states, and the flat indices into [A; -A], with A
+        # in its row-major (64,) layout; a negative cofactor sign reads the
+        # negated half of the table
+        prev = [states(k - 1, r_masks ^ (1 << r_el[:, p]), t_rest).ravel() for p in range(k)]
+        gather = [
+            ((8 * r_el[:, p])[:, None] + t_el[None, :, -1]).ravel() + 64 * ((p + 1 + k) % 2)
+            for p in range(k)
+        ]
+        levels.append({"prev": np.array(prev), "gather": np.array(gather)})
 
     slot_of = _slot_of_mask()
-    hooks = [{"state": [], "slot": [], "eps": [], "col": []} for _ in range(5)]
-    for k in range(0, 9):
-        for sset in combinations(full, 8 - k):
-            comp = tuple(i for i in full if i not in sset)
-            for tset in combinations(full, k):
-                mask = sum(1 << i for i in sset) + sum(1 << (8 + t) for t in tset)
-                eps = _eps(sset)
-                if _is_direct(k, comp):
-                    level, key = k, (comp, tset)
-                else:
-                    level = 8 - k
-                    key = (sset, tuple(t for t in full if t not in tset))
-                    eps *= -1 if (sum(comp) + sum(tset)) % 2 else 1
-                hook = hooks[level]
-                hook["state"].append(indexes[level][key])
-                hook["slot"].append(slot_of[mask])
-                hook["eps"].append(eps)
-                hook["col"].append(1 if k > 4 else 0)
-    for level, hook in enumerate(hooks):
-        for key in ("state", "slot", "col"):
-            hook[key] = np.array(hook[key], dtype=np.int64)
-        hook["eps"] = np.array(hook["eps"], dtype=np.float64)
+    parts = [[] for _ in range(5)]
+    for k in range(9):
+        s_el, s_masks = subsets[8 - k]
+        t_el, t_masks = subsets[k]
+        comp = 255 ^ s_masks
+        direct = _is_direct(k, comp)[:, None]
+        eps = np.array([_eps(s) for s in s_el.tolist()], dtype=np.float64)[:, None]
+        flip = (28 - s_el.sum(axis=1))[:, None] + t_el.sum(axis=1)[None, :]
+        eps = np.where(direct | (flip % 2 == 0), eps, -eps)
+        state = np.where(direct, states(k, comp, t_masks), states(8 - k, s_masks, 255 ^ t_masks))
+        slot = slot_of[s_masks[:, None] | t_masks[None, :] << 8]
+        level = np.broadcast_to(np.where(direct, k, 8 - k), state.shape)
+        for lv in {k, 8 - k}:
+            sel = level == lv
+            if sel.any():
+                parts[lv].append((state[sel], slot[sel], eps[sel], np.full(sel.sum(), int(k > 4))))
+    hooks = []
+    for level, part in enumerate(parts):
+        state, slot, eps, col = map(np.concatenate, zip(*part))
         # powers of |m|^2 in the weight columns: |T| = level, then |T| = 8 - level
-        hook["powers"] = [0] if level == 4 else [0, 4 - level]
+        powers = [0] if level == 4 else [0, 4 - level]
+        hooks.append({"state": state, "slot": slot, "eps": eps, "col": col, "powers": powers})
     return levels, hooks
 
 
@@ -304,18 +305,39 @@ class FitReport:
 def phi_dense() -> np.ndarray:
     """The canonical 8-form as a dense, read-only 12870-slot integer vector.
 
-    Taken from the sub-Pfaffian route, tau4_direct divided by its content,
-    which gives the same exact form as the charpoly route at a fraction of
-    its cost.
+    Read from the CGM route: Omega_CGM = -4 tau_4, so Phi is -Omega_CGM
+    divided by its content (1440).  ``cgm_form`` runs on the int64 wedge
+    kernel and takes about 0.07 s cold, against about 0.4 s for the
+    dict-engine sub-Pfaffian ``tau4_direct``; the tests tie the result to
+    the charpoly route slot by slot.
     """
-    tau4 = tau4_direct(spin9_psi())
-    phi = tau4.exact_div(tau4.coeff_gcd())
+    cgm = cgm_form()
+    phi = cgm.exact_div(-cgm.coeff_gcd())
     out = np.zeros(12870, dtype=np.int64)
     slot_of = _slot_of_mask()
     for m, c in phi.mask_items():
         out[slot_of[m]] = c
     out.flags.writeable = False
     return out
+
+
+def _group_tasks(samples: int, seed: int) -> list:
+    """The non-empty block groups, in the order their results are folded."""
+    nblocks = -(-samples // _BLOCK)
+    group_bounds = np.linspace(0, nblocks, _GROUPS + 1).astype(int)
+    return [
+        (seed, range(group_bounds[g], group_bounds[g + 1]), samples)
+        for g in range(_GROUPS)
+        if group_bounds[g] < group_bounds[g + 1]
+    ]
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def berger_mc(samples: int, seed: int = 0, workers: int = 1):
@@ -329,26 +351,21 @@ def berger_mc(samples: int, seed: int = 0, workers: int = 1):
         raise ValueError("samples must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    nblocks = -(-samples // _BLOCK)
-    group_bounds = np.linspace(0, nblocks, _GROUPS + 1).astype(int)
-    tasks = [
-        (seed, range(group_bounds[g], group_bounds[g + 1]), samples)
-        for g in range(_GROUPS)
-        if group_bounds[g] < group_bounds[g + 1]
-    ]
+    tasks = _group_tasks(samples, seed)
     # the task list and the reduction order are fixed, so the pool size is
-    # pure execution detail; capping it at the machine avoids thrash
-    pool_size = min(workers, os.cpu_count() or 1, len(tasks))
-    if pool_size <= 1:
-        results = [_group_worker(t) for t in tasks]
-    else:
-        with multiprocessing.Pool(pool_size) as pool:
-            results = pool.map(_group_worker, tasks)
+    # pure execution detail; capping it at the usable CPUs avoids thrash
+    pool_size = min(workers, _usable_cpus(), len(tasks))
+    # built before any fork, so that the workers inherit the plan
+    _plan()
+    _signed_picks()
     sums = np.zeros(12870, dtype=np.float64)
     sumsq = np.zeros(12870, dtype=np.float64)
-    for s, q in results:  # fixed group order: deterministic reduction
-        sums += s
-        sumsq += q
+    # group results are folded in group order as they arrive: a fixed,
+    # deterministic reduction that does not hold every group's sums at once
+    with multiprocessing.Pool(pool_size) if pool_size > 1 else nullcontext() as pool:
+        for s, q in pool.imap(_group_worker, tasks) if pool else map(_group_worker, tasks):
+            sums += s
+            sumsq += q
 
     mean = sums / samples
     var = np.maximum(sumsq / samples - mean * mean, 0.0)

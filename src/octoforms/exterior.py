@@ -26,7 +26,11 @@ import numpy as np
 
 from .linalg import _INT64_SAFE, Matrix, _accumulate
 
-_POP16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.int64)
+# _PARITY16[i] = popcount(i) mod 2, built by doubling in place: the upper half
+# of each prefix is the lower half with one more bit set
+_PARITY16 = np.zeros(1 << 16, dtype=np.int8)
+for _k in range(16):
+    np.subtract(1, _PARITY16[: 1 << _k], out=_PARITY16[1 << _k : 2 << _k])
 
 # Structure tensor of the real coefficients: 1 * 1 = 1.
 _REAL = np.ones((1, 1, 1), dtype=np.int64)
@@ -271,7 +275,7 @@ def _wedge_kernel(pairs, n: int, tensor):
         cb = np.array(list(b.values()), dtype=np.int64).reshape(len(b), d)
         # the _odd_crossings_mask of every A_p, then the sign rule for the block
         odd = np.bitwise_xor.reduce(np.where((ma[:, None] & bits) != 0, bits - 1, 0), axis=1)
-        signs = 1 - 2 * (_POP16[odd[:, None] & mb[None, :]] & 1)
+        signs = 1 - 2 * _PARITY16[odd[:, None] & mb[None, :]]
         signs *= (ma[:, None] & mb[None, :]) == 0
         # prods[c, p, q] = sum_ab ca[p, a] cb[q, b] T[a, b, c], in two steps
         prods = np.einsum("qb,pbc->cpq", cb, (ca @ t_flat).reshape(len(a), d, d), order="C")

@@ -14,7 +14,7 @@ Python ints.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from operator import mul
 
 import numpy as np
@@ -349,10 +349,17 @@ class RowSpace:
 def _clear_denominators(values) -> tuple[list[int], int]:
     """(ints, scale): scale is the lcm of the denominators of the exact
     rationals ``values`` (1 when there are none), ints the values times scale
-    as Python ints."""
-    values = list(values)
+    as Python ints.  A float counts as the dyadic rational it stores; a
+    non-finite one is a ValueError."""
+    values = [_exact(v) if isinstance(v, float) else v for v in values]
     scale = lcm(*(v.denominator for v in values if isinstance(v, Fraction)))
     return [int(v * scale) for v in values], scale
+
+
+def _exact(x: float) -> Fraction:
+    if not isfinite(x):
+        raise ValueError(f"non-finite value {x!r} has no exact rational")
+    return Fraction(x)
 
 
 def _dot(a, b):

@@ -1,19 +1,24 @@
 """Monte-Carlo line integral: oracle checks, determinism, convergence."""
 
 import json
+import time
 
 import numpy as np
 import pytest
 
+from octoforms import berger
 from octoforms.berger import (
     _eps,
+    _group_tasks,
     _process_block,
     _sample_sphere9,
+    _slot_of_mask,
     berger_mc,
     phi_dense,
     slot_blade,
     slot_masks,
 )
+from octoforms.canonical import spin9_form
 from tests_util_det import exact_det
 
 
@@ -131,6 +136,63 @@ def test_bit_reproducibility_across_workers():
     assert r1.fitted_scale == r2.fitted_scale
     f3, _ = berger_mc(3000, seed=43, workers=1)
     assert not np.array_equal(f1.coeffs, f3.coeffs)
+
+
+def _skewed_group(args):
+    """Stand-in group worker whose float64 fold depends on the order: group 0
+    returns 2^53 and finishes last, every other group returns 1."""
+    _, blocks, _ = args
+    if blocks.start:
+        return np.ones(12870), np.ones(12870)
+    time.sleep(0.2)
+    return np.full(12870, 2.0**53), np.full(12870, 2.0**53)
+
+
+def test_groups_fold_in_index_order(monkeypatch):
+    """Both paths fold group results in group order, whatever order they
+    finish in.  (The real per-group sums are float32 values, whose float64
+    sums are exact at these sizes, so real results cannot show the order.)"""
+    samples = 64 * 1024
+    values = [2.0**53] + [1.0] * (len(_group_tasks(samples, 0)) - 1)
+
+    def fold(vs):
+        total = 0.0
+        for v in vs:
+            total += v
+        return total
+
+    in_order = fold(values)
+    assert in_order != fold(values[::-1])
+    monkeypatch.setattr(berger, "_group_worker", _skewed_group)
+    for workers in (1, 2):
+        form, _ = berger_mc(samples, seed=0, workers=workers)
+        assert np.array_equal(form.coeffs, np.full(12870, in_order / samples)), workers
+
+
+def test_pool_capped_by_cpu_affinity(monkeypatch):
+    """A process allowed one CPU runs the serial path, with the same bits."""
+    want, _ = berger_mc(3000, seed=42, workers=1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started on a 1-CPU affinity")
+
+    monkeypatch.setattr(berger.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(berger.multiprocessing, "Pool", no_pool)
+    got, rep = berger_mc(3000, seed=42, workers=2)
+    assert rep.workers == 2
+    assert np.array_equal(got.coeffs, want.coeffs)
+    assert np.array_equal(got.sigma, want.sigma)
+
+
+def test_phi_dense_is_the_charpoly_form():
+    """The Monte-Carlo target (CGM route) equals Phi from the charpoly route."""
+    phi = phi_dense()
+    assert not phi.flags.writeable
+    assert np.count_nonzero(phi) == 702
+    want = np.zeros(12870, dtype=np.int64)
+    for m, c in spin9_form().mask_items():
+        want[_slot_of_mask()[m]] = c
+    assert np.array_equal(phi, want)
 
 
 def test_cli_output_independent_of_blas_threads():

@@ -151,6 +151,12 @@ def test_kernel_declines_fraction_and_wide_forms(monkeypatch, tensor, case):
         assert out == wedge_dicts(a, b)
 
 
+def test_parity_table_matches_popcount():
+    table = exterior._PARITY16
+    assert len(table) == 1 << 16
+    assert table.tolist() == [bin(i).count("1") & 1 for i in range(1 << 16)]
+
+
 def test_tau4_direct_does_not_use_the_kernel(monkeypatch):
     want = spin9_taus()[3]
 

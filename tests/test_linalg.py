@@ -85,6 +85,20 @@ def test_clear_denominators():
     assert all(type(v) is int for v in ints)
 
 
+def test_clear_denominators_takes_floats_exactly():
+    assert _clear_denominators([0.5, -0.25, 3]) == ([2, -1, 12], 4)
+    ints, scale = _clear_denominators([0.1])
+    assert Fraction(ints[0], scale) == Fraction(0.1) != Fraction(1, 10)
+    # half-integer float generators keep their span instead of truncating to 0
+    assert lie_closure_dim([np.array([[0, 0.5], [-0.5, 0]])]) == 1
+    assert independence_count([0.5 * np.eye(2)]) == 1
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            _clear_denominators([1, bad])
+    with pytest.raises(ValueError):
+        lie_closure_dim([np.array([[0, np.nan], [-np.nan, 0]])])
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.fractions(max_denominator=30), max_size=8))
 def test_clear_denominators_scales_exactly(values):
