@@ -25,8 +25,9 @@ from .exterior import (
     charpoly_coeffs,
     kahler_form,
     wedge_sum,
+    wedge_sums,
 )
-from .linalg import Matrix, _accumulate, _clear_denominators
+from .linalg import Matrix, _clear_denominators
 from .octform import coordinate_octonion_form
 
 
@@ -59,16 +60,16 @@ def cgm_form() -> Multivector:
     """The 8-form sum_{a,b,a',b'} psi_ab ^ psi_ab' ^ psi_a'b ^ psi_a'b'.
 
     Grouped as sum_{a,a'} (sum_b psi_ab ^ psi_a'b)^2, which is the same sum
-    because homogeneous 2-forms commute under the wedge.
+    because homogeneous 2-forms commute under the wedge: the 45 inner sums
+    (a <= a') are one grouped wedge_sums call, and their squares, doubled
+    when a < a', one wedge_sum.
     """
     f = spin9_psi()
     n = f.n
-    total: dict = {}
-    for a in range(9):
-        for a2 in range(a, 9):
-            inner = wedge_sum([(f.entry_dict(a, b), f.entry_dict(a2, b)) for b in range(9)], n)
-            _accumulate(total, wedge_sum([(inner, inner)], n).items(), 1 if a2 == a else 2)
-    return Multivector(n, total)
+    ends = [(a, a2) for a in range(9) for a2 in range(a, 9)]
+    inner = wedge_sums([[(f.entry_dict(a, b), f.entry_dict(a2, b)) for b in range(9)] for a, a2 in ends], n)
+    squares = [(x, x if a == a2 else {m: 2 * c for m, c in x.items()}) for (a, a2), x in zip(ends, inner)]
+    return Multivector(n, wedge_sum(squares, n))
 
 
 _UPPER = tuple(combinations(range(9), 2))

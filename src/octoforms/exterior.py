@@ -8,12 +8,21 @@ of index crossings when merging two disjoint blades.
 One exterior-product core serves real and octonion coefficients.  It is
 parametrised by the coefficient structure tensor T[a, b, c], the coefficient
 of unit c in the product of units a and b: 1x1x1 for R, the octonion table
-for O (``octform``).  ``wedge_sum`` runs ``_wedge_kernel``, a numpy kernel
-that accumulates exactly in int64 for n <= 16 and ``int`` coefficients under
-the bound ``linalg._INT64_SAFE``, once a call holds more than
-``_KERNEL_MIN_WORK`` blade pairs.  Otherwise, or when the kernel declines, it
-runs the pure-Python reference built on ``wedge_dicts``, exact for any n and
-any rational coefficients.  Tests compare the two engines.
+for O (``octform``).  ``_wedge_kernel`` is a numpy kernel that accumulates
+exactly in int64 for n <= 16 and ``int`` coefficients under the bound
+``linalg._INT64_SAFE``.  It has a group axis: every term of an operand
+carries an output-entry offset, one call sums the products of many pairs
+into many entries, and each entry's slots are the blades of the output
+grades only.  ``wedge_sums`` (and ``wedge_sum``, its one-entry case) runs it
+once the call holds more than ``_KERNEL_MIN_WORK`` blade pairs.  Otherwise,
+or when the kernel declines, it runs the pure-Python reference built on
+``wedge_dicts``, exact for any n and any rational coefficients.  Tests
+compare the two engines.
+
+``charpoly_coeffs`` keeps the Faddeev-LeVerrier step matrix as kernel
+arrays and makes one kernel call per step over all k^2 entries; if the
+kernel declines any step, the whole recursion runs on ``wedge_sum``.
+``tau4_direct`` stays on the dict engine, a route independent of the kernel.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from typing import NamedTuple
 
 import numpy as np
 
@@ -232,64 +242,127 @@ def wedge_dicts(a: dict, b: dict) -> dict:
     return out
 
 
-def _largest_int(x: dict, d: int):
-    """max |c| over the coefficients of x, or None unless all are Python ints.
+def _popcounts(n: int):
+    """popcount(i) for i < 2^n, by the doubling that builds _PARITY16."""
+    pop = np.zeros(1 << n, dtype=np.int8)
+    for k in range(n):
+        np.add(pop[: 1 << k], 1, out=pop[1 << k : 2 << k])
+    return pop
 
-    The check must be explicit: numpy's int64 conversion truncates a Fraction.
+
+class _Terms(NamedTuple):
+    """A kernel operand as int64 arrays.
+
+    The kernel's bound needs every (mask, group) to occur once.
+    """
+
+    masks: np.ndarray  # blade masks, N
+    coeffs: np.ndarray  # coefficients, N x d
+    groups: np.ndarray  # each term's offset on the output-entry axis, N
+    grades: set  # the grades that may occur
+    top: int  # max |coefficient|
+
+
+def _terms(x: dict, d: int, group: int = 0):
+    """x as a kernel operand with every term at offset group, or None.
+
+    None means the kernel must decline: a coefficient is not an int (numpy's
+    int64 conversion truncates a Fraction), or one alone reaches
+    _INT64_SAFE, which the kernel's bound refuses anyway.
     """
     vals = list(x.values()) if d == 1 else [v for c in x.values() for v in c]
-    return max(map(abs, vals)) if set(map(type, vals)) == {int} else None
+    top = max(map(abs, vals), default=0)
+    if not set(map(type, vals)) <= {int} or top >= _INT64_SAFE:
+        return None
+    masks = np.fromiter(x, dtype=np.int64, count=len(x))
+    coeffs = np.array(vals, dtype=np.int64).reshape(len(x), d)
+    groups = np.full(len(x), group, dtype=np.int64)
+    return _Terms(masks, coeffs, groups, {m.bit_count() for m in x}, top)
 
 
-def _wedge_kernel(pairs, n: int, tensor):
-    """Vectorized exact sum of a ^ b over pairs of {mask: coefficient} dicts.
+def _wedge_kernel(pairs, n: int, tensor, groups: int = 1):
+    """Vectorized exact sum of a ^ b over pairs, into `groups` output entries.
 
-    Coefficients are ints (d = 1) or d-tuples of ints, multiplied through the
-    d x d x d structure tensor, whose entries lie in {-1, 0, 1}.  Every int64
-    intermediate is bounded by d^2 * min(A, B) * max|a| * max|b| summed over
-    the pairs, with A, B the pair's term counts: for fixed output blade and
-    fixed term of a at most one term of b contributes.  Returns None, so the
-    caller takes the reference engine, when n > 16, a coefficient is not an
-    int, or that bound reaches _INT64_SAFE.
+    Operands are {mask: coefficient} dicts (every term at offset 0) or
+    _Terms.  A product of two terms lands in the entry that is the sum of
+    their offsets.  Coefficients are ints (d = 1) or d-tuples of ints,
+    multiplied through the d x d x d structure tensor, whose entries lie in
+    {-1, 0, 1}.  Every int64 intermediate is bounded by
+    d^2 * min(A, B) * max|a| * max|b| summed over the pairs, with A, B the
+    pair's term counts: for a fixed output slot and a fixed term of a at most
+    one term of b contributes, and vice versa.  Returns None, so the caller
+    takes the reference engine, when n > 16, a coefficient is not an int, or
+    that bound reaches _INT64_SAFE.
+
+    Otherwise returns (sums, masks): sums[g, s] is the d-vector coefficient of
+    blade masks[s] in entry g.  The slots of an entry are the blades of the
+    output grades in increasing mask order, so for one output grade the
+    buffer holds groups x C(n, grade) slots, not groups x 2^n.
     """
     d = tensor.shape[0]
     if n > 16:
         return None
+    pairs = [tuple(_terms(x, d) if isinstance(x, dict) else x for x in pair) for pair in pairs]
     bound = 0
     for a, b in pairs:
-        top_a, top_b = _largest_int(a, d), _largest_int(b, d)
-        if top_a is None or top_b is None:
+        if a is None or b is None:
             return None
-        bound += d * d * min(len(a), len(b)) * top_a * top_b
+        bound += d * d * min(len(a.masks), len(b.masks)) * a.top * b.top
         if bound >= _INT64_SAFE:
             return None
+    wanted = np.zeros(n + 1, dtype=bool)  # the output grades
+    wanted[[i + j for a, b in pairs for i in a.grades for j in b.grades if i + j <= n]] = True
+    slot_masks = np.flatnonzero(wanted[_popcounts(n)])
+    w = len(slot_masks)
+    slot_of = np.zeros(1 << n, dtype=np.int32)
+    slot_of[slot_masks] = np.arange(w)
     bits = np.int64(1) << np.arange(n, dtype=np.int64)
     t_flat = tensor.reshape(d, d * d)
-    # one flat buffer, entry blade * d + c: np.add.at is much slower on a 2-D
-    # buffer, and adding one component per call needs no (pairs x d) index
-    buf = np.zeros((1 << n) * d, dtype=np.int64)
+    # one flat buffer, slot (entry * w + s) * d + c: np.add.at is much slower
+    # on a 2-D buffer, and adding one component per call needs no (pairs x d)
+    # index
+    buf = np.zeros(groups * w * d, dtype=np.int64)
     for a, b in pairs:
-        ma = np.fromiter(a, dtype=np.int64, count=len(a))
-        mb = np.fromiter(b, dtype=np.int64, count=len(b))
-        ca = np.array(list(a.values()), dtype=np.int64).reshape(len(a), d)
-        cb = np.array(list(b.values()), dtype=np.int64).reshape(len(b), d)
-        # the _odd_crossings_mask of every A_p, then the sign rule for the block
-        odd = np.bitwise_xor.reduce(np.where((ma[:, None] & bits) != 0, bits - 1, 0), axis=1)
-        signs = 1 - 2 * _PARITY16[odd[:, None] & mb[None, :]]
-        signs *= (ma[:, None] & mb[None, :]) == 0
-        # prods[c, p, q] = sum_ab ca[p, a] cb[q, b] T[a, b, c], in two steps
-        prods = np.einsum("qb,pbc->cpq", cb, (ca @ t_flat).reshape(len(a), d, d), order="C")
-        prods *= signs
-        idx = (ma[:, None] | mb[None, :]).ravel()
+        # the disjoint term pairs, as flat indices into the A x B block and as
+        # (p, q); flatnonzero is much faster than a 2-D nonzero
+        keep = np.flatnonzero((a.masks[:, None] & b.masks[None, :]) == 0)
+        p = keep // len(b.masks)
+        q = keep - p * len(b.masks)
+        mb = b.masks[q]
+        idx = slot_of[a.masks[p] | mb]
+        idx += (a.groups * w)[p]
+        idx += (b.groups * w)[q]
+        # the _odd_crossings_mask of every term of a, then the sign rule
+        odd = np.bitwise_xor.reduce(np.where((a.masks[:, None] & bits) != 0, bits - 1, 0), axis=1)
+        signs = 1 - 2 * _PARITY16[odd[p] & mb]
+        if d == 1:
+            vals = a.coeffs[p, 0] * b.coeffs[q, 0]
+            vals *= signs
+            np.add.at(buf, idx, vals)
+            continue
+        # component c of the product of terms p and q is
+        # sum_b (ca T)[p, b, c] cb[q, b]: one A x B block per component,
+        # read at the disjoint pairs, so no d x A x B block is held
+        ca_t = (a.coeffs @ t_flat).reshape(-1, d, d)
         idx *= d
         for c in range(d):
-            np.add.at(buf, idx, prods[c].ravel())
+            vals = (ca_t[:, :, c] @ b.coeffs.T).ravel()[keep]
+            vals *= signs
+            np.add.at(buf, idx, vals)
             idx += 1
-    buf = buf.reshape(1 << n, d)
-    nz = np.flatnonzero(buf.any(axis=1))
-    if d == 1:
-        return dict(zip(nz.tolist(), buf[nz, 0].tolist()))
-    return dict(zip(nz.tolist(), map(tuple, buf[nz].tolist())))
+    return buf.reshape(groups, w, d), slot_masks
+
+
+def _sums_dicts(sums, masks) -> list:
+    """The kernel's (sums, masks) as one {mask: coefficient} dict per entry."""
+    d = sums.shape[2]
+    out = []
+    for entry in sums:
+        nz = np.flatnonzero(entry.any(axis=1))
+        keys = masks[nz].tolist()
+        vals = entry[nz, 0].tolist() if d == 1 else map(tuple, entry[nz].tolist())
+        out.append(dict(zip(keys, vals)))
+    return out
 
 
 def _wedge_reference(pairs, tensor) -> dict:
@@ -315,20 +388,31 @@ def _wedge_reference(pairs, tensor) -> dict:
     return {m: tuple(p.get(m, 0) for p in parts) for m in set().union(*parts)}
 
 
+def wedge_sums(entries, n: int, tensor=_REAL) -> list:
+    """wedge_sum of each entry's (a, b) pairs, as one kernel call.
+
+    The kernel runs when the entries together hold more than
+    _KERNEL_MIN_WORK blade pairs and it accepts them; the reference engine
+    runs entry by entry otherwise.
+    """
+    entries = [[(a, b) for a, b in pairs if a and b] for pairs in entries]
+    if sum(len(a) * len(b) for pairs in entries for a, b in pairs) > _KERNEL_MIN_WORK:
+        d = tensor.shape[0]
+        grouped = [(_terms(a, d, g), _terms(b, d)) for g, pairs in enumerate(entries) for a, b in pairs]
+        out = _wedge_kernel(grouped, n, tensor, len(entries))
+        if out is not None:
+            return _sums_dicts(*out)
+    return [_wedge_reference(pairs, tensor) for pairs in entries]
+
+
 def wedge_sum(pairs, n: int, tensor=_REAL) -> dict:
     """Exact sum of a ^ b over (a, b) pairs of {mask: coefficient} dicts.
 
     With the default tensor coefficients are rationals; with a d x d x d
-    structure tensor they are d-tuples, multiplied in operand order.  The
-    kernel runs when the call holds more than _KERNEL_MIN_WORK blade pairs
-    and accepts them; the reference engine runs otherwise.
+    structure tensor they are d-tuples, multiplied in operand order.  This is
+    the one-entry case of wedge_sums.
     """
-    pairs = [(a, b) for a, b in pairs if a and b]
-    if sum(len(a) * len(b) for a, b in pairs) > _KERNEL_MIN_WORK:
-        out = _wedge_kernel(pairs, n, tensor)
-        if out is not None:
-            return out
-    return _wedge_reference(pairs, tensor)
+    return wedge_sums([pairs], n, tensor)[0]
 
 
 def kahler_form(j, n: int | None = None) -> Multivector:
@@ -417,8 +501,56 @@ def charpoly_coeffs(f: FormMatrix) -> list:
 
     Faddeev-LeVerrier recursion: M_1 = f, c_s = -tr(M_s)/s,
     M_{s+1} = f (M_s + c_s I).  Divisions by s are exact because the c_s are
-    the characteristic coefficients themselves.  tau_s is a 2s-form.
+    the characteristic coefficients themselves.  tau_s is a 2s-form.  Each
+    step is one grouped kernel call over all k^2 entries; when the kernel
+    declines, the whole recursion runs on wedge_sum instead.
     """
+    taus = _charpoly_kernel(f)
+    return taus if taus is not None else _charpoly_dicts(f)
+
+
+def _charpoly_kernel(f: FormMatrix):
+    """The recursion with M_s kept as kernel arrays between steps, or None.
+
+    Step s computes M_s = f (M_{s-1} + c_{s-1} I), from M_0 + c_0 I = I, in
+    one call whose pairs are (f_it, row t of M_{s-1} + c_{s-1} I): entry
+    (i, j) is group i k + j, f_it sits at offset i k and row t's entry j at
+    offset j.  That call's bound also covers tr(M_s), a sum of slots filled
+    by disjoint sets of pairs, and |M_ii + c_s| <= 1.5 times it (s >= 2; the
+    diagonal of M_1 is 0), so the trace and the diagonal update stay exact in
+    int64.  Only the traces become Multivectors.
+    """
+    k, n = f.k, f.n
+    psi = [(_terms(x, 1, i * k), t) for i in range(k) for t in range(k) if (x := f.entry_dict(i, t))]
+    one = np.ones((1, 1), dtype=np.int64)
+    rows = [_Terms(np.zeros(1, dtype=np.int64), one, np.array([t]), {0}, 1) for t in range(k)]
+    taus = []
+    for step in range(1, k + 1):
+        out = _wedge_kernel([(a, rows[t]) for a, t in psi], n, _REAL, k * k)
+        if out is None:
+            return None
+        sums, masks = out
+        sums = sums[:, :, 0]
+        diag = sums[:: k + 1]
+        c = -diag.sum(axis=0) // step
+        nz = np.flatnonzero(c)
+        taus.append(Multivector(n, dict(zip(masks[nz].tolist(), c[nz].tolist()))))
+        diag += c
+        flat = np.flatnonzero(sums)
+        entry, slot = np.divmod(flat, sums.shape[1])
+        coeffs = sums.ravel()[flat, None]
+        cuts = np.searchsorted(entry, np.arange(0, k * k + 1, k))
+        rows = [
+            _Terms(masks[slot[lo:hi]], coeffs[lo:hi], entry[lo:hi] - t * k, {2 * step},
+                   int(np.abs(coeffs[lo:hi]).max(initial=0)))
+            for t, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
+        ]
+        del out, sums, diag  # free this step's buffer before the next one
+    return taus
+
+
+def _charpoly_dicts(f: FormMatrix) -> list:
+    """The recursion on {mask: coefficient} dicts, one wedge_sum per entry."""
     k, n = f.k, f.n
     psi = [[f.entry_dict(i, j) for j in range(k)] for i in range(k)]
     cur = [row[:] for row in psi]

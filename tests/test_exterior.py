@@ -16,6 +16,9 @@ from octoforms.exterior import (
     _REAL,
     FormMatrix,
     Multivector,
+    _charpoly_dicts,
+    _sums_dicts,
+    _terms,
     _wedge_kernel,
     _wedge_reference,
     charpoly_coeffs,
@@ -25,6 +28,7 @@ from octoforms.exterior import (
     tau4_direct,
     wedge_dicts,
     wedge_sum,
+    wedge_sums,
 )
 from octoforms.linalg import _INT64_SAFE
 from octoforms.octform import _OCT_TENSOR
@@ -90,7 +94,7 @@ def test_kernel_agrees_with_dict_engine():
         a = rand_mv(16, 2, 30, rng)
         b = rand_mv(16, rng.choice([2, 4]), 60, rng)
         pairs = [(dict(a.mask_items()), dict(b.mask_items()))]
-        got = _wedge_kernel(pairs, 16, _REAL)
+        (got,) = _sums_dicts(*_wedge_kernel(pairs, 16, _REAL))
         want = wedge_dicts(dict(a.mask_items()), dict(b.mask_items()))
         assert got == want
 
@@ -149,6 +153,96 @@ def test_kernel_declines_fraction_and_wide_forms(monkeypatch, tensor, case):
     assert out == _wedge_reference([(a, b)], tensor)
     if tensor is _REAL:
         assert out == wedge_dicts(a, b)
+
+
+def rand_dict(n, grades, terms, d, rng):
+    """{mask: coefficient} with blades of the given grades and small int
+    coefficients (d-tuples when d > 1); may come out empty."""
+    out = {}
+    for _ in range(terms):
+        mask = sum(1 << i for i in rng.sample(range(n), rng.choice(grades)))
+        c = rng.randint(-4, 4) if d == 1 else tuple(rng.randint(-2, 2) for _ in range(d))
+        if c if d == 1 else any(c):
+            out[mask] = c
+    return out
+
+
+def negate(x):
+    return {m: -c if isinstance(c, int) else tuple(-v for v in c) for m, c in x.items()}
+
+
+GROUP_KINDS = ("empty", "cancel", "mixed", "plain")
+
+
+@pytest.mark.parametrize("tensor", [_REAL, _OCT_TENSOR], ids=["R", "O"])
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), groups=st.integers(1, 6), start=st.integers(0, 3))
+def test_grouped_kernel_matches_reference(tensor, seed, groups, start):
+    """Each entry of one grouped call equals the reference sum of its own
+    pairs: empty entries, entries whose pairs cancel to zero, and entries of
+    mixed output grade; the entry offset is split between a and b."""
+    rng = random.Random(seed)
+    d, n = tensor.shape[0], 10
+    entries = []
+    for g in range(groups):
+        kind = GROUP_KINDS[(start + g) % len(GROUP_KINDS)]
+        pairs = [
+            (rand_dict(n, [1, 2], rng.randint(1, 8), d, rng),
+             rand_dict(n, [2, 3] if kind == "mixed" else [2], rng.randint(1, 12), d, rng))
+            for _ in range(0 if kind == "empty" else rng.randint(1, 3))
+        ]
+        if kind == "cancel":
+            pairs += [(a, negate(b)) for a, b in pairs]
+        entries.append(pairs)
+    grouped = []
+    for g, pairs in enumerate(entries):
+        for a, b in pairs:
+            h = rng.randint(0, g)
+            grouped.append((_terms(a, d, g - h), _terms(b, d, h)))
+    sums, masks = _wedge_kernel(grouped, n, tensor, groups)
+    got = _sums_dicts(sums, masks)
+    assert len(got) == groups
+    for g, pairs in enumerate(entries):
+        assert got[g] == _wedge_reference(pairs, tensor), (g, GROUP_KINDS[(start + g) % 4])
+        if GROUP_KINDS[(start + g) % 4] in ("empty", "cancel"):
+            assert got[g] == {}
+
+
+def spy_groups(monkeypatch):
+    """Record (groups, ran) for every _wedge_kernel call; ran is False when
+    the kernel declined."""
+    calls = []
+    real = exterior._wedge_kernel
+
+    def spy(pairs, n, tensor, groups=1):
+        out = real(pairs, n, tensor, groups)
+        calls.append((groups, out is not None))
+        return out
+
+    monkeypatch.setattr(exterior, "_wedge_kernel", spy)
+    return calls
+
+
+# the int64 bound summed over a grouped call: the single-pair edge of
+# test_int64_bound_edge split over two entries, top * (top // 2) each
+@pytest.mark.parametrize("tensor", [_REAL, _OCT_TENSOR], ids=["R", "O"])
+@pytest.mark.parametrize("excess, kernel_runs", [(-1, True), (0, False)])
+def test_int64_bound_edge_grouped(monkeypatch, tensor, excess, kernel_runs):
+    d = tensor.shape[0]
+    top = 2**31 // d
+    assert d * d * top * (top // 2 + top // 2) == _INT64_SAFE
+    a = {0b1: coeff(tensor, 0, top)}
+    entries = []
+    for b_top in (top // 2, top // 2 + excess):
+        b = {m << 1: coeff(tensor, 3, 1) for m in range(1, 2049)}
+        b[0b110] = coeff(tensor, 3, b_top)
+        entries.append([(a, b)])
+    calls = spy_groups(monkeypatch)
+    out = wedge_sums(entries, 16, tensor)
+    assert calls == [(2, kernel_runs)]
+    assert out[0][0b111] == coeff(tensor, 3, top * (top // 2))
+    assert out[1][0b111] == coeff(tensor, 3, top * (top // 2 + excess))
+    assert out == [_wedge_reference(pairs, tensor) for pairs in entries]
 
 
 def test_parity_table_matches_popcount():
@@ -317,3 +411,106 @@ def test_exact_div_and_gcd():
     assert half.coefficient((1, 2)) == 2
     frac = mv.exact_div(4)
     assert frac.coefficient((1, 2)) == Fraction(3, 2)
+
+
+def faddeev_leverrier_dicts(entries, k):
+    """Independent Faddeev-LeVerrier on wedge_dicts alone: tau_1..tau_k as
+    dicts, divisions by s as Fractions (ints when exact)."""
+
+    def add(acc, x, scale=1):
+        for m, c in x.items():
+            v = acc.get(m, 0) + scale * c
+            if v:
+                acc[m] = v
+            else:
+                acc.pop(m, None)
+        return acc
+
+    def ent(a, b):
+        if a < b:
+            return entries.get((a, b), {})
+        return {m: -c for m, c in entries.get((b, a), {}).items()} if a > b else {}
+
+    psi = [[ent(a, b) for b in range(k)] for a in range(k)]
+    cur = [row[:] for row in psi]
+    taus = []
+    for step in range(1, k + 1):
+        tr = {}
+        for i in range(k):
+            add(tr, cur[i][i])
+        c = {m: Fraction(-v, step) for m, v in tr.items()}
+        c = {m: int(v) if v.denominator == 1 else v for m, v in c.items()}
+        taus.append(c)
+        if step == k:
+            break
+        for i in range(k):
+            cur[i][i] = add(dict(cur[i][i]), c)
+        nxt = []
+        for i in range(k):
+            row = []
+            for j in range(k):
+                acc = {}
+                for t in range(k):
+                    add(acc, wedge_dicts(psi[i][t], cur[t][j]))
+                row.append(acc)
+            nxt.append(row)
+        cur = nxt
+    return taus
+
+
+def random_form_entries(k, n, terms, rng, top=3):
+    """Upper entries {(a, b): 2-form dict} with integer coefficients."""
+    entries = {}
+    for a in range(k):
+        for b in range(a + 1, k):
+            entry = {}
+            for _ in range(terms):
+                p, q = rng.sample(range(n), 2)
+                entry[(1 << p) | (1 << q)] = rng.choice((-1, 1)) * rng.randint(1, top)
+            entries[(a, b)] = entry
+    return entries
+
+
+def as_form_matrix(entries, k, n):
+    return FormMatrix(k, n, {ab: Multivector(n, x) for ab, x in entries.items()})
+
+
+# k x k random integer matrices whose steps hold well over _KERNEL_MIN_WORK
+# blade pairs; k = 5 against the permutation expansion, the rest against the
+# dict-only recursion (n = 8 at k = 9: from step 5 on the grade exceeds n)
+@pytest.mark.parametrize("k, n, terms", [(5, 16, 8), (6, 14, 5), (7, 12, 4), (8, 10, 4), (9, 8, 3)])
+def test_charpoly_grouped_path_against_oracles(monkeypatch, k, n, terms):
+    rng = random.Random(100 + k)
+    entries = random_form_entries(k, n, terms, rng)
+    f = as_form_matrix(entries, k, n)
+    psi = [[f.entry_dict(i, j) for j in range(k)] for i in range(k)]
+    step2 = sum(len(psi[i][t]) * len(psi[t][j]) for i in range(k) for t in range(k) for j in range(k))
+    assert step2 > exterior._KERNEL_MIN_WORK
+    calls = spy_groups(monkeypatch)
+    got = [dict(t.mask_items()) for t in charpoly_coeffs(f)]
+    assert calls == [(k * k, True)] * k
+    want = leibniz_charpoly(entries, k, n) if k <= 5 else faddeev_leverrier_dicts(entries, k)
+    assert got == want
+    assert any(got)
+
+
+# the kernel declines the first step (a Fraction entry, n = 17) or a later
+# one (coefficients that push a step's bound past _INT64_SAFE); the whole
+# recursion then runs on wedge_sum, with no further grouped call
+@pytest.mark.parametrize("case", ["fraction", "n17", "bound"])
+def test_charpoly_falls_back_whole(monkeypatch, case):
+    rng = random.Random(7)
+    k, n = 5, 17 if case == "n17" else 12
+    entries = random_form_entries(k, n, 6, rng, top=2**24 if case == "bound" else 3)
+    if case == "fraction":
+        entries[(1, 3)] = {m: Fraction(c, 2) for m, c in entries[(1, 3)].items()}
+    f = as_form_matrix(entries, k, n)
+    calls = spy_groups(monkeypatch)
+    got = charpoly_coeffs(f)
+    grouped = [ran for groups, ran in calls if groups == k * k]
+    assert grouped[-1] is False and all(grouped[:-1])
+    assert calls[: len(grouped)] == [(k * k, ran) for ran in grouped]
+    if case == "bound":
+        assert len(grouped) > 1
+    assert [dict(t.mask_items()) for t in got] == faddeev_leverrier_dicts(entries, k)
+    assert got == _charpoly_dicts(f)

@@ -3,8 +3,8 @@
 import random
 from fractions import Fraction
 
-from octoforms.cayley_dickson import CDElement
-from octoforms.exterior import _wedge_kernel, _wedge_reference
+from octoforms.cayley_dickson import CDElement, basis_products
+from octoforms.exterior import _sums_dicts, _wedge_kernel, _wedge_reference
 from octoforms.octform import _OCT_TENSOR, OctForm, coordinate_octonion_form, oct_conj8
 
 
@@ -28,7 +28,7 @@ def test_scalar_wedge_matches_cd_mul():
         b = tuple(rng.randint(-5, 5) for _ in range(8))
         want = OctForm(1, {0: tuple((CDElement(3, a) * CDElement(3, b)).coeffs)})
         assert OctForm(1, {0: a}).wedge(OctForm(1, {0: b})) == want
-        assert OctForm(1, _wedge_kernel([({0: a}, {0: b})], 1, _OCT_TENSOR)) == want
+        assert OctForm(1, _sums_dicts(*_wedge_kernel([({0: a}, {0: b})], 1, _OCT_TENSOR))[0]) == want
 
 
 def test_conjugation_involution():
@@ -55,7 +55,7 @@ def test_wedge_kernel_agrees_with_dict():
         a = rand_octform(16, 2, 40, rng)
         b = rand_octform(16, 2, 40, rng)
         pairs = [(dict(a.mask_items()), dict(b.mask_items()))]
-        got = _wedge_kernel(pairs, 16, _OCT_TENSOR)
+        (got,) = _sums_dicts(*_wedge_kernel(pairs, 16, _OCT_TENSOR))
         assert got == _wedge_reference(pairs, _OCT_TENSOR)
         assert a.wedge(b) == OctForm(16, got)
 
@@ -97,3 +97,11 @@ def test_real_part_and_imag_check():
     real = f.real_part()
     assert real == {0b11: 3}
     assert oct_conj8((1, 2, 3, 4, 5, 6, 7, 8)) == (1, -2, -3, -4, -5, -6, -7, -8)
+
+
+def test_oct_tensor_literal_matches_basis_products():
+    table = basis_products(3)
+    assert len(table) == 64
+    for (a, b), (c, s) in table.items():
+        assert _OCT_TENSOR[a, b, c] == s, (a, b)
+        assert [x for x in range(8) if x != c and _OCT_TENSOR[a, b, x]] == [], (a, b)
