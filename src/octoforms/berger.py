@@ -49,6 +49,7 @@ from itertools import combinations
 import numpy as np
 
 from .canonical import cgm_form
+from .cayley_dickson import unit_signs
 
 _BLOCK = 1024
 _GROUPS = 64
@@ -61,13 +62,12 @@ def _signed_picks() -> tuple:
     """Row q of the table [A; -A] as sign[q] * m[pick[q]], q = 8 i + c.
 
     A[i, c] is the e_c coordinate of e_i m; left multiplication by e_i is a
-    signed permutation, so exactly one m_j feeds it, with the sign T[i, j, c].
+    signed permutation, so exactly one m_j feeds it: j = i xor c, with the
+    sign S[i, j] of ``cayley_dickson.unit_signs(3)``.
     """
-    from .octform import _OCT_TENSOR
-
-    by_row = _OCT_TENSOR.transpose(0, 2, 1).reshape(64, 8)  # [8 i + c, j]
-    pick = np.abs(by_row).argmax(axis=1)
-    sign = by_row[np.arange(64), pick].astype(np.float64)
+    i, c = np.divmod(np.arange(64), 8)
+    pick = i ^ c
+    sign = unit_signs(3)[i, pick].astype(np.float64)
     return np.concatenate([pick, pick]), np.concatenate([sign, -sign])
 
 

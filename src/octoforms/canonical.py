@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .cayley_dickson import CDElement, left_mult_matrix
+from .cayley_dickson import unit_left_mults
 from .clifford import standard_system
 from .exterior import (
     FormMatrix,
@@ -27,7 +27,7 @@ from .exterior import (
     wedge_sum,
     wedge_sums,
 )
-from .linalg import Matrix, _clear_denominators
+from .linalg import SignedPerm, _clear_denominators
 from .octform import coordinate_octonion_form
 
 
@@ -139,11 +139,10 @@ def quaternionic_forms() -> tuple:
     """
     c = standard_system("quaternionic_Sp2Sp1")
     theta = FormMatrix.from_endomorphisms(c.mats)
-    eye2 = Matrix.identity(2)
+    eye2 = SignedPerm.identity(2)
     omega_l = Multivector.zero(8)
-    for t in (1, 2, 3):
-        lmat = eye2.kron(left_mult_matrix(CDElement.unit(2, t)))
-        w = kahler_form(lmat.to_int_array())
+    for lu in unit_left_mults(2)[1:]:
+        w = kahler_form(eye2.kron(lu))
         omega_l = omega_l + w.wedge(w)
     return theta, omega_l
 

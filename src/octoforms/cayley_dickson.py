@@ -9,13 +9,19 @@ index n splits as (low half, high half), so level 3 reads
 and level 4 appends the sedenion units e_8..e_15.  Doubled multiplication:
 
     (a, b) * (c, d) = (a*c - conj(d)*b,  b*conj(c) + d*a).
+
+Basis units multiply as e_a * e_b = S[a, b] e_(a xor b): ``unit_signs``
+builds S by doubling, and the unit multiplications are read off it as signed
+permutations; the recursive ``cd_mul`` and ``basis_products`` check it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import lru_cache
 
-from .linalg import Matrix
+import numpy as np
+
+from .linalg import Matrix, SignedPerm
 
 UNIT_NAMES = ("1", "i", "j", "k", "e", "f", "g", "h")
 
@@ -150,6 +156,38 @@ def left_mult_matrix(u: CDElement) -> Matrix:
     return Matrix(n, n, [cols[j][i] for i in range(n) for j in range(n)])
 
 
+@lru_cache(maxsize=None)
+def unit_signs(level: int) -> np.ndarray:
+    """Read-only int64 table S with e_a * e_b = S[a, b] e_(a xor b).
+
+    Doubling with e_(h+a) = (0, e_a) and conj(e_b) = c[b] e_b gives the four
+    blocks S, S^T, S c and -(S^T c), c[b] = -1 except c[0] = 1.
+    """
+    s = np.ones((1, 1), dtype=np.int64)
+    for _ in range(level):
+        c = np.where(np.arange(len(s)) == 0, 1, -1)
+        s = np.block([[s, s.T], [s * c, -(s.T * c)]])
+    s.flags.writeable = False
+    return s
+
+
+def _unit_mults(s: np.ndarray) -> tuple:
+    i = np.arange(len(s))
+    return tuple(SignedPerm(i ^ t, s[i ^ t, t]) for t in i)
+
+
+@lru_cache(maxsize=None)
+def unit_right_mults(level: int) -> tuple:
+    """x -> x * e_t (R_(e_t)) for t = 0..2^level - 1, as SignedPerm."""
+    return _unit_mults(unit_signs(level))
+
+
+@lru_cache(maxsize=None)
+def unit_left_mults(level: int) -> tuple:
+    """x -> e_t * x (L_(e_t)) for t = 0..2^level - 1, as SignedPerm."""
+    return _unit_mults(unit_signs(level).T)
+
+
 def basis_products(level: int) -> dict:
     """Structure table {(a, b): (index, sign)} for unit products e_a * e_b.
 
@@ -175,20 +213,13 @@ def mult_table_json(level: int) -> list:
     Each row is {"i": a, "j": b, "product": [c_0, ..., c_{2^k-1}]} with the
     coefficients of e_a * e_b serialized as rational strings.
     """
-    n = 1 << level
-    rows = []
-    for a in range(n):
-        ea = CDElement.unit(level, a)
-        for b in range(n):
-            prod = ea * CDElement.unit(level, b)
-            rows.append(
-                {
-                    "i": a,
-                    "j": b,
-                    "product": [str(Fraction(c)) for c in prod.coeffs],
-                }
-            )
-    return rows
+    s = unit_signs(level)
+    n = len(s)
+    return [
+        {"i": a, "j": b, "product": [str(s[a, b]) if c == a ^ b else "0" for c in range(n)]}
+        for a in range(n)
+        for b in range(n)
+    ]
 
 
 # Octonion units by name, for readable construction of the standard systems.

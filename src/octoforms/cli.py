@@ -144,12 +144,15 @@ def _cmd_fields(args) -> int:
 
 
 def _parse_point(tokens) -> SpherePoint16:
-    if len(tokens) == 16:
-        vals = [Fraction(t) for t in tokens]
-    elif len(tokens) == 32:
-        vals = [Fraction(int(tokens[2 * i]), int(tokens[2 * i + 1])) for i in range(16)]
-    else:
+    if len(tokens) not in (16, 32):
         raise ValueError("--point needs 16 rationals (or 32 numerator/denominator integers)")
+    try:
+        if len(tokens) == 16:
+            vals = [Fraction(t) for t in tokens]
+        else:
+            vals = [Fraction(int(tokens[2 * i]), int(tokens[2 * i + 1])) for i in range(16)]
+    except ZeroDivisionError:
+        raise ValueError("--point has a zero denominator") from None
     return SpherePoint16(x=CDElement(3, vals[:8]), y=CDElement(3, vals[8:]))
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cayley_dickson import CDElement, right_mult_matrix
+from .cayley_dickson import unit_right_mults
 from .linalg import RowSpace, SignedPerm, _elements, _flat_row
 
 STANDARD_KINDS = ("pauli_U2", "quaternionic_Sp2Sp1", "spin9")
@@ -95,9 +95,7 @@ def standard_system(kind: str) -> CliffordSystem:
     if kind not in _KIND_LEVEL:
         raise ValueError(f"unknown kind {kind!r}; expected one of {STANDARD_KINDS}")
     level = _KIND_LEVEL[kind]
-    d = 1 << level
-    units = [SignedPerm.of(right_mult_matrix(CDElement.unit(level, t))) for t in range(1, d)]
-    return _doubling(d, units)
+    return _doubling(1 << level, unit_right_mults(level)[1:])
 
 
 def delta(m: int) -> int:

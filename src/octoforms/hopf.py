@@ -16,8 +16,8 @@ it over the north pole, a sign convention documented here and not patched.
 
 The nine I_a are signed permutations, held as ``linalg.SignedPerm``, so each
 section I_a N is an exact O(16) gather, and so is each right multiplication
-y -> y u_t in lambda.  The action at a general rational (u, r) is a rational
-``linalg.Matrix``.
+y -> y u_t in lambda; ``reconstruct`` runs over Z.  The action at a general
+rational (u, r) is a rational ``linalg.Matrix``.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cayley_dickson import CDElement, right_mult_matrix
+from .cayley_dickson import CDElement, right_mult_matrix, unit_right_mults
 from .clifford import standard_system
-from .linalg import Matrix, SignedPerm, _dot
+from .linalg import Matrix, _clear_denominators, _dot
 
 
 @dataclass(frozen=True)
@@ -68,16 +68,10 @@ def hopf_action(u: CDElement, r) -> Matrix:
     )
 
 
-@lru_cache(maxsize=1)
-def _right_unit_mults() -> tuple:
-    """y -> y u_t for the units u_1..u_7 = i..h, as signed permutations."""
-    return tuple(SignedPerm.of(right_mult_matrix(CDElement.unit(3, t))) for t in range(1, 8))
-
-
 def lambda_coeffs_raw(x: CDElement, y: CDElement) -> tuple:
     """The nine lambda values without the sphere-membership check."""
     lam = [2 * _dot(x.coeffs, y.coeffs)]
-    for r in _right_unit_mults():
+    for r in unit_right_mults(3)[1:]:  # y -> y u_t, u_t = i..h
         lam.append(-2 * _dot(x.coeffs, r.apply(y.coeffs)))
     lam.append(x.norm2() - y.norm2())
     return tuple(lam)
@@ -103,12 +97,17 @@ def spin9_sections(p: SpherePoint16) -> list:
 
 
 def reconstruct(p: SpherePoint16) -> list:
-    """sum_a lambda_a I_a N; equals N exactly on the sphere."""
-    lam = lambda_coeffs(p)
-    sections = spin9_sections(p)
-    return [
-        sum(lam[a] * sections[a][i] for a in range(9)) for i in range(16)
-    ]
+    """sum_a lambda_a I_a N; equals N exactly on the sphere.
+
+    z = scale N is integral and lambda is homogeneous of degree 2, so the
+    sphere check reads sum lambda(z)^2 = scale^4 and the sum is scale^3 N.
+    """
+    z, scale = _clear_denominators(p.coords())
+    lam = lambda_coeffs_raw(CDElement(3, z[:8]), CDElement(3, z[8:]))
+    if sum(v * v for v in lam) != scale ** 4:
+        raise AssertionError("sum of squared lambda coefficients is not 1")
+    sections = [a.apply(z) for a in spin9_involutions()]
+    return [Fraction(_dot(lam, col), scale ** 3) for col in zip(*sections)]
 
 
 def fiber_orthogonality_check(p: SpherePoint16, fiber_tangent) -> bool:

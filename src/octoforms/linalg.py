@@ -246,8 +246,8 @@ class SignedPerm:
     def __eq__(self, other):
         return (
             isinstance(other, SignedPerm)
-            and np.array_equal(self.perm, other.perm)
-            and np.array_equal(self.sign, other.sign)
+            and self.perm.tobytes() == other.perm.tobytes()
+            and self.sign.tobytes() == other.sign.tobytes()
         )
 
     def __hash__(self):
@@ -367,17 +367,13 @@ def _dot(a, b):
     return sum(map(mul, a, b))
 
 
-def _row_of_fractions(entries) -> dict:
-    """Clear denominators of one row; scaling does not change the row space."""
-    ints, _ = _clear_denominators(entries)
-    return {j: v for j, v in enumerate(ints) if v}
-
-
 def rank(m: Matrix) -> int:
-    """Exact rank via incremental fraction-free row reduction."""
+    """Exact rank via incremental fraction-free row reduction; clearing a
+    row's denominators does not change the row space."""
     space = RowSpace()
     for i in range(m.rows):
-        space.add(_row_of_fractions(m.row(i)))
+        ints, _ = _clear_denominators(m.row(i))
+        space.add({j: v for j, v in enumerate(ints) if v})
     return space.dim
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .cayley_dickson import CDElement, right_mult_matrix
+from .cayley_dickson import CDElement, right_mult_matrix, unit_right_mults
 from .clifford import independence_count, standard_system
 from .exterior import FormMatrix, Multivector, kahler_form, tau2_direct, tau4_coefficient
 from .linalg import Matrix, SignedPerm, lie_closure_dim
@@ -38,22 +38,15 @@ class EvenCliffordModel:
 
 def _rosenfeld_generators(level: int) -> list:
     """kron(R_u, Id16) for the imaginary units, then kron(Id, I_a)."""
-    d = 1 << level
     eye16 = SignedPerm.identity(16)
-    gens = [
-        SignedPerm.of(right_mult_matrix(CDElement.unit(level, t))).kron(eye16)
-        for t in range(1, d)
-    ]
-    gens.extend(SignedPerm.identity(d).kron(i_a) for i_a in standard_system("spin9").mats)
+    gens = [r.kron(eye16) for r in unit_right_mults(level)[1:]]
+    gens.extend(SignedPerm.identity(1 << level).kron(i_a) for i_a in standard_system("spin9").mats)
     return gens
 
 
-def _m_u(u: CDElement) -> SignedPerm:
-    """offdiag(R_u, -R_conj(u)) for a unit basis octonion u."""
-    z = Matrix.zero(8, 8)
-    ru = right_mult_matrix(u)
-    ruc = right_mult_matrix(u.conjugate())
-    return SignedPerm.of(Matrix.from_blocks([[z, ru], [-ruc, z]]))
+def _m_u(t: int) -> SignedPerm:
+    """offdiag(R_u, -R_conj(u)) for u = e_t; R_conj(u) = -R_u unless t = 0."""
+    return SignedPerm([1, 0], [1, -1 if t == 0 else 1]).kron(unit_right_mults(3)[t])
 
 
 def build_model(name: str) -> EvenCliffordModel:
@@ -69,11 +62,11 @@ def build_model(name: str) -> EvenCliffordModel:
         gens = _rosenfeld_generators(3)
         return EvenCliffordModel(name, 128, tuple(gens), 16)
     if name == "gr8r":
-        gens = [_m_u(CDElement.unit(3, t)) for t in range(8)]
+        gens = [_m_u(t) for t in range(8)]
         return EvenCliffordModel(name, 16, tuple(gens), 8)
     if name == "gr4c":
         # units spanning F = <1, i, j, k, e, f> inside O
-        gens = [_m_u(CDElement.unit(3, t)) for t in range(6)]
+        gens = [_m_u(t) for t in range(6)]
         return EvenCliffordModel(name, 16, tuple(gens), 6)
     gens = standard_system("quaternionic_Sp2Sp1").mats
     return EvenCliffordModel("gr2h", 8, tuple(gens), 5)

@@ -18,26 +18,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .cayley_dickson import unit_signs
 from .exterior import wedge_sum
 
-# Cayley-Dickson units multiply as e_a * e_b = s e_(a xor b); _OCT_SIGNS[a][b]
-# is that sign s at level 3 (cayley_dickson.basis_products(3), written out so
-# that no import pays for 64 Fraction products).
-_OCT_SIGNS = (
-    (1, 1, 1, 1, 1, 1, 1, 1),
-    (1, -1, 1, -1, 1, -1, -1, 1),
-    (1, -1, -1, 1, 1, 1, -1, -1),
-    (1, 1, -1, -1, 1, -1, 1, -1),
-    (1, -1, -1, -1, -1, 1, 1, 1),
-    (1, 1, -1, 1, -1, -1, -1, 1),
-    (1, 1, 1, -1, -1, 1, -1, -1),
-    (1, -1, 1, 1, -1, -1, 1, -1),
-)
-
-# Structure tensor T[a, b, c] = coefficient of e_c in e_a * e_b.
+# Structure tensor T[a, b, c] = coefficient of e_c in e_a * e_b, where
+# e_a * e_b = S[a, b] e_(a xor b) with S the Cayley-Dickson sign table.
 _OCT_TENSOR = np.zeros((8, 8, 8), dtype=np.int64)
 _units = np.arange(8)
-_OCT_TENSOR[_units[:, None], _units, _units[:, None] ^ _units] = _OCT_SIGNS
+_OCT_TENSOR[_units[:, None], _units, _units[:, None] ^ _units] = unit_signs(3)
 
 
 def oct_conj8(a: tuple) -> tuple:

@@ -34,8 +34,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .cayley_dickson import CDElement, left_mult_matrix, right_mult_matrix
-from .clifford import standard_system
+from .cayley_dickson import unit_left_mults, unit_right_mults
+from .clifford import _FLIP, _TURN, standard_system
 from .linalg import SignedPerm, _clear_denominators, _dot
 
 # Formal left multiplication tables, printed form.  Row u, slot t holds the
@@ -196,10 +196,7 @@ def formal_left_mults(l: int, printed: bool = True) -> list:
             _left_mult_from_table(_PRINTED_L[l][u], l)
             for u in _UNIT_ORDER[: l - 1]
         ]
-    level = l.bit_length() - 1
-    return [
-        left_mult_matrix(CDElement.unit(level, t)).to_int_array() for t in range(1, l)
-    ]
+    return [np.asarray(a) for a in unit_left_mults(l.bit_length() - 1)[1:]]
 
 
 def _spin9_j_fields() -> list:
@@ -242,13 +239,12 @@ def _base_256(p: int) -> list:
 
 def _li_512() -> SignedPerm:
     """offdiag(-Id256, Id256)."""
-    return SignedPerm([1, 0], [-1, 1]).kron(SignedPerm.identity(256))
+    return _TURN.kron(SignedPerm.identity(256))
 
 
 def _d2_512() -> SignedPerm:
     """Id2 ox diag(Id128, -Id128)."""
-    flip = SignedPerm([0, 1], [1, -1])
-    return SignedPerm.identity(2).kron(flip.kron(SignedPerm.identity(128)))
+    return SignedPerm.identity(2).kron(_FLIP.kron(SignedPerm.identity(128)))
 
 
 def naive_s511_extra() -> SignedPerm:
@@ -272,10 +268,7 @@ def build_fields(m: int) -> VectorFieldSystem:
         raise ValueError("q >= 3 is out of scope; the paper defers the general recursion")
     notes = ()
     if dec.q == 0:
-        fields = [
-            SignedPerm.of(right_mult_matrix(CDElement.unit(dec.p, t)))
-            for t in range(1, 1 << dec.p)
-        ]
+        fields = list(unit_right_mults(dec.p)[1:])
     elif dec.q == 2:
         fields = _base_256(dec.p)
     else:

@@ -27,8 +27,11 @@ from octoforms.cayley_dickson import (
     norm2,
     octonion_unit,
     right_mult_matrix,
+    unit_left_mults,
+    unit_right_mults,
+    unit_signs,
 )
-from octoforms.linalg import Matrix
+from octoforms.linalg import Matrix, SignedPerm
 
 # Octonion unit products in the basis (1, i, j, k, e, f, g, h), frozen from
 # the quaternion-doubling oracle: entry [a][b] = signed index of e_a * e_b.
@@ -222,3 +225,31 @@ def test_mult_table_json_schema():
     rows = mult_table_json(1)
     assert len(rows) == 4
     assert rows[3] == {"i": 1, "j": 1, "product": ["-1", "0"]}
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_unit_signs_match_basis_products(level):
+    """The doubling-rule sign table against the recursive cd_mul table."""
+    signs = unit_signs(level)
+    n = 1 << level
+    assert signs.shape == (n, n) and not signs.flags.writeable
+    for (a, b), (c, s) in basis_products(level).items():
+        assert c == a ^ b and signs[a, b] == s, (a, b)
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_unit_mults_match_mult_matrices(level):
+    right, left = unit_right_mults(level), unit_left_mults(level)
+    assert len(right) == len(left) == 1 << level
+    for t in range(1 << level):
+        u = CDElement.unit(level, t)
+        assert right[t] == SignedPerm.of(right_mult_matrix(u)), t
+        assert left[t] == SignedPerm.of(left_mult_matrix(u)), t
+
+
+def test_mult_table_json_matches_cd_mul():
+    rows = mult_table_json(3)
+    assert len(rows) == 64
+    for row in rows:
+        prod = CDElement.unit(3, row["i"]) * CDElement.unit(3, row["j"])
+        assert row["product"] == [str(Fraction(c)) for c in prod.coeffs]

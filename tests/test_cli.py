@@ -135,6 +135,13 @@ def test_hopf_numerator_denominator_form():
     assert json.loads(out)["lambda"][0] == "24/25"
 
 
+@pytest.mark.parametrize("form", [16, 32])
+def test_hopf_zero_denominator_exits_2(form):
+    point = ["1/0"] + ["0"] * 15 if form == 16 else ["1", "0"] + ["0", "1"] * 15
+    code, out, err = run_cli("hopf", "--point", *point)
+    assert code == 2 and out == "" and "zero denominator" in err
+
+
 def test_clifford_subcommand():
     code, out, _ = run_cli("clifford", "--kind", "spin9", "--extend", "1", "--json")
     obj = json.loads(out)

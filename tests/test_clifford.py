@@ -181,3 +181,20 @@ def test_verify_suite_counts_the_standard_systems():
     assert ok
     assert len(STANDARD_KINDS) == 3
     assert detail.startswith("3 standard systems")
+
+
+@pytest.mark.parametrize("kind", ["pauli_U2", "quaternionic_Sp2Sp1", "spin9"])
+def test_standard_system_matches_cd_mul_reference(kind):
+    """antidiag(Id, Id), [[0, -R_u], [R_u, 0]] for the imaginary units u, and
+    diag(Id, -Id), with R_u built from cd_mul products."""
+    from octoforms.cayley_dickson import CDElement, right_mult_matrix
+
+    level = {"pauli_U2": 1, "quaternionic_Sp2Sp1": 2, "spin9": 3}[kind]
+    d = 1 << level
+    eye, zero = Matrix.identity(d), Matrix.zero(d, d)
+    ref = [Matrix.from_blocks([[zero, eye], [eye, zero]])]
+    for t in range(1, d):
+        r = right_mult_matrix(CDElement.unit(level, t))
+        ref.append(Matrix.from_blocks([[zero, -r], [r, zero]]))
+    ref.append(Matrix.from_blocks([[eye, zero], [zero, -eye]]))
+    assert standard_system(kind).mats == tuple(SignedPerm.of(m) for m in ref)

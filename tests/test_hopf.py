@@ -5,11 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from octoforms.cayley_dickson import CDElement
+from octoforms.cayley_dickson import CDElement, unit_right_mults
 from octoforms.clifford import standard_system
 from octoforms.hopf import (
     SpherePoint16,
-    _right_unit_mults,
     fiber_orthogonality_check,
     hopf_action,
     hopf_map,
@@ -149,5 +148,35 @@ def test_right_unit_mults_match_cd_mul():
     rng = random.Random(11)
     for _ in range(20):
         y = CDElement(3, [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(8)])
-        for t, r in enumerate(_right_unit_mults(), start=1):
+        for t, r in enumerate(unit_right_mults(3)[1:], start=1):
             assert r.apply(y.coeffs) == list((y * CDElement.unit(3, t)).coeffs)
+
+
+def _fraction_reconstruct(p):
+    """sum_a lambda_a I_a N over Q, the formula reconstruct computes over Z."""
+    lam = lambda_coeffs(p)
+    sections = spin9_sections(p)
+    return [sum(lam[a] * Fraction(sections[a][i]) for a in range(9)) for i in range(16)]
+
+
+def test_integer_reconstruct_matches_fraction_formula():
+    rng = random.Random(23)
+    points = [rational_sphere_point(rng) for _ in range(25)]
+    zero = CDElement.zero(3)
+    for t in range(8):  # integer points (scale 1), the poles among them
+        points.append(SpherePoint16(x=CDElement.unit(3, t), y=zero))
+        points.append(SpherePoint16(x=zero, y=-CDElement.unit(3, t)))
+    assert lambda_coeffs(points[25])[8] == 1 and lambda_coeffs(points[26])[8] == -1
+    for p in points:
+        want = _fraction_reconstruct(p)
+        assert want == list(p.coords())
+        assert reconstruct(p) == want
+
+
+def test_reconstruct_rejects_off_sphere_point():
+    rng = random.Random(4)
+    for scale in (Fraction(1, 2), 2):
+        p = rational_sphere_point(rng)
+        object.__setattr__(p, "x", p.x.scaled(scale))
+        with pytest.raises(AssertionError):
+            reconstruct(p)

@@ -354,3 +354,29 @@ def test_signed_perm_of_rejects_non_signed_permutations(x):
 
 def test_signed_perm_of_matrix():
     assert SignedPerm.of(Matrix.from_rows([[0, -1], [1, 0]])) == SignedPerm([1, 0], [-1, 1])
+
+
+def test_signed_perm_equality_matches_dense():
+    rng = random.Random(5)
+    for _ in range(300):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        perm = rng.sample(range(n), n)
+        a = SignedPerm(perm, [rng.choice((1, -1)) for _ in range(n)])
+        pick = rng.randrange(4)
+        if pick == 0:  # same perm, one sign flipped
+            sign = list(a.sign)
+            sign[rng.randrange(n)] *= -1
+            b = SignedPerm(perm, sign)
+        elif pick == 1:  # an equal copy
+            b = SignedPerm(list(perm), list(a.sign))
+        else:
+            b = SignedPerm(rng.sample(range(m), m), [rng.choice((1, -1)) for _ in range(m)])
+        da, db = np.asarray(a), np.asarray(b)
+        want = np.array_equal(da, db)
+        assert (a == b) is want and (a != b) is not want
+        if want:
+            assert hash(a) == hash(b)
+    a = SignedPerm.identity(3)
+    assert a != SignedPerm.identity(4) and a != -a
+    for other in (np.asarray(a), Matrix.identity(3), 1, None):
+        assert a.__eq__(other) is False

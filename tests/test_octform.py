@@ -99,7 +99,8 @@ def test_real_part_and_imag_check():
     assert oct_conj8((1, 2, 3, 4, 5, 6, 7, 8)) == (1, -2, -3, -4, -5, -6, -7, -8)
 
 
-def test_oct_tensor_literal_matches_basis_products():
+def test_oct_tensor_matches_basis_products():
+    """_OCT_TENSOR is derived from unit_signs(3); cd_mul is the oracle."""
     table = basis_products(3)
     assert len(table) == 64
     for (a, b), (c, s) in table.items():
