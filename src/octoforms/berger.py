@@ -20,11 +20,20 @@ and Jacobi's complementary-minor theorem gives, with 0-based indices,
 
     det A[R, T] = (-1)^(sum(R) + sum(T)) * |m|^(2k - 8) * det A[R^c, T^c]
 
-for |R| = |T| = k.  One dynamic program over column-deleted subminors,
-vectorized across 128-sample chunks of a block, therefore builds only the
-minors of sizes 1-4 (size 4 only for row sets holding row 0).  Every other
-slot reads its complementary minor, its sign folded into the slot's eps and
-its power of |m|^2 into the sample weight the minors are summed against.
+for |R| = |T| = k.  The plan therefore keeps only the minors of sizes 0-4
+(size 4 only for row sets holding row 0); every other slot reads its
+complementary minor, its sign folded into the slot's eps and its power of
+|m|^2 into the sample weight the minor is summed against.
+
+Monomial moments: every entry of A is +-m_j, so each of these minors is an
+integer polynomial of degree <= 4 in the eight coordinates of m (at most 20
+monomials, coefficients at most 2 in size) and its square one of degree <= 8.
+The plan expands the minors and their squares into monomials once, over the
+integers.  A block then sums only monomials against the weight columns, in
+float64: the 495 of degree <= 4 for the slot sums and the 1126 the squares
+touch for the sums of squares, each monomial the product of two lower ones.
+The groups return these monomial sums, and a call contracts their total to
+the 12870 slot sums and sums of squares once.
 
 Determinism: samples are generated by the counter-based Philox generator, 12
 uniforms per sample (so every fixed-size block starts on a counter boundary),
@@ -44,7 +53,7 @@ import os
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations, combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -53,27 +62,15 @@ from .cayley_dickson import unit_signs
 
 _BLOCK = 1024
 _GROUPS = 64
-_CHUNK = 128  # samples per DP pass, so a level's minors stay cache-sized
+_CHUNK = 128  # samples per monomial pass, so the monomial rows stay cache-sized
 _DRAWS_PER_SAMPLE = 12  # multiple of 4: Philox counter units hold 4 doubles
-
-
-@lru_cache(maxsize=1)
-def _signed_picks() -> tuple:
-    """Row q of the table [A; -A] as sign[q] * m[pick[q]], q = 8 i + c.
-
-    A[i, c] is the e_c coordinate of e_i m; left multiplication by e_i is a
-    signed permutation, so exactly one m_j feeds it: j = i xor c, with the
-    sign S[i, j] of ``cayley_dickson.unit_signs(3)``.
-    """
-    i, c = np.divmod(np.arange(64), 8)
-    pick = i ^ c
-    sign = unit_signs(3)[i, pick].astype(np.float64)
-    return np.concatenate([pick, pick]), np.concatenate([sign, -sign])
 
 
 def _subsets(n: int, k: int) -> tuple:
     """(elements, masks) of the k-subsets of range(n), in lexicographic order."""
-    el = np.array(list(combinations(range(n), k)), dtype=np.int64).reshape(math.comb(n, k), k)
+    count = math.comb(n, k)
+    el = np.fromiter(chain.from_iterable(combinations(range(n), k)), np.int64, count * k)
+    el = el.reshape(count, k)
     return el, (1 << el).sum(axis=1)
 
 
@@ -104,10 +101,10 @@ def _eps(s_bits: tuple) -> int:
 
 
 def _is_direct(k: int, rows: np.ndarray) -> np.ndarray:
-    """Per row-set mask R: True if det A[R, T], |T| = k, is a DP state; False
-    if it is read from its Jacobi partner det A[R^c, T^c].
+    """Per row-set mask R: True if det A[R, T], |T| = k, is a plan state;
+    False if it is read from its Jacobi partner det A[R^c, T^c].
 
-    Levels 0-3 are computed whole; level 4 only for row sets holding row 0,
+    Levels 0-3 are expanded whole; level 4 only for row sets holding row 0,
     since the other half are the complementary minors of the first.
     """
     if k == 4:
@@ -115,9 +112,102 @@ def _is_direct(k: int, rows: np.ndarray) -> np.ndarray:
     return np.full(len(rows), k < 4)
 
 
+def _monomials(d: int) -> np.ndarray:
+    """Sorted keys of the degree-d monomials in the coordinates m_0..m_7.
+
+    A key reads a monomial's exponent vector in base 9, so up to total degree
+    8 the key of a product is the sum of its factors' keys.
+    """
+    count = math.comb(d + 7, d)
+    el = np.fromiter(chain.from_iterable(combinations_with_replacement(range(8), d)), np.int64,
+                     count * d)
+    return np.sort((9 ** el.reshape(count, d)).sum(axis=1))
+
+
+def _split(keys: np.ndarray, k: int) -> tuple:
+    """Each monomial as the keys of (its k lowest variables, the others)."""
+    digits = keys[:, None] // 9 ** np.arange(8) % 9
+    before = np.cumsum(digits, axis=1) - digits
+    low = (np.clip(k - before, 0, digits) * 9 ** np.arange(8)).sum(axis=1)
+    return low, keys - low
+
+
+def _minor_polys(k: int) -> tuple:
+    """The level-k states as exact polynomials in m: rows of monomials (into
+    ``_monomials(k)``, ascending) and int8 coefficients, left-aligned and
+    zero-padded; states numbered as in ``_plan``.
+
+    A[i, c] = S[i, j] m_j with j = i xor c and S = ``unit_signs(3)``, so each
+    of the k! Leibniz terms of det A[R, T] is a signed monomial; the terms
+    are merged per state, and no merged coefficient exceeds 2 in size.
+    """
+    keys = _monomials(k)
+    if k == 0:
+        return np.zeros((1, 1), dtype=np.int64), np.ones((1, 1), dtype=np.int8)
+    t_el, t_masks = _subsets(8, k)
+    t_el = t_el.astype(np.int8)
+    r_el = t_el[_is_direct(k, t_masks)][:, None, None, :]
+    perms = np.array(list(permutations(range(k))))
+    parity = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2)) % 2
+    var = r_el ^ t_el[:, perms][None]  # (R, T, term, factor)
+    signs = unit_signs(3).astype(np.int8)[r_el, var].prod(axis=-1, dtype=np.int8)
+    # each term's monomial, one variable at a time: times[j, i] is the index
+    # of m_j times monomial i of the degree below
+    mono = np.zeros(var.shape[:-1], dtype=np.int64)
+    for d in range(1, k + 1):
+        below = _monomials(d - 1)
+        times = np.searchsorted(_monomials(d), below[None, :] + 9 ** np.arange(8)[:, None])
+        mono = times[var[..., d - 1], mono]
+    n = len(r_el) * len(t_el)
+    flat = np.arange(n).reshape(len(r_el), len(t_el), 1) * len(keys) + mono
+    merged = np.zeros(n * len(keys), dtype=np.int8)
+    np.add.at(merged, flat.ravel(), (signs * (1 - 2 * parity).astype(np.int8)).ravel())
+    nonzero = np.flatnonzero(merged != 0)
+    state, mono = np.divmod(nonzero, len(keys))
+    count = np.bincount(state, minlength=n)
+    pos = np.arange(len(state)) - (np.cumsum(count) - count)[state]
+    cols = np.zeros((n, count.max()), dtype=np.int64)
+    vals = np.zeros((n, count.max()), dtype=np.int8)
+    cols[state, pos] = mono
+    vals[state, pos] = merged[nonzero]
+    return cols, vals
+
+
+def _squares(k: int, cols: np.ndarray, vals: np.ndarray) -> tuple:
+    """The squares of the level-k state polynomials, as pair products over
+    the upper triangle of each row of ``_minor_polys(k)``.
+
+    Returns (support, at, coef, touched): touched holds the sorted keys of
+    the degree-2k monomials the squares touch; state s has the pair products
+    coef[s] (int8) on the monomials touched[at[support[s]]].  Which monomial
+    a pair touches depends only on the state's support, and the 2450 level-4
+    states have 252 supports.
+    """
+    # equal rows sort together as raw bytes (np.unique with axis=0 is slower)
+    order = np.argsort(cols.view(f"V{cols.itemsize * cols.shape[1]}").ravel(), kind="stable")
+    new = np.r_[True, (cols[order[1:]] != cols[order[:-1]]).any(axis=1)]
+    first = order[new]
+    support = np.empty(len(cols), dtype=np.int64)
+    support[order] = np.cumsum(new) - 1
+    # padding follows the first entry and the monomials ascend, so it reads 0
+    real = vals[first] != 0
+    a, b = np.triu_indices(cols.shape[1])
+    keys = _monomials(k)[cols[first]]
+    prod = keys[:, a] + keys[:, b]
+    real = real[:, a] & real[:, b]
+    touched = np.sort(prod[real])  # np.unique would import numpy.ma (~35 ms)
+    touched = touched[np.diff(touched, prepend=-1) != 0]
+    at = np.searchsorted(touched, np.where(real, prod, touched[0]))
+    # the triangle row by row: a column gather is several times slower
+    coef = np.concatenate([vals[:, i : i + 1] * vals[:, i:] for i in range(cols.shape[1])], axis=1)
+    coef *= np.where(a == b, 1, 2).astype(np.int8)
+    return support, at, coef, touched
+
+
 @lru_cache(maxsize=1)
-def _plan():
-    """Static DP plan: per level 1-4 the state tables, per level 0-4 the hooks.
+def _plan() -> dict:
+    """Static plan: per level 0-4 the exact state polynomials, their squares
+    and the slot hooks; the per-sample monomial rows; the moment layout.
 
     Level k holds det A[R, T] for pairs of k-subsets, R and T sorted (at
     level 4, only R holding row 0); level 0 is the empty minor 1.  States are
@@ -127,8 +217,14 @@ def _plan():
     A slot (S, T) with a direct minor hooks to the state (S^c, T).  Every
     other slot hooks, by Jacobi's theorem, to the state (S, T^c) at level
     8 - |T|: the sign (-1)^(sum(S^c) + sum(T)) is folded into eps, and
-    |m|^(2(|T|-4)) into the weight column the level's minors are reduced
-    against.
+    |m|^(2(|T|-4)) into the weight column (col 1) the level's monomials are
+    reduced against.
+
+    A block fills the rows x of its monomials: x[0] = 1, x[1:9] = m, then
+    the monomials of degrees 2, 3 and 4, then the squares' monomials of
+    levels 0-4, each row the product x[a] x[b] of two earlier rows.  Each
+    reduction (c, lo, hi) sums weight column c against rows lo:hi into the
+    next hi - lo moments; columns 0-4 are w |m|^(2e), 5-9 are w^2 |m|^(4e).
     """
     subsets = [_subsets(8, k) for k in range(9)]
     rank = np.zeros(256, dtype=np.int64)
@@ -137,23 +233,6 @@ def _plan():
 
     def states(k, r_masks, t_masks):
         return (rank[r_masks] * math.comb(8, k))[:, None] + rank[t_masks][None, :]
-
-    levels = []
-    for k in range(1, 5):
-        t_el, t_masks = subsets[k]
-        keep = _is_direct(k, t_masks)  # the row sets: the same subsets, filtered
-        r_el, r_masks = t_el[keep], t_masks[keep]
-        t_rest = t_masks ^ (1 << t_el[:, -1])
-        # Laplace expansion along the last column, one row per expansion term
-        # p: the level-(k-1) states, and the flat indices into [A; -A], with A
-        # in its row-major (64,) layout; a negative cofactor sign reads the
-        # negated half of the table
-        prev = [states(k - 1, r_masks ^ (1 << r_el[:, p]), t_rest).ravel() for p in range(k)]
-        gather = [
-            ((8 * r_el[:, p])[:, None] + t_el[None, :, -1]).ravel() + 64 * ((p + 1 + k) % 2)
-            for p in range(k)
-        ]
-        levels.append({"prev": np.array(prev), "gather": np.array(gather)})
 
     slot_of = _slot_of_mask()
     parts = [[] for _ in range(5)]
@@ -172,13 +251,40 @@ def _plan():
             sel = level == lv
             if sel.any():
                 parts[lv].append((state[sel], slot[sel], eps[sel], np.full(sel.sum(), int(k > 4))))
-    hooks = []
-    for level, part in enumerate(parts):
+
+    keys = [_monomials(d) for d in range(5)]
+    start = np.cumsum([0] + [len(x) for x in keys])  # first row of each degree
+    stages = []
+    for d in (2, 3, 4):
+        low, high = _split(keys[d], d - 1)
+        stages.append((start[d], start[d - 1] + np.searchsorted(keys[d - 1], low),
+                       1 + np.searchsorted(keys[1], high)))
+    levels, sq_start, pairs = [], [start[5]], []
+    for k, part in enumerate(parts):
         state, slot, eps, col = map(np.concatenate, zip(*part))
-        # powers of |m|^2 in the weight columns: |T| = level, then |T| = 8 - level
-        powers = [0] if level == 4 else [0, 4 - level]
-        hooks.append({"state": state, "slot": slot, "eps": eps, "col": col, "powers": powers})
-    return levels, hooks
+        poly = _minor_polys(k)
+        square = _squares(k, *poly)
+        touched = square[3]
+        low, high = _split(touched, k)
+        pairs.append((start[k] + np.searchsorted(keys[k], low),
+                      start[k] + np.searchsorted(keys[k], high)))
+        sq_start.append(sq_start[-1] + len(touched))
+        levels.append({"state": state, "slot": slot, "eps": eps, "col": col,
+                       "poly": poly, "square": square})
+    stages.append((start[5], *map(np.concatenate, zip(*pairs))))
+
+    reductions = [(0, 0, start[5]), (5, start[5], sq_start[5])]
+    reductions += [(4 - k, start[k], start[k + 1]) for k in range(4)]
+    reductions += [(9 - k, sq_start[k], sq_start[k + 1]) for k in range(4)]
+    offsets = np.cumsum([0] + [hi - lo for _, lo, hi in reductions])
+    for k, lv in enumerate(levels):
+        # moment indices of each level's monomials: col 0, then col 1
+        sums = [offsets[0] + start[k]] + [offsets[2 + k]] * (k < 4)
+        sq = [offsets[1] + sq_start[k] - start[5]] + [offsets[6 + k]] * (k < 4)
+        lv["sum_at"] = np.array(sums)[:, None, None] + lv["poly"][0]
+        lv["sq_at"] = np.array(sq)[:, None, None] + lv["square"][1]
+    return {"levels": levels, "stages": stages, "rows": sq_start[5],
+            "reductions": list(zip(reductions, offsets)), "moments": offsets[-1]}
 
 
 def _block_uniforms(seed: int, block: int, count: int) -> np.ndarray:
@@ -201,7 +307,8 @@ def _sample_sphere9(seed: int, block: int, count: int) -> np.ndarray:
     return v / norm[:, None]
 
 
-def _process_block(seed: int, block: int, count: int, sums, sumsq):
+def _process_block(seed: int, block: int, count: int, moments: np.ndarray):
+    """Add one block's weighted monomial sums to `moments`."""
     v = _sample_sphere9(seed, block, count)
     u8 = v[:, :8]
     r = v[:, 8]
@@ -212,68 +319,44 @@ def _process_block(seed: int, block: int, count: int, sums, sumsq):
     mm = np.sum(m8 * m8, axis=1)
     # orientation of every line basis chosen so the estimator aligns with +Phi
     w = np.where(valid, -((1.0 + mm) ** -4), 0.0)
-    ww = w * w
     # weight columns w |m|^(2e) and w^2 |m|^(4e), e = 0..4: the Jacobi factors
     mm_pow = mm[None, :] ** np.arange(5)[:, None]
-    w_cols = (w * mm_pow).astype(np.float32)
-    ww_cols = (ww * mm_pow * mm_pow).astype(np.float32)
+    cols = np.concatenate([w * mm_pow, (w * mm_pow) ** 2])
 
-    # the minor recursion runs in float32: its rounding (~1e-7 relative) is
-    # far below the Monte-Carlo noise, and it is equally deterministic
-    pick, sign = _signed_picks()
-    table = (sign[:, None] * m8.T[pick]).astype(np.float32)
-    levels, hooks = _plan()
-    sizes = [1] + [lv["gather"].shape[1] for lv in levels]
-    acc = [np.zeros((len(h["powers"]), size)) for h, size in zip(hooks, sizes)]
-    acc2 = [np.zeros_like(x) for x in acc]
-
-    # flat scratch, viewed as contiguous (rows, n) arrays chunk by chunk, so
-    # the hot loop allocates nothing; np.take writes unbuffered with
-    # mode="clip", and the plan's indices are in range by construction
-    width = min(_CHUNK, count)
-    store = [np.empty(size * width, dtype=np.float32) for size in sizes]
-    term = np.empty(max(sizes) * width, dtype=np.float32)
-    factor = np.empty_like(term)
+    plan = _plan()
     for lo in range(0, count, _CHUNK):
         n = min(_CHUNK, count - lo)
-        views = [buf[: size * n].reshape(size, n) for buf, size in zip(store, sizes)]
-        a_pm = np.ascontiguousarray(table[:, lo : lo + n])
-        minors = views[:1]
-        minors[0].fill(1.0)
-        for lv, size, d in zip(levels, sizes[1:], views[1:]):
-            d_prev = minors[-1]
-            t = term[: size * n].reshape(size, n)
-            f = factor[: size * n].reshape(size, n)
-            for p, (g, pv) in enumerate(zip(lv["gather"], lv["prev"])):
-                np.take(a_pm, g, axis=0, out=d if p == 0 else t, mode="clip")
-                np.take(d_prev, pv, axis=0, out=f, mode="clip")
-                if p == 0:
-                    d *= f
-                else:
-                    t *= f
-                    d += t
-            minors.append(d)
+        x = np.empty((plan["rows"], n))
+        x[0] = 1.0
+        x[1:9] = m8[lo : lo + n].T
+        for first, a, b in plan["stages"]:
+            np.multiply(x[a], x[b], out=x[first : first + len(a)])
         # reductions run through einsum's fixed summation order, not BLAS
-        for j, (hook, d) in enumerate(zip(hooks, minors)):
-            cols = hook["powers"]
-            acc[j] += np.einsum("ec,sc->es", w_cols[cols, lo : lo + n], d)
-            sq = np.multiply(d, d, out=term[: d.size].reshape(d.shape))
-            acc2[j] += np.einsum("ec,sc->es", ww_cols[cols, lo : lo + n], sq)
+        for (c, r0, r1), at in plan["reductions"]:
+            moments[at : at + r1 - r0] += np.einsum("c,rc->r", cols[c, lo : lo + n], x[r0:r1])
 
+
+def _contract(moments: np.ndarray) -> tuple:
+    """(sums, sumsq) over the 12870 slots from summed monomial moments."""
+    sums = np.zeros(12870, dtype=np.float64)
+    sumsq = np.zeros(12870, dtype=np.float64)
     # per level, slot positions are distinct, so fancy += is safe
-    for j, hook in enumerate(hooks):
-        sums[hook["slot"]] += hook["eps"] * acc[j][hook["col"], hook["state"]]
-        sumsq[hook["slot"]] += acc2[j][hook["col"], hook["state"]]
+    for lv in _plan()["levels"]:
+        support, _, coef, _ = lv["square"]
+        value = np.einsum("csw,sw->cs", moments[lv["sum_at"]], lv["poly"][1])
+        square = np.einsum("csp,sp->cs", moments[lv["sq_at"]][:, support], coef)
+        sums[lv["slot"]] += lv["eps"] * value[lv["col"], lv["state"]]
+        sumsq[lv["slot"]] += square[lv["col"], lv["state"]]
+    return sums, sumsq
 
 
 def _group_worker(args):
     seed, blocks, n_samples = args
-    sums = np.zeros(12870, dtype=np.float64)
-    sumsq = np.zeros(12870, dtype=np.float64)
+    moments = np.zeros(_plan()["moments"], dtype=np.float64)
     for b in blocks:
         count = min(_BLOCK, n_samples - b * _BLOCK)
-        _process_block(seed, b, count, sums, sumsq)
-    return sums, sumsq
+        _process_block(seed, b, count, moments)
+    return moments
 
 
 @dataclass(frozen=True)
@@ -293,8 +376,10 @@ class FitReport:
     workers: int
     fitted_scale: float
     cosine_similarity: float
-    # expected scale if dl is the unnormalized round S^8 measure:
-    # (pi^4 / 110880) / Vol(S^8) with Vol(S^8) = 32 pi^4 / 105, i.e. 1/33792
+    # 1/33792, a guess read off the unnormalized round S^8 measure; not
+    # derived.  The fit reads 1/132 = 256/33792 (each line pairs with Phi to
+    # 14, and |Phi|^2 = 1848); that the mean is Phi/132 slot by slot is the
+    # exact-Berger-mean item of ROADMAP.md
     candidate_scale: float
     zero_slots: int
     zero_slots_within_3sigma: int
@@ -356,16 +441,13 @@ def berger_mc(samples: int, seed: int = 0, workers: int = 1):
     # pure execution detail; capping it at the usable CPUs avoids thrash
     pool_size = min(workers, _usable_cpus(), len(tasks))
     # built before any fork, so that the workers inherit the plan
-    _plan()
-    _signed_picks()
-    sums = np.zeros(12870, dtype=np.float64)
-    sumsq = np.zeros(12870, dtype=np.float64)
+    moments = np.zeros(_plan()["moments"], dtype=np.float64)
     # group results are folded in group order as they arrive: a fixed,
     # deterministic reduction that does not hold every group's sums at once
     with multiprocessing.Pool(pool_size) if pool_size > 1 else nullcontext() as pool:
-        for s, q in pool.imap(_group_worker, tasks) if pool else map(_group_worker, tasks):
-            sums += s
-            sumsq += q
+        for part in pool.imap(_group_worker, tasks) if pool else map(_group_worker, tasks):
+            moments += part
+    sums, sumsq = _contract(moments)
 
     mean = sums / samples
     var = np.maximum(sumsq / samples - mean * mean, 0.0)

@@ -26,6 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .cayley_dickson import CDElement, right_mult_matrix, unit_right_mults
 from .clifford import standard_system
@@ -119,11 +120,17 @@ def fiber_orthogonality_check(p: SpherePoint16, fiber_tangent) -> bool:
 
 
 def rational_sphere_point(rng: random.Random) -> SpherePoint16:
-    """Random rational point of S^15: stereographic image of a rational t."""
-    t = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(15)]
-    s = sum(v * v for v in t)
-    den = 1 + s
-    coords = [2 * v / den for v in t] + [(1 - s) / den]
+    """Random rational point of S^15: stereographic image of a rational t.
+
+    Over one integer denominator, t = u / q, the point is
+    (2 q u, q^2 - |u|^2) / (q^2 + |u|^2).
+    """
+    t = [(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(15)]
+    q = lcm(*(d for _, d in t))
+    u = [n * (q // d) for n, d in t]
+    s = sum(v * v for v in u)
+    den = q * q + s
+    coords = [Fraction(2 * q * v, den) for v in u] + [Fraction(q * q - s, den)]
     return SpherePoint16(
         x=CDElement(3, coords[:8]), y=CDElement(3, coords[8:])
     )

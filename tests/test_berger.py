@@ -8,8 +8,10 @@ import pytest
 
 from octoforms import berger
 from octoforms.berger import (
+    _contract,
     _eps,
     _group_tasks,
+    _plan,
     _process_block,
     _sample_sphere9,
     _slot_of_mask,
@@ -53,12 +55,18 @@ def test_eps_signs_against_exact_determinants():
             assert want == got, (s_bits,)
 
 
+def _block_slot_sums(seed, block, count):
+    """(sums, sumsq) over the slots for one block: its monomial moments,
+    contracted."""
+    moments = np.zeros(_plan()["moments"])
+    _process_block(seed, block, count, moments)
+    return _contract(moments)
+
+
 def test_block_slot_values_against_determinant_oracle():
     """Recompute a handful of slot values of one tiny block directly."""
-    sums = np.zeros(12870)
-    sumsq = np.zeros(12870)
     count = 8
-    _process_block(123, 0, count, sums, sumsq)
+    sums, sumsq = _block_slot_sums(123, 0, count)
 
     v = _sample_sphere9(123, 0, count)
     from octoforms.cayley_dickson import CDElement
@@ -88,16 +96,15 @@ def test_every_slot_against_float64_determinants():
 
     Each slot value is -det of the 8x8 submatrix of the orthonormal line
     basis [I | A] / sqrt(1 + |m|^2), summed over the samples; this pins the
-    sign and the |m| power of every Jacobi complementary minor.  The DP runs
-    in float32, so the tolerance is 8 float32 epsilons of each slot's
-    Hadamard bound |m|^|T| / (1 + |m|^2)^4, summed over the samples.
+    sign and the |m| power of every Jacobi complementary minor.  The
+    tolerance is 8 float32 epsilons of each slot's Hadamard bound
+    |m|^|T| / (1 + |m|^2)^4, summed over the samples; the float64 monomial
+    moments meet it with a wide margin.
     """
     from octoforms.cayley_dickson import CDElement
 
     count = 16
-    sums = np.zeros(12870)
-    sumsq = np.zeros(12870)
-    _process_block(123, 0, count, sums, sumsq)
+    sums, sumsq = _block_slot_sums(123, 0, count)
 
     masks = slot_masks()
     cols = np.array([[i for i in range(16) if int(m) >> i & 1] for m in masks])
@@ -140,18 +147,19 @@ def test_bit_reproducibility_across_workers():
 
 def _skewed_group(args):
     """Stand-in group worker whose float64 fold depends on the order: group 0
-    returns 2^53 and finishes last, every other group returns 1."""
+    returns 2^53 in every monomial moment and finishes last, every other
+    group returns 1."""
     _, blocks, _ = args
     if blocks.start:
-        return np.ones(12870), np.ones(12870)
+        return np.ones(_plan()["moments"])
     time.sleep(0.2)
-    return np.full(12870, 2.0**53), np.full(12870, 2.0**53)
+    return np.full(_plan()["moments"], 2.0**53)
 
 
 def test_groups_fold_in_index_order(monkeypatch):
     """Both paths fold group results in group order, whatever order they
-    finish in.  (The real per-group sums are float32 values, whose float64
-    sums are exact at these sizes, so real results cannot show the order.)"""
+    finish in.  (The stand-in makes the order show in every moment, which
+    real sums do only now and then.)"""
     samples = 64 * 1024
     values = [2.0**53] + [1.0] * (len(_group_tasks(samples, 0)) - 1)
 
@@ -161,12 +169,16 @@ def test_groups_fold_in_index_order(monkeypatch):
             total += v
         return total
 
+    def coeffs(total):
+        return _contract(np.full(_plan()["moments"], total))[0] / samples
+
     in_order = fold(values)
     assert in_order != fold(values[::-1])
+    assert not np.array_equal(coeffs(in_order), coeffs(fold(values[::-1])))
     monkeypatch.setattr(berger, "_group_worker", _skewed_group)
     for workers in (1, 2):
         form, _ = berger_mc(samples, seed=0, workers=workers)
-        assert np.array_equal(form.coeffs, np.full(12870, in_order / samples)), workers
+        assert np.array_equal(form.coeffs, coeffs(in_order)), workers
 
 
 def test_pool_capped_by_cpu_affinity(monkeypatch):
@@ -256,3 +268,66 @@ def test_input_validation():
         berger_mc(0)
     with pytest.raises(ValueError):
         berger_mc(10, workers=0)
+
+
+def _exponents(keys):
+    """Exponent vectors of monomial keys (base-9 digits, m_0 lowest)."""
+    return np.asarray(keys)[:, None] // 9 ** np.arange(8) % 9
+
+
+def test_state_polynomials_and_squares_are_exact():
+    """Every state polynomial of levels 0-4 equals the exact integer minor
+    det A[R, T] at integer points m, and every square row equals its square.
+
+    A[i, c] is the e_c coordinate of e_i m, read off the multiplication
+    table ``unit_signs(3)``; states are numbered R-major, R holding row 0 at
+    level 4.
+    """
+    from itertools import combinations
+
+    from octoforms.cayley_dickson import unit_signs
+
+    signs = unit_signs(3)
+    # no coordinate is 0, so a wrong coefficient of any monomial shows
+    rng = np.random.default_rng(7)
+    points = [np.arange(1, 9), rng.choice([-3, -2, -1, 1, 2, 3], size=8)]
+    for k, lv in enumerate(_plan()["levels"]):
+        (cols, vals), (support, at, coef, touched) = lv["poly"], lv["square"]
+        rows = [r for r in combinations(range(8), k) if k < 4 or 0 in r]
+        t_sets = list(combinations(range(8), k))
+        assert cols.shape[0] == len(rows) * len(t_sets)
+        for m in points:
+            a = [[int(signs[i, i ^ c] * m[i ^ c]) for c in range(8)] for i in range(8)]
+            mono = np.prod(m.astype(np.int64) ** _exponents(berger._monomials(k)), axis=1)
+            sq_mono = np.prod(m.astype(np.int64) ** _exponents(touched), axis=1)
+            got = (vals * mono[cols]).sum(axis=1)
+            got_sq = (coef * sq_mono[at[support]]).sum(axis=1)
+            want = [
+                exact_det([[a[i][t] for t in ts] for i in r]) if k else 1
+                for r in rows
+                for ts in t_sets
+            ]
+            assert got.tolist() == want, (k, m)
+            assert got_sq.tolist() == [d * d for d in want], (k, m)
+
+
+def test_all_plain_slot_mean_against_exact_value():
+    """The blade e_1..8 has weight -((1 + r) / 2)^4, so its mean over S^8 is
+    -(1 + 6 E[r^2] + E[r^4]) / 16 = -(1 + 6/9 + 3/99) / 16 = -7/66, which is
+    Phi(e_1..8) / 132 = -14/132.  The pinned 65536-sample run lies within
+    4 sigma of it."""
+    form, _ = berger_mc(65536, seed=5, workers=2)
+    assert slot_blade(0) == (1, 2, 3, 4, 5, 6, 7, 8)
+    assert phi_dense()[0] == -14
+    assert abs(form.coeffs[0] + 7 / 66) <= 4 * form.sigma[0]
+
+
+def test_every_line_pairs_with_phi_to_fourteen():
+    """Phi calibrates the octonionic lines: the pullback of each line's
+    volume form pairs with Phi to Phi(e_1..8) = 14 (in the estimator's
+    orientation), and |Phi|^2 = 1848, so the fitted scale is 14/1848 = 1/132
+    to float64 rounding from any number of samples."""
+    assert int(phi_dense() @ phi_dense()) == 1848
+    for samples, seed in ((1, 0), (1, 1), (7, 2), (3000, 3)):
+        _, rep = berger_mc(samples, seed=seed)
+        assert abs(rep.fitted_scale * 132 - 1) < 1e-12, (samples, seed)

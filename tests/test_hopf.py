@@ -180,3 +180,20 @@ def test_reconstruct_rejects_off_sphere_point():
         object.__setattr__(p, "x", p.x.scaled(scale))
         with pytest.raises(AssertionError):
             reconstruct(p)
+
+
+def _fraction_sphere_point(rng):
+    """The stereographic image of t in Q^15, term by term over Fraction."""
+    t = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(15)]
+    s = sum(v * v for v in t)
+    den = 1 + s
+    return tuple(2 * v / den for v in t) + ((1 - s) / den,)
+
+
+def test_rational_sphere_point_matches_fraction_construction():
+    """200 seeded points over one integer denominator equal the Fraction
+    construction, from the same draws."""
+    got, want = random.Random(11), random.Random(11)
+    for _ in range(200):
+        assert rational_sphere_point(got).coords() == _fraction_sphere_point(want)
+    assert got.getstate() == want.getstate()
