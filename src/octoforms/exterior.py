@@ -19,10 +19,12 @@ or when the kernel declines, it runs the pure-Python reference built on
 ``wedge_dicts``, exact for any n and any rational coefficients.  Tests
 compare the two engines.
 
-``charpoly_coeffs`` keeps the Faddeev-LeVerrier step matrix as kernel
-arrays and makes one kernel call per step over all k^2 entries; if the
-kernel declines any step, the whole recursion runs on ``wedge_sum``.
-``tau4_direct`` stays on the dict engine, a route independent of the kernel.
+``charpoly_coeffs`` is one Faddeev-LeVerrier recursion over the k(k+1)/2
+upper entries of each step matrix M_s, whose lower entries follow from
+M_s^T = (-1)^s M_s.  A step is one grouped kernel call on kernel arrays; once
+the kernel declines a step, that step and the later ones run on
+``_wedge_reference``.  ``tau2_direct`` and ``tau4_direct`` square with
+``wedge_square`` on the dict engine, a route independent of the kernel.
 """
 
 from __future__ import annotations
@@ -84,14 +86,7 @@ def _indices_to_mask(indices) -> int:
 
 
 def _mask_to_indices(mask: int) -> tuple:
-    out = []
-    p = 0
-    while mask:
-        if mask & 1:
-            out.append(p + 1)
-        mask >>= 1
-        p += 1
-    return tuple(out)
+    return tuple(p + 1 for p in range(mask.bit_length()) if mask >> p & 1)
 
 
 class Multivector:
@@ -141,9 +136,7 @@ class Multivector:
         return not self._t
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Multivector) and self.n == other.n and self._t == other._t
-        )
+        return isinstance(other, Multivector) and self.n == other.n and self._t == other._t
 
     def __repr__(self):
         k = len(self._t)
@@ -162,8 +155,6 @@ class Multivector:
     def __rmul__(self, s) -> "Multivector":
         if isinstance(s, Multivector):
             raise TypeError("use wedge() (or ^) for exterior products")
-        if s == 0:
-            return Multivector.zero(self.n)
         return Multivector(self.n, {m: s * c for m, c in self._t.items()})
 
     __mul__ = __rmul__
@@ -180,49 +171,33 @@ class Multivector:
 
     def grade(self) -> int:
         """Grade of a homogeneous multivector (0 for the zero form)."""
-        gs = self.grades()
-        if not gs:
-            return 0
+        gs = self.grades() or {0}
         if len(gs) > 1:
             raise ValueError("multivector is not homogeneous")
         return gs.pop()
 
     def is_homogeneous(self, grade: int | None = None) -> bool:
         gs = self.grades()
-        if grade is None:
-            return len(gs) <= 1
-        return gs <= {grade}
+        return len(gs) <= 1 if grade is None else gs <= {grade}
 
     def wedge(self, other: "Multivector") -> "Multivector":
         self._check(other)
         return Multivector(self.n, wedge_sum([(self._t, other._t)], self.n))
 
     def coeff_gcd(self) -> int:
-        g = 0
-        for c in self._t.values():
-            if isinstance(c, Fraction):
-                raise ValueError("gcd is defined for integer coefficients only")
-            g = gcd(g, abs(c))
-        return g
+        if any(isinstance(c, Fraction) for c in self._t.values()):
+            raise ValueError("gcd is defined for integer coefficients only")
+        return gcd(*self._t.values())
 
     def exact_div(self, k: int) -> "Multivector":
-        out = {}
-        for m, c in self._t.items():
-            q = _div_exact(c, k)
-            out[m] = q
-        return Multivector(self.n, out)
+        return Multivector(self.n, {m: _div_exact(c, k) for m, c in self._t.items()})
 
     def is_integer(self) -> bool:
         return all(not isinstance(c, Fraction) or c.denominator == 1 for c in self._t.values())
 
 
 def _div_exact(c, k: int):
-    if isinstance(c, int):
-        q, r = divmod(c, k)
-        if r == 0:
-            return q
-        return Fraction(c, k)
-    v = c / k
+    v = Fraction(c, k)
     return int(v) if v.denominator == 1 else v
 
 
@@ -239,6 +214,32 @@ def wedge_dicts(a: dict, b: dict) -> dict:
                 if not ma & mb
             ],
         )
+    return out
+
+
+def wedge_square(a: dict, out: dict) -> dict:
+    """Add a ^ a into out and return out, for an even form a.
+
+    Even blades commute and e_x ^ e_x = 0 unless x is the scalar blade 0, so
+    a ^ a = c_0^2 + 2 sum_{x<y} c_x c_y e_x ^ e_y: half the products of
+    wedge_dicts(a, a), with no temporary.
+    """
+    items = list(a.items())
+    if any(m.bit_count() & 1 for m, _ in items):
+        raise ValueError("wedge_square needs an even form")
+    if 0 in a:
+        _accumulate(out, [(0, a[0] * a[0])])
+    for i, (ma, ca) in enumerate(items):
+        odd = _odd_crossings_mask(ma)
+        c2 = 2 * ca
+        for mb, cb in items[i + 1 :]:
+            if not ma & mb:
+                m = ma | mb
+                v = out.get(m, 0) + (-c2 * cb if (mb & odd).bit_count() & 1 else c2 * cb)
+                if v:
+                    out[m] = v
+                else:
+                    out.pop(m, None)
     return out
 
 
@@ -436,13 +437,7 @@ def kahler_form(j, n: int | None = None) -> Multivector:
         entry = lambda p, q: int(arr[p, q])
     if n is None:
         n = size
-    t = {}
-    for p in range(size):
-        for q in range(p + 1, size):
-            c = entry(p, q)
-            if c:
-                t[(1 << p) | (1 << q)] = c
-    return Multivector(n, t)
+    return Multivector(n, {(1 << p) | (1 << q): entry(p, q) for p, q in combinations(range(size), 2)})
 
 
 class FormMatrix:
@@ -479,21 +474,13 @@ class FormMatrix:
         return cls(len(arrs), n, upper)
 
     def entry(self, a: int, b: int) -> Multivector:
-        if a == b:
-            return Multivector.zero(self.n)
-        if a < b:
-            return self._upper.get((a, b), Multivector.zero(self.n))
-        mv = self._upper.get((b, a))
-        return -mv if mv is not None else Multivector.zero(self.n)
+        return Multivector(self.n, self.entry_dict(a, b))
 
     def entry_dict(self, a: int, b: int) -> dict:
-        if a == b:
+        mv = self._upper.get((min(a, b), max(a, b)))  # None on the diagonal
+        if mv is None:
             return {}
-        if a < b:
-            mv = self._upper.get((a, b))
-            return mv._t if mv is not None else {}
-        mv = self._upper.get((b, a))
-        return {m: -c for m, c in mv._t.items()} if mv is not None else {}
+        return mv._t if a < b else {m: -c for m, c in mv._t.items()}
 
 
 def charpoly_coeffs(f: FormMatrix) -> list:
@@ -501,82 +488,93 @@ def charpoly_coeffs(f: FormMatrix) -> list:
 
     Faddeev-LeVerrier recursion: M_1 = f, c_s = -tr(M_s)/s,
     M_{s+1} = f (M_s + c_s I).  Divisions by s are exact because the c_s are
-    the characteristic coefficients themselves.  tau_s is a 2s-form.  Each
-    step is one grouped kernel call over all k^2 entries; when the kernel
-    declines, the whole recursion runs on wedge_sum instead.
-    """
-    taus = _charpoly_kernel(f)
-    return taus if taus is not None else _charpoly_dicts(f)
-
-
-def _charpoly_kernel(f: FormMatrix):
-    """The recursion with M_s kept as kernel arrays between steps, or None.
-
-    Step s computes M_s = f (M_{s-1} + c_{s-1} I), from M_0 + c_0 I = I, in
-    one call whose pairs are (f_it, row t of M_{s-1} + c_{s-1} I): entry
-    (i, j) is group i k + j, f_it sits at offset i k and row t's entry j at
-    offset j.  That call's bound also covers tr(M_s), a sum of slots filled
-    by disjoint sets of pairs, and |M_ii + c_s| <= 1.5 times it (s >= 2; the
-    diagonal of M_1 is 0), so the trace and the diagonal update stay exact in
-    int64.  Only the traces become Multivectors.
+    the characteristic coefficients themselves.  tau_s is a 2s-form.  The
+    entries commute and M_s is a polynomial in f, so M_s^T = (-1)^s M_s: a
+    step computes only the k(k+1)/2 entries i <= j, packed row by row.  Each
+    step is one grouped kernel call; once the kernel declines a step, that
+    step and the later ones run on _wedge_reference, entry by entry.
     """
     k, n = f.k, f.n
-    psi = [(_terms(x, 1, i * k), t) for i in range(k) for t in range(k) if (x := f.entry_dict(i, t))]
-    one = np.ones((1, 1), dtype=np.int64)
-    rows = [_Terms(np.zeros(1, dtype=np.int64), one, np.array([t]), {0}, 1) for t in range(k)]
+    base = np.array([i * k - i * (i + 1) // 2 for i in range(k)])  # packed (i, j) = base[i] + j
+    diag = base + np.arange(k)
+    fd = [[f.entry_dict(i, t) for t in range(k)] for i in range(k)]
+    psi = [(_terms(fd[i][t], 1, base[i]), i, t) for i in range(k) for t in range(k) if fd[i][t]]
+    x = (diag, np.zeros(k, dtype=np.int64), np.ones(k, dtype=np.int64))  # X = M_0 + c_0 I = I
+    ups = None  # X as one dict per packed entry, once the kernel has declined
     taus = []
     for step in range(1, k + 1):
-        out = _wedge_kernel([(a, rows[t]) for a, t in psi], n, _REAL, k * k)
-        if out is None:
-            return None
-        sums, masks = out
-        sums = sums[:, :, 0]
-        diag = sums[:: k + 1]
-        c = -diag.sum(axis=0) // step
-        nz = np.flatnonzero(c)
-        taus.append(Multivector(n, dict(zip(masks[nz].tolist(), c[nz].tolist()))))
-        diag += c
-        flat = np.flatnonzero(sums)
-        entry, slot = np.divmod(flat, sums.shape[1])
-        coeffs = sums.ravel()[flat, None]
-        cuts = np.searchsorted(entry, np.arange(0, k * k + 1, k))
-        rows = [
-            _Terms(masks[slot[lo:hi]], coeffs[lo:hi], entry[lo:hi] - t * k, {2 * step},
-                   int(np.abs(coeffs[lo:hi]).max(initial=0)))
-            for t, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
-        ]
-        del out, sums, diag  # free this step's buffer before the next one
+        sign = (-1) ** (step - 1)  # X's lower entries are sign x its upper ones
+        out = None if ups is not None else _charpoly_step(psi, x, base, n, sign, step)
+        if out is not None:
+            c, x = out
+        else:
+            if ups is None:
+                cuts = np.searchsorted(x[0], np.arange(k * (k + 1) // 2 + 1))
+                ups = [dict(zip(x[1][a:b].tolist(), x[2][a:b].tolist())) for a, b in zip(cuts, cuts[1:])]
+            ups = [  # f_it X_tj; below the diagonal X_tj = sign X_jt, and -f_it = f_ti
+                _wedge_reference([(fd[t][i] if t > j and sign < 0 else fd[i][t],
+                                   ups[base[min(t, j)] + max(t, j)]) for t in range(k)], _REAL)
+                for i in range(k) for j in range(i, k)
+            ]
+            tr = _accumulate({}, (term for p in diag for term in ups[p].items()))
+            c = {m: _div_exact(-v, step) for m, v in tr.items()}
+            for p in diag:
+                _accumulate(ups[p], c.items())
+        taus.append(Multivector(n, c))
     return taus
 
 
-def _charpoly_dicts(f: FormMatrix) -> list:
-    """The recursion on {mask: coefficient} dicts, one wedge_sum per entry."""
-    k, n = f.k, f.n
-    psi = [[f.entry_dict(i, j) for j in range(k)] for i in range(k)]
-    cur = [row[:] for row in psi]
-    taus = []
-    for step in range(1, k + 1):
-        tr: dict = {}
-        for i in range(k):
-            _accumulate(tr, cur[i][i].items())
-        c_step = {m: _div_exact(-c, step) for m, c in tr.items()}
-        taus.append(Multivector(n, c_step))
-        if step == k:
-            break
-        for i in range(k):
-            cur[i][i] = _accumulate(dict(cur[i][i]), c_step.items())
-        cur = [
-            [wedge_sum([(psi[i][t], cur[t][j]) for t in range(k)], n) for j in range(k)]
-            for i in range(k)
-        ]
-    return taus
+def _charpoly_step(psi, x, base, n, sign, step):
+    """One step on the kernel: (c_s, X') from X = M_{s-1} + c_{s-1} I, or None.
+
+    X, and X' = M_s + c_s I, are given as their nonzero packed terms (entry,
+    blade mask, coefficient) sorted by entry; X's lower entries are sign times
+    its upper ones.  Row t of X is rebuilt in column order, so its columns
+    j >= i are one slice; the pair (f_it, that slice) puts f_it at offset
+    base[i] and column j at offset j, which lands in packed entry (i, j).  The
+    dense buffer of M_s lives only in this call.
+
+    int64: the kernel runs only if S, the sum over the pairs of
+    min(A, B) max|a| max|b| (each slice with its own max), is below
+    _INT64_SAFE.  Entry (i, i) is filled by the pairs of row i of f alone, and
+    each slice starts at its diagonal column, so the slots of M_ii are bounded
+    by S_i, that row's part of S.  The S_i are disjoint parts, so every slot
+    of tr(M_s) is at most S.  tr(M_1) = 0, f having a zero diagonal, so
+    c_s != 0 needs s >= 2 and |M_ii + c_s| <= S + S/2: the trace and the
+    diagonal update diag += c stay exact in int64.
+    """
+    ent, blade, coef = x
+    k = len(base)
+    cuts = np.searchsorted(ent, np.arange(k * (k + 1) // 2 + 1))  # entry P: terms cuts[P]:cuts[P + 1]
+    t, j = np.divmod(np.arange(k * k), k)
+    cell = base[np.minimum(t, j)] + np.maximum(t, j)  # the packed entry of X_tj
+    lens = cuts[cell + 1] - cuts[cell]
+    ends = np.cumsum(lens)
+    take = np.arange(ends[-1]) + np.repeat(cuts[cell] - ends + lens, lens)
+    coeffs = (coef[take] * np.repeat(np.where(t > j, sign, 1), lens))[:, None]
+    slots, cols = blade[take], np.repeat(j, lens)
+    top = np.zeros(len(cuts) - 1, dtype=np.int64)
+    np.maximum.at(top, ent, np.abs(coef))
+    top = np.maximum.accumulate(top[cell].reshape(k, k)[:, ::-1], axis=1)[:, ::-1]  # over columns >= i
+    starts, stops = (ends - lens).reshape(k, k), ends[k - 1 :: k]  # cell (t, j) from starts[t, j]
+    pairs = [(a, _Terms(*(v[starts[t, i] : stops[t]] for v in (slots, coeffs, cols)), {2 * step - 2},
+                        int(top[t, i]))) for a, i, t in psi]
+    out = _wedge_kernel(pairs, n, _REAL, len(cuts) - 1)
+    if out is None:
+        return None
+    sums, masks = out
+    sums, diag = sums[:, :, 0], base + np.arange(k)
+    c = -sums[diag].sum(axis=0) // step
+    sums[diag] += c
+    nz, flat, w = np.flatnonzero(c), np.flatnonzero(sums), sums.shape[1]
+    return dict(zip(masks[nz].tolist(), c[nz].tolist())), (flat // w, masks[flat % w], sums.ravel()[flat])
 
 
 def tau2_direct(f: FormMatrix) -> Multivector:
     """Second characteristic coefficient via the direct sum of squares."""
     total: dict = {}
     for mv in f._upper.values():
-        _accumulate(total, wedge_dicts(mv._t, mv._t).items())
+        wedge_square(mv._t, total)
     return Multivector(f.n, total)
 
 
@@ -596,23 +594,22 @@ def tau4_coefficient(f: FormMatrix, indices) -> "int | Fraction":
     def restricted(a, b):
         return {m: c for m, c in f.entry_dict(a, b).items() if not (m & ~target)}
 
-    total = 0
+    total: dict = {}
     for quad in combinations(range(f.k), 4):
-        pf = _sub_pfaffian(restricted, *quad)
-        total += wedge_dicts(pf, pf).get(target, 0)
-    return total
+        wedge_square(_sub_pfaffian(restricted, *quad), total)
+    return total.get(target, 0)
 
 
 def tau4_direct(f: FormMatrix) -> Multivector:
     """Fourth characteristic coefficient as the sum of squared sub-Pfaffians.
 
-    For every a < b < c < d:  (f_ab ^ f_cd - f_ac ^ f_bd + f_ad ^ f_bc)^2.
-    Uses the dict engine only, independently of the Faddeev-LeVerrier path.
+    For every a < b < c < d:  (f_ab ^ f_cd - f_ac ^ f_bd + f_ad ^ f_bc)^2,
+    each square added into one running total by wedge_square.  Uses the dict
+    engine only, independently of the Faddeev-LeVerrier path.
     """
     if f.k < 4:
         raise ValueError("tau4 needs a matrix of size >= 4")
     total: dict = {}
     for quad in combinations(range(f.k), 4):
-        pf = _sub_pfaffian(f.entry_dict, *quad)
-        _accumulate(total, wedge_dicts(pf, pf).items())
+        wedge_square(_sub_pfaffian(f.entry_dict, *quad), total)
     return Multivector(f.n, total)

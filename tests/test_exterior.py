@@ -16,7 +16,6 @@ from octoforms.exterior import (
     _REAL,
     FormMatrix,
     Multivector,
-    _charpoly_dicts,
     _sums_dicts,
     _terms,
     _wedge_kernel,
@@ -27,6 +26,7 @@ from octoforms.exterior import (
     tau4_coefficient,
     tau4_direct,
     wedge_dicts,
+    wedge_square,
     wedge_sum,
     wedge_sums,
 )
@@ -97,6 +97,43 @@ def test_kernel_agrees_with_dict_engine():
         (got,) = _sums_dicts(*_wedge_kernel(pairs, 16, _REAL))
         want = wedge_dicts(dict(a.mask_items()), dict(b.mask_items()))
         assert got == want
+
+
+def even_form(n, grades, terms, rng, scale=1):
+    """A seeded random sum of rand_mv's, one per grade, as a dict."""
+    out = Multivector.zero(n)
+    for g in grades:
+        out = out + rand_mv(n, g, terms, rng)
+    return {m: scale * c for m, c in out.mask_items()}
+
+
+@pytest.mark.parametrize(
+    "n, grades, scale",
+    [(8, [2], 1), (10, [4], 1), (10, [0, 2, 4, 6], 1), (9, [2, 4], Fraction(3, 7)), (20, [2, 4], 1)],
+    ids=["grade2", "grade4", "mixed", "fraction", "n20"],
+)
+def test_wedge_square_matches_wedge_dicts(n, grades, scale):
+    rng = random.Random(31 + n)
+    for _ in range(5):
+        a = even_form(n, grades, 25, rng, scale)
+        want = wedge_dicts(a, a)
+        assert any(want)
+        assert wedge_square(a, {}) == want
+        # it adds into the caller's total, dropping what cancels; a square
+        # has no odd blade, so e_1 keeps its coefficient
+        total = {m: -c for m, c in want.items()}
+        total[1] = 5
+        assert wedge_square(a, total) is total
+        assert total == {1: 5}
+
+
+def test_wedge_square_zero_and_odd():
+    assert wedge_square({}, {}) == {}
+    assert wedge_square({0b1010: 7}, {}) == {}
+    assert wedge_square({0b1111: Fraction(1, 3)}, {}) == {}
+    assert wedge_square({0: 3}, {}) == {0: 9}  # the scalar blade is the exception
+    with pytest.raises(ValueError):
+        wedge_square({0b11: 1, 0b111: 2}, {})
 
 
 def spy_kernel(monkeypatch):
@@ -488,17 +525,37 @@ def test_charpoly_grouped_path_against_oracles(monkeypatch, k, n, terms):
     assert step2 > exterior._KERNEL_MIN_WORK
     calls = spy_groups(monkeypatch)
     got = [dict(t.mask_items()) for t in charpoly_coeffs(f)]
-    assert calls == [(k * k, True)] * k
+    assert calls == [(k * (k + 1) // 2, True)] * k  # the upper entries i <= j only
     want = leibniz_charpoly(entries, k, n) if k <= 5 else faddeev_leverrier_dicts(entries, k)
     assert got == want
     assert any(got)
 
 
+# the int64 bound reads each operand's top, so every row slice the charpoly
+# passes must carry the max |coefficient| of its own columns, not of one cell
+def test_charpoly_slices_carry_their_own_max(monkeypatch):
+    rng = random.Random(3)
+    k, n = 6, 12
+    f = as_form_matrix(random_form_entries(k, n, 5, rng, top=50), k, n)
+    slices = []
+    real = exterior._wedge_kernel
+
+    def spy(pairs, n, tensor, groups=1):
+        slices.extend(b for _, b in pairs)
+        return real(pairs, n, tensor, groups)
+
+    monkeypatch.setattr(exterior, "_wedge_kernel", spy)
+    charpoly_coeffs(f)
+    assert len(slices) > k * k
+    assert all(b.top == max(map(abs, b.coeffs[:, 0].tolist()), default=0) for b in slices)
+
+
 # the kernel declines the first step (a Fraction entry, n = 17) or a later
-# one (coefficients that push a step's bound past _INT64_SAFE); the whole
-# recursion then runs on wedge_sum, with no further grouped call
+# one (coefficients that push a step's bound past _INT64_SAFE); that step and
+# the later ones run on _wedge_reference, so the spy shows kernel steps up to
+# the declined one and no call after it
 @pytest.mark.parametrize("case", ["fraction", "n17", "bound"])
-def test_charpoly_falls_back_whole(monkeypatch, case):
+def test_charpoly_falls_back_per_step(monkeypatch, case):
     rng = random.Random(7)
     k, n = 5, 17 if case == "n17" else 12
     entries = random_form_entries(k, n, 6, rng, top=2**24 if case == "bound" else 3)
@@ -507,10 +564,7 @@ def test_charpoly_falls_back_whole(monkeypatch, case):
     f = as_form_matrix(entries, k, n)
     calls = spy_groups(monkeypatch)
     got = charpoly_coeffs(f)
-    grouped = [ran for groups, ran in calls if groups == k * k]
-    assert grouped[-1] is False and all(grouped[:-1])
-    assert calls[: len(grouped)] == [(k * k, ran) for ran in grouped]
-    if case == "bound":
-        assert len(grouped) > 1
+    step = len(calls)
+    assert calls == [(k * (k + 1) // 2, True)] * (step - 1) + [(k * (k + 1) // 2, False)]
+    assert 1 < step < k if case == "bound" else step == 1
     assert [dict(t.mask_items()) for t in got] == faddeev_leverrier_dicts(entries, k)
-    assert got == _charpoly_dicts(f)
