@@ -32,17 +32,24 @@ The plan expands the minors and their squares into monomials once, over the
 integers.  A block then sums only monomials against the weight columns, in
 float64: the 495 of degree <= 4 for the slot sums and the 1126 the squares
 touch for the sums of squares, each monomial the product of two lower ones.
-The groups return these monomial sums, and a call contracts their total to
-the 12870 slot sums and sums of squares once.
+It works through its samples in chunks of 128 with three arrays allocated
+once per block: the 495 rows of degree <= 4 and two gather buffers of 512
+rows.  Each product stage gathers its factor rows slab by slab into the
+buffers; the square monomials are never stored, and each slab of them is
+reduced against its weight columns while it is still in cache.  The groups
+return these monomial sums, and a call contracts their total to the 12870
+slot sums and sums of squares once.
 
 Determinism: samples are generated by the counter-based Philox generator, 12
 uniforms per sample (so every fixed-size block starts on a counter boundary),
 converted by Box-Muller; blocks and their chunks have a fixed size, block
 groups are fixed in number, per-chunk sums go through einsum's fixed-order
 loops rather than BLAS, the fit uses correctly rounded sums, and reduction
-folds group results in index order.  The output is therefore bit-identical
-per seed, independent of the worker count and of the BLAS thread count, for
-a given numpy build and CPU.
+folds group results in index order.  Each moment is one monomial row's sum
+over one chunk, added chunk by chunk, however the rows are split into slabs
+and whether or not a pool runs.  The output is therefore bit-identical per
+seed, independent of the worker count and of the BLAS thread count, for a
+given numpy build and CPU.
 """
 
 from __future__ import annotations
@@ -62,7 +69,15 @@ from .cayley_dickson import unit_signs
 
 _BLOCK = 1024
 _GROUPS = 64
+# A pool pays only when each worker saves more block times than the pool
+# costs.  On a 2-vCPU VM a warm block took about 6.5 ms, a pool of two
+# returned its first one-block group after 23-25 ms (fork and dispatch, about
+# 17 ms over the block), and, with the main process's result handling competing
+# for the CPUs, berger_mc at 2 workers took 40-65 ms longer than half the
+# 1-worker time at 4-16 blocks.  So a worker needs 60 / 6.5, rounded up, groups.
+_MIN_GROUPS_PER_WORKER = 10
 _CHUNK = 128  # samples per monomial pass, so the monomial rows stay cache-sized
+_SLAB = 512  # product rows gathered and reduced at a time
 _DRAWS_PER_SAMPLE = 12  # multiple of 4: Philox counter units hold 4 doubles
 
 
@@ -204,6 +219,16 @@ def _squares(k: int, cols: np.ndarray, vals: np.ndarray) -> tuple:
     return support, at, coef, touched
 
 
+def _slabs(first: int, a: np.ndarray, b: np.ndarray) -> list:
+    """A product stage x[first + i] = x[a[i]] x[b[i]] as (first, a, b) slabs
+    of at most _SLAB rows.  Every factor row must precede the stage: the
+    block gathers with np.take(mode="clip"), which would clamp a bad index
+    where x[a] raised."""
+    if min(a.min(), b.min()) < 0 or max(a.max(), b.max()) >= first:
+        raise ValueError(f"a factor row of the stage at row {first} is not below it")
+    return [(first + i, a[i : i + _SLAB], b[i : i + _SLAB]) for i in range(0, len(a), _SLAB)]
+
+
 @lru_cache(maxsize=1)
 def _plan() -> dict:
     """Static plan: per level 0-4 the exact state polynomials, their squares
@@ -220,11 +245,14 @@ def _plan() -> dict:
     |m|^(2(|T|-4)) into the weight column (col 1) the level's monomials are
     reduced against.
 
-    A block fills the rows x of its monomials: x[0] = 1, x[1:9] = m, then
-    the monomials of degrees 2, 3 and 4, then the squares' monomials of
-    levels 0-4, each row the product x[a] x[b] of two earlier rows.  Each
-    reduction (c, lo, hi) sums weight column c against rows lo:hi into the
-    next hi - lo moments; columns 0-4 are w |m|^(2e), 5-9 are w^2 |m|^(4e).
+    A block fills the `rows` rows x of its monomials: x[0] = 1, x[1:9] = m,
+    then the monomials of degrees 2, 3 and 4, each the product x[a] x[b] of
+    two earlier rows; `stages` holds these products as (first, a, b) slabs.
+    The squares' monomials of levels 0-4 are products of two rows of x too,
+    numbered on after x's rows; `squares` holds them as (a, b, sums) slabs.
+    A reduction (c, lo, hi, at) sums weight column c against rows lo:hi, of
+    x in `reductions` and of its slab in `sums`, into moments at:at + hi -
+    lo; columns 0-4 are w |m|^(2e), 5-9 are w^2 |m|^(4e).
     """
     subsets = [_subsets(8, k) for k in range(9)]
     rank = np.zeros(256, dtype=np.int64)
@@ -257,8 +285,8 @@ def _plan() -> dict:
     stages = []
     for d in (2, 3, 4):
         low, high = _split(keys[d], d - 1)
-        stages.append((start[d], start[d - 1] + np.searchsorted(keys[d - 1], low),
-                       1 + np.searchsorted(keys[1], high)))
+        stages += _slabs(start[d], start[d - 1] + np.searchsorted(keys[d - 1], low),
+                         1 + np.searchsorted(keys[1], high))
     levels, sq_start, pairs = [], [start[5]], []
     for k, part in enumerate(parts):
         state, slot, eps, col = map(np.concatenate, zip(*part))
@@ -271,20 +299,28 @@ def _plan() -> dict:
         sq_start.append(sq_start[-1] + len(touched))
         levels.append({"state": state, "slot": slot, "eps": eps, "col": col,
                        "poly": poly, "square": square})
-    stages.append((start[5], *map(np.concatenate, zip(*pairs))))
 
-    reductions = [(0, 0, start[5]), (5, start[5], sq_start[5])]
-    reductions += [(4 - k, start[k], start[k + 1]) for k in range(4)]
-    reductions += [(9 - k, sq_start[k], sq_start[k + 1]) for k in range(4)]
-    offsets = np.cumsum([0] + [hi - lo for _, lo, hi in reductions])
+    # moment layout over the rows of x followed by the squares' rows
+    spans = [(0, 0, start[5]), (5, start[5], sq_start[5])]
+    spans += [(4 - k, start[k], start[k + 1]) for k in range(4)]
+    spans += [(9 - k, sq_start[k], sq_start[k + 1]) for k in range(4)]
+    offsets = np.cumsum([0] + [hi - lo for _, lo, hi in spans])
+    reductions = [(c, lo, hi, at) for (c, lo, hi), at in zip(spans, offsets) if hi <= start[5]]
+    squares = []
+    for first, a, b in _slabs(start[5], *map(np.concatenate, zip(*pairs))):
+        end = first + len(a)
+        sums = [(c, max(lo, first) - first, min(hi, end) - first, at + max(lo, first) - lo)
+                for (c, lo, hi), at in zip(spans, offsets)
+                if lo >= start[5] and lo < end and hi > first]
+        squares.append((a, b, sums))
     for k, lv in enumerate(levels):
         # moment indices of each level's monomials: col 0, then col 1
         sums = [offsets[0] + start[k]] + [offsets[2 + k]] * (k < 4)
         sq = [offsets[1] + sq_start[k] - start[5]] + [offsets[6 + k]] * (k < 4)
         lv["sum_at"] = np.array(sums)[:, None, None] + lv["poly"][0]
         lv["sq_at"] = np.array(sq)[:, None, None] + lv["square"][1]
-    return {"levels": levels, "stages": stages, "rows": sq_start[5],
-            "reductions": list(zip(reductions, offsets)), "moments": offsets[-1]}
+    return {"levels": levels, "rows": start[5], "stages": stages, "reductions": reductions,
+            "squares": squares, "moments": offsets[-1]}
 
 
 def _block_uniforms(seed: int, block: int, count: int) -> np.ndarray:
@@ -324,16 +360,33 @@ def _process_block(seed: int, block: int, count: int, moments: np.ndarray):
     cols = np.concatenate([w * mm_pow, (w * mm_pow) ** 2])
 
     plan = _plan()
+    # reused for every chunk: fresh arrays of this size would be page-faulted
+    # in chunk by chunk
+    x = np.empty((plan["rows"], _CHUNK))
+    fa = np.empty((_SLAB, _CHUNK))
+    fb = np.empty((_SLAB, _CHUNK))
     for lo in range(0, count, _CHUNK):
         n = min(_CHUNK, count - lo)
-        x = np.empty((plan["rows"], n))
-        x[0] = 1.0
-        x[1:9] = m8[lo : lo + n].T
+        xs, ga, gb = x[:, :n], fa[:, :n], fb[:, :n]
+        weights = cols[:, lo : lo + n]
+        xs[0] = 1.0
+        xs[1:9] = m8[lo : lo + n].T
+        # "clip" lets take write straight into out; _slabs checked the indices
         for first, a, b in plan["stages"]:
-            np.multiply(x[a], x[b], out=x[first : first + len(a)])
+            np.take(xs, a, axis=0, out=ga[: len(a)], mode="clip")
+            np.take(xs, b, axis=0, out=gb[: len(b)], mode="clip")
+            np.multiply(ga[: len(a)], gb[: len(b)], out=xs[first : first + len(a)])
         # reductions run through einsum's fixed summation order, not BLAS
-        for (c, r0, r1), at in plan["reductions"]:
-            moments[at : at + r1 - r0] += np.einsum("c,rc->r", cols[c, lo : lo + n], x[r0:r1])
+        for c, r0, r1, at in plan["reductions"]:
+            moments[at : at + r1 - r0] += np.einsum("c,rc->r", weights[c], xs[r0:r1])
+        # the squares are never stored: each slab is reduced while in cache
+        for a, b, sums in plan["squares"]:
+            sq = ga[: len(a)]
+            np.take(xs, a, axis=0, out=sq, mode="clip")
+            np.take(xs, b, axis=0, out=gb[: len(b)], mode="clip")
+            np.multiply(sq, gb[: len(b)], out=sq)
+            for c, r0, r1, at in sums:
+                moments[at : at + r1 - r0] += np.einsum("c,rc->r", weights[c], sq[r0:r1])
 
 
 def _contract(moments: np.ndarray) -> tuple:
@@ -438,8 +491,9 @@ def berger_mc(samples: int, seed: int = 0, workers: int = 1):
         raise ValueError("workers must be >= 1")
     tasks = _group_tasks(samples, seed)
     # the task list and the reduction order are fixed, so the pool size is
-    # pure execution detail; capping it at the usable CPUs avoids thrash
-    pool_size = min(workers, _usable_cpus(), len(tasks))
+    # pure execution detail: capped at the usable CPUs to avoid thrash, and
+    # at the workers that the groups keep busy long enough to pay the start
+    pool_size = min(workers, _usable_cpus(), len(tasks) // _MIN_GROUPS_PER_WORKER)
     # built before any fork, so that the workers inherit the plan
     moments = np.zeros(_plan()["moments"], dtype=np.float64)
     # group results are folded in group order as they arrive: a fixed,

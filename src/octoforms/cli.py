@@ -251,7 +251,7 @@ def _cmd_berger(args) -> int:
     }
     if args.json:
         if args.full:
-            payload["coefficients"] = [float_str(x) for x in form.coeffs]
+            payload["coefficients"] = [float_str(x) for x in form.coeffs.tolist()]
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:

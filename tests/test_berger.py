@@ -8,12 +8,17 @@ import pytest
 
 from octoforms import berger
 from octoforms.berger import (
+    _BLOCK,
+    _CHUNK,
+    _MIN_GROUPS_PER_WORKER,
     _contract,
     _eps,
     _group_tasks,
+    _group_worker,
     _plan,
     _process_block,
     _sample_sphere9,
+    _slabs,
     _slot_of_mask,
     berger_mc,
     phi_dense,
@@ -182,18 +187,42 @@ def test_groups_fold_in_index_order(monkeypatch):
 
 
 def test_pool_capped_by_cpu_affinity(monkeypatch):
-    """A process allowed one CPU runs the serial path, with the same bits."""
-    want, _ = berger_mc(3000, seed=42, workers=1)
+    """A process allowed one CPU runs the serial path, with the same bits, at
+    a size where two CPUs would start a pool."""
+    samples = 2 * _MIN_GROUPS_PER_WORKER * _BLOCK
+    want, _ = berger_mc(samples, seed=42, workers=1)
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started on a 1-CPU affinity")
 
     monkeypatch.setattr(berger.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(berger.multiprocessing, "Pool", no_pool)
-    got, rep = berger_mc(3000, seed=42, workers=2)
+    got, rep = berger_mc(samples, seed=42, workers=2)
     assert rep.workers == 2
     assert np.array_equal(got.coeffs, want.coeffs)
     assert np.array_equal(got.sigma, want.sigma)
+
+
+def test_pool_started_only_for_enough_groups(monkeypatch):
+    """A pool starts only when each worker gets _MIN_GROUPS_PER_WORKER
+    groups, and the bits do not depend on whether it started."""
+    real_pool = berger.multiprocessing.Pool
+    started = []
+
+    def spy(processes):
+        started.append(processes)
+        return real_pool(processes)
+
+    monkeypatch.setattr(berger.multiprocessing, "Pool", spy)
+    edge = 2 * _MIN_GROUPS_PER_WORKER * _BLOCK
+    for samples, pools in ((2048, []), (edge - _BLOCK, []), (edge, [2]), (65536, [2])):
+        started.clear()
+        got, _ = berger_mc(samples, seed=2, workers=2)
+        assert started == pools, samples
+        want, _ = berger_mc(samples, seed=2, workers=1)
+        assert started == pools, samples
+        assert np.array_equal(got.coeffs, want.coeffs), samples
+        assert np.array_equal(got.sigma, want.sigma), samples
 
 
 def test_phi_dense_is_the_charpoly_form():
@@ -331,3 +360,88 @@ def test_every_line_pairs_with_phi_to_fourteen():
     for samples, seed in ((1, 0), (1, 1), (7, 2), (3000, 3)):
         _, rep = berger_mc(samples, seed=seed)
         assert abs(rep.fitted_scale * 132 - 1) < 1e-12, (samples, seed)
+
+
+def _reference_layout():
+    """The monomial rows of a block as one array: x[0] = 1, x[1:9] = m, the
+    monomials of degrees 2-4, then every square monomial of levels 0-4, each
+    row the product of two earlier ones; and the reductions (weight column,
+    rows) with the offset of their moments.  Built from the plan's monomials
+    and squares alone, not from its stages."""
+    keys = [berger._monomials(d) for d in range(5)]
+    start = np.cumsum([0] + [len(x) for x in keys])
+    stages = []
+    for d in (2, 3, 4):
+        low, high = berger._split(keys[d], d - 1)
+        stages.append((start[d], start[d - 1] + np.searchsorted(keys[d - 1], low),
+                       1 + np.searchsorted(keys[1], high)))
+    sq_start, pairs = [start[5]], []
+    for k, lv in enumerate(_plan()["levels"]):
+        touched = lv["square"][3]
+        low, high = berger._split(touched, k)
+        pairs.append((start[k] + np.searchsorted(keys[k], low),
+                      start[k] + np.searchsorted(keys[k], high)))
+        sq_start.append(sq_start[-1] + len(touched))
+    stages.append((start[5], *map(np.concatenate, zip(*pairs))))
+    reductions = [(0, 0, start[5]), (5, start[5], sq_start[5])]
+    reductions += [(4 - k, start[k], start[k + 1]) for k in range(4)]
+    reductions += [(9 - k, sq_start[k], sq_start[k + 1]) for k in range(4)]
+    offsets = np.cumsum([0] + [hi - lo for _, lo, hi in reductions])
+    return sq_start[5], stages, list(zip(reductions, offsets))
+
+
+def _reference_block(seed, block, count, moments):
+    """One block through a fresh all-rows array per chunk, every square
+    monomial stored before the reductions."""
+    rows, stages, reductions = _reference_layout()
+    v = _sample_sphere9(seed, block, count)
+    u8, r = v[:, :8], v[:, 8]
+    valid = 1.0 + r > 1e-9
+    m8 = u8 / np.where(valid, 1.0 + r, 1.0)[:, None]
+    mm = np.sum(m8 * m8, axis=1)
+    w = np.where(valid, -((1.0 + mm) ** -4), 0.0)
+    mm_pow = mm[None, :] ** np.arange(5)[:, None]
+    cols = np.concatenate([w * mm_pow, (w * mm_pow) ** 2])
+    for lo in range(0, count, _CHUNK):
+        n = min(_CHUNK, count - lo)
+        x = np.empty((rows, n))
+        x[0] = 1.0
+        x[1:9] = m8[lo : lo + n].T
+        for first, a, b in stages:
+            np.multiply(x[a], x[b], out=x[first : first + len(a)])
+        for (c, r0, r1), at in reductions:
+            moments[at : at + r1 - r0] += np.einsum("c,rc->r", cols[c, lo : lo + n], x[r0:r1])
+
+
+def test_block_moments_match_reference_chunk_loop():
+    """The block's slab loop gives the very bits of the all-rows loop: every
+    moment is still one row's einsum over one chunk, added chunk by chunk.
+    The counts cover one sample, short last chunks (16, 129, 1000) and a
+    last block; the group mixes full blocks with a partial one."""
+    size = _plan()["moments"]
+    for seed, block, count in ((1, 0, 1024), (5, 3, 1000), (7, 0, 1), (9, 2, 16),
+                               (11, 1, 129), (0, 63, 1024)):
+        got, want = np.zeros(size), np.zeros(size)
+        _process_block(seed, block, count, got)
+        _reference_block(seed, block, count, want)
+        assert np.array_equal(got, want), (seed, block, count)
+    samples = 3 * _BLOCK + 129
+    want = np.zeros(size)
+    for b in (1, 2, 3):
+        _reference_block(4, b, min(_BLOCK, samples - b * _BLOCK), want)
+    assert np.array_equal(_group_worker((4, range(1, 4), samples)), want)
+
+
+def test_plan_gathers_are_checked():
+    """Every factor row of a product stage precedes it: the block gathers
+    with np.take(mode="clip"), which would clamp a bad index silently."""
+    plan = _plan()
+    for first, a, b in plan["stages"]:
+        assert a.max() < first and b.max() < first
+    for a, b, _ in plan["squares"]:
+        assert a.max() < plan["rows"] and b.max() < plan["rows"]
+    ok = _slabs(9, np.array([0, 8]), np.array([1, 2]))
+    assert [(f, a.tolist(), b.tolist()) for f, a, b in ok] == [(9, [0, 8], [1, 2])]
+    for a, b in (([0, 9], [1, 2]), ([0, 1], [9, 2]), ([-1, 1], [1, 2])):
+        with pytest.raises(ValueError):
+            _slabs(9, np.array(a), np.array(b))

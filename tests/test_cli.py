@@ -220,3 +220,15 @@ def test_clifford_structure_deep_census_subprocess():
     assert payload["census"]["lie_evi"] == 66
     assert payload["model"] == {"name": "eviii", "ambient_dim": 128, "rank": 16,
                                 "lambda2_count": 120}
+
+
+def test_berger_full_coefficients_are_float_str_of_the_run():
+    """`berger --json --full` writes each coefficient as float_str of the
+    same run's float64 coefficient."""
+    from octoforms.berger import berger_mc
+    from octoforms.serialize import float_str
+
+    code, out, _ = run_cli("berger", "--samples", "1500", "--seed", "4", "--json", "--full")
+    assert code == 0
+    form, _ = berger_mc(1500, seed=4)
+    assert json.loads(out)["coefficients"] == [float_str(x) for x in form.coeffs]
