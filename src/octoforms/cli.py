@@ -44,6 +44,12 @@ _FORMS = {
 }
 
 
+# Each --extend doubles n.  The extensions themselves stay cheap, but --json
+# writes every matrix densely, n^2 entries each: 63 MB of text on R^1024, and
+# four times as much per further doubling.
+_MAX_CLIFFORD_DIM = 1024
+
+
 def _default_workers() -> int:
     env = os.environ.get("OCTOFORMS_WORKERS")
     if env:
@@ -186,6 +192,12 @@ def _cmd_hopf(args) -> int:
 
 def _cmd_clifford(args) -> int:
     system = standard_system(args.kind)
+    room = (_MAX_CLIFFORD_DIM // system.n).bit_length() - 1  # n is a power of 2
+    if args.extend > room:
+        print(f"error: --extend {args.extend} would put C_{system.m + args.extend} on "
+              f"R^(2^{system.n.bit_length() - 1 + args.extend}); the bound is "
+              f"R^{_MAX_CLIFFORD_DIM}, --extend {room} for {args.kind}", file=sys.stderr)
+        return 2
     for _ in range(args.extend):
         system = extend(system)
     report = verify(system)
@@ -321,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("clifford", help="standard Clifford systems and extensions")
     p.add_argument("--kind", choices=("pauli_U2", "quaternionic_Sp2Sp1", "spin9"),
                    default="spin9")
-    p.add_argument("--extend", type=_int_at_least(0), default=0)
+    p.add_argument("--extend", type=_int_at_least(0), default=0,
+                   help=f"extensions C_m -> C_(m+1), each doubling n; n is at most "
+                        f"{_MAX_CLIFFORD_DIM} (spin9: 6), a larger --extend exits 2")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_clifford)
 

@@ -262,6 +262,7 @@ class _Terms(NamedTuple):
     groups: np.ndarray  # each term's offset on the output-entry axis, N
     grades: set  # the grades that may occur
     top: int  # max |coefficient|
+    odd: np.ndarray | None = None  # _odd_masks(masks), for a left operand
 
 
 def _terms(x: dict, d: int, group: int = 0):
@@ -278,15 +279,27 @@ def _terms(x: dict, d: int, group: int = 0):
     masks = np.fromiter(x, dtype=np.int64, count=len(x))
     coeffs = np.array(vals, dtype=np.int64).reshape(len(x), d)
     groups = np.full(len(x), group, dtype=np.int64)
-    return _Terms(masks, coeffs, groups, {m.bit_count() for m in x}, top)
+    return _Terms(masks, coeffs, groups, {m.bit_count() for m in x}, top, _odd_masks(masks))
+
+
+def _odd_masks(masks: np.ndarray) -> np.ndarray:
+    """_odd_crossings_mask of every mask.  Bit k of it, the parity of the
+    bits above k, is bit k of (m >> 1) ^ (m >> 2) ^ ...; the shifts by 1, 2,
+    4, ... 32 form that xor in six steps."""
+    odd = masks >> 1
+    for shift in (1, 2, 4, 8, 16, 32):
+        odd ^= odd >> shift
+    return odd
 
 
 def _wedge_kernel(pairs, n: int, tensor, groups: int = 1):
     """Vectorized exact sum of a ^ b over pairs, into `groups` output entries.
 
     Operands are {mask: coefficient} dicts (every term at offset 0) or
-    _Terms.  A product of two terms lands in the entry that is the sum of
-    their offsets.  Coefficients are ints (d = 1) or d-tuples of ints,
+    _Terms; a left one carries its odd-crossings masks, which _terms computes
+    once, so an operand reused over pairs or calls does not redo them.  A
+    product of two terms lands in the entry that is the sum of their
+    offsets.  Coefficients are ints (d = 1) or d-tuples of ints,
     multiplied through the d x d x d structure tensor, whose entries lie in
     {-1, 0, 1}.  Every int64 intermediate is bounded by
     d^2 * min(A, B) * max|a| * max|b| summed over the pairs, with A, B the
@@ -317,7 +330,6 @@ def _wedge_kernel(pairs, n: int, tensor, groups: int = 1):
     w = len(slot_masks)
     slot_of = np.zeros(1 << n, dtype=np.int32)
     slot_of[slot_masks] = np.arange(w)
-    bits = np.int64(1) << np.arange(n, dtype=np.int64)
     t_flat = tensor.reshape(d, d * d)
     # one flat buffer, slot (entry * w + s) * d + c: np.add.at is much slower
     # on a 2-D buffer, and adding one component per call needs no (pairs x d)
@@ -333,9 +345,7 @@ def _wedge_kernel(pairs, n: int, tensor, groups: int = 1):
         idx = slot_of[a.masks[p] | mb]
         idx += (a.groups * w)[p]
         idx += (b.groups * w)[q]
-        # the _odd_crossings_mask of every term of a, then the sign rule
-        odd = np.bitwise_xor.reduce(np.where((a.masks[:, None] & bits) != 0, bits - 1, 0), axis=1)
-        signs = 1 - 2 * _PARITY16[odd[p] & mb]
+        signs = 1 - 2 * _PARITY16[a.odd[p] & mb]
         if d == 1:
             vals = a.coeffs[p, 0] * b.coeffs[q, 0]
             vals *= signs

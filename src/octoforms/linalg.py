@@ -21,6 +21,7 @@ import numpy as np
 
 # The int64 wedge kernel (exterior._wedge_kernel) keeps its products below this.
 _INT64_SAFE = 2**62
+_INT64 = np.dtype(np.int64)
 
 
 class Matrix:
@@ -210,10 +211,10 @@ class SignedPerm:
         signed permutations are valid, so they skip ``__init__``'s checks.
         """
         self = object.__new__(cls)
-        self.perm = perm.astype(np.int64, copy=False)
-        self.sign = sign.astype(np.int64, copy=False)
-        self.perm.flags.writeable = False
-        self.sign.flags.writeable = False
+        self.perm = perm if perm.dtype is _INT64 else perm.astype(_INT64)
+        self.sign = sign if sign.dtype is _INT64 else sign.astype(_INT64)
+        self.perm.setflags(write=False)
+        self.sign.setflags(write=False)
         return self
 
     @classmethod
@@ -433,24 +434,11 @@ def _sparse_bracket(a, b) -> dict:
     return out
 
 
-def lie_closure_dim(generators, max_dim: int | None = None) -> int:
-    """Dimension of the smallest Lie algebra of matrices containing the span
-    of ``generators``.
-
-    Repeatedly brackets the current basis and extends it by every bracket that
-    enlarges the row space, until stable.  Generators must be square, equally
-    sized and skew-symmetric; ``max_dim`` (default n(n-1)/2, the dimension of
-    so(n)) is a safety bound, exceeding it raises ValueError.
-
-    Two signed permutations a, b bracket in O(n): when ab == ba the bracket
-    is 0, and when ab == -ba it is 2ab, kept as the signed permutation ab.
-    Every other bracket, and every one with a non-signed-permutation operand
-    (a Matrix or array, whose denominators are cleared first), is a sparse
-    dict product in Python ints, so the result is exact at any entry size.
-    """
+def _lie_closure_basis(generators, max_dim: int | None) -> list:
+    """The basis lie_closure_dim counts, in the order the sweep keeps it."""
     n, elements = _elements(generators)
     if not elements:
-        return 0
+        return []
     if max_dim is None:
         max_dim = n * (n - 1) // 2
     for g in elements:
@@ -460,12 +448,36 @@ def lie_closure_dim(generators, max_dim: int | None = None) -> int:
 
     space = RowSpace()
     basis: list = []
+    # The signed permutations of the basis, in basis order, as the rows of a
+    # perm table and a sign table (grown by doubling); table_row[i] is the row
+    # of basis[i], or the number of such rows before it when basis[i] is not
+    # a signed permutation.
+    tables = np.empty((2, 8, n), dtype=np.int64)
+    table_row: list = []
+    rows = 0
+    # (perm, sign) bytes of every signed permutation RowSpace has reduced, and
+    # of its negative: all of them lie in the span, so a repeat is skipped.
+    seen: set = set()
 
     def keep(x):
-        if space.add(_flat_row(x, n)):
-            basis.append(x)
-            if len(basis) > max_dim:
-                raise ValueError(f"Lie closure exceeds max_dim={max_dim}")
+        nonlocal tables, rows
+        if isinstance(x, SignedPerm):
+            key = x.perm.tobytes(), x.sign.tobytes()
+            if key in seen:
+                return
+            seen.add(key)
+            seen.add((key[0], (-x.sign).tobytes()))
+        if not space.add(_flat_row(x, n)):
+            return
+        table_row.append(rows)
+        if isinstance(x, SignedPerm):
+            if rows == tables.shape[1]:
+                tables = np.concatenate((tables, np.empty_like(tables)), axis=1)
+            tables[:, rows] = x.perm, x.sign
+            rows += 1
+        basis.append(x)
+        if len(basis) > max_dim:
+            raise ValueError(f"Lie closure exceeds max_dim={max_dim}")
 
     for g in elements:
         keep(g)
@@ -475,15 +487,47 @@ def lie_closure_dim(generators, max_dim: int | None = None) -> int:
     i = 0
     while i < len(basis):
         a = basis[i]
+        if isinstance(a, SignedPerm):
+            # ab and ba against every earlier signed permutation b at once
+            perms, signs = tables[:, : table_row[i]]
+            ab_perm, ab_sign = perms[:, a.perm], signs[:, a.perm] * a.sign
+            ba_perm, ba_sign = a.perm[perms], signs * a.sign[perms]
+            same = (ab_perm == ba_perm).all(axis=1)
+            commute = same & (ab_sign == ba_sign).all(axis=1)
+            anticommute = same & (ab_sign == -ba_sign).all(axis=1)
         for j in range(i):
             b = basis[j]
             if isinstance(a, SignedPerm) and isinstance(b, SignedPerm):
-                ab, ba = a @ b, b @ a
-                if ab == ba:
+                r = table_row[j]
+                if commute[r]:
                     continue
-                if ab == -ba:
-                    keep(ab)
+                if anticommute[r]:
+                    keep(SignedPerm._trusted(ab_perm[r], ab_sign[r]))
                     continue
             keep(_sparse_bracket(a, b))
         i += 1
-    return len(basis)
+    return basis
+
+
+def lie_closure_dim(generators, max_dim: int | None = None) -> int:
+    """Dimension of the smallest Lie algebra of matrices containing the span
+    of ``generators``.
+
+    Repeatedly brackets the current basis and extends it by every bracket that
+    enlarges the row space, until stable.  Generators must be square, equally
+    sized and skew-symmetric; ``max_dim`` (default n(n-1)/2, the dimension of
+    so(n)) is a safety bound, exceeding it raises ValueError.
+
+    Signed permutations bracket without a matrix product: when ab == ba the
+    bracket is 0, and when ab == -ba it is 2ab, kept as the signed
+    permutation ab.  A new basis element a that is a signed permutation forms
+    ab and ba against every earlier one in one gather on int64 tables of
+    their perms and signs.  A signed permutation already reduced by the row
+    space, or its negative, lies in the span, so a repeat skips the
+    reduction.  Every other bracket, and every one with a
+    non-signed-permutation operand (a Matrix or array, whose denominators are
+    cleared first), is a sparse dict product in Python ints, so the result is
+    exact at any entry size.  The basis, its order and the point where
+    ``max_dim`` raises are those of bracketing pair by pair.
+    """
+    return len(_lie_closure_basis(generators, max_dim))

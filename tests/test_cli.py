@@ -2,11 +2,13 @@
 
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 
+from octoforms import cli, clifford
 from octoforms.canonical import spin9_form
 from octoforms.cli import main
 from octoforms.exterior import Multivector
@@ -147,6 +149,25 @@ def test_clifford_subcommand():
     obj = json.loads(out)
     assert code == 0 and obj["n"] == 32 and obj["m"] == 9 and obj["verified"]
     assert obj["matrices"][0][0][16] == "1"  # Q_0 = antidiag(Id, Id)
+
+
+def test_clifford_extend_bound_exits_2_before_building(monkeypatch):
+    calls = []
+    for module in (cli, clifford):  # cli binds extend by name
+        monkeypatch.setattr(module, "extend", lambda c, extra=(): calls.append(c))
+    for kind, past in (("spin9", 7), ("pauli_U2", 9), ("spin9", 40), ("spin9", 10**12)):
+        t0 = time.perf_counter()
+        code, out, err = run_cli("clifford", "--kind", kind, "--extend", str(past))
+        assert time.perf_counter() - t0 < 5
+        assert code == 2 and out == "" and "R^1024" in err
+    assert calls == []
+
+
+def test_clifford_extend_up_to_the_bound():
+    code, out, _ = run_cli("clifford", "--kind", "spin9", "--extend", "6")
+    assert code == 0 and out == "spin9 extended 6x: C_14 on R^1024, verify pass\n"
+    code, out, _ = run_cli("clifford", "--help")
+    assert code == 0 and "at most 1024" in " ".join(out.split())
 
 
 def test_clifford_structure_subcommand():

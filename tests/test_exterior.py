@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -286,6 +287,22 @@ def test_parity_table_matches_popcount():
     table = exterior._PARITY16
     assert len(table) == 1 << 16
     assert table.tolist() == [bin(i).count("1") & 1 for i in range(1 << 16)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 2**63 - 1), max_size=20))
+def test_odd_masks_match_odd_crossings_mask(masks):
+    got = exterior._odd_masks(np.array(masks, dtype=np.int64))
+    assert got.tolist() == [exterior._odd_crossings_mask(m) for m in masks]
+
+
+def test_charpoly_computes_odd_masks_once_per_operand(monkeypatch):
+    """The 72 nonzero f_it are the left operands of all 9 steps."""
+    want, psi, sizes = spin9_taus(), spin9_psi(), []
+    real = exterior._odd_masks
+    monkeypatch.setattr(exterior, "_odd_masks", lambda masks: sizes.append(len(masks)) or real(masks))
+    assert tuple(charpoly_coeffs(psi)) == want
+    assert len(sizes) == 72
 
 
 def test_tau4_direct_does_not_use_the_kernel(monkeypatch):

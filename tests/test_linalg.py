@@ -9,7 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from octoforms import linalg
+from octoforms.cayley_dickson import unit_left_mults, unit_right_mults
 from octoforms.clifford import independence_count, standard_system
+from octoforms.models import build_model, lambda2_generators
 from octoforms.linalg import (
     Matrix,
     SignedPerm,
@@ -219,11 +221,43 @@ LEFT_J = SignedPerm([2, 3, 0, 1], [1, -1, -1, 1])
 RIGHT_J = SignedPerm([2, 3, 0, 1], [1, 1, -1, -1])
 
 
+# Skew signed permutations on R^6 pairing (01)(23)(45) and (12)(34)(50): their
+# products have different permutations, so [a, b] is neither 0 nor +-2ab.
+NON_CLOSING = (
+    SignedPerm([1, 0, 3, 2, 5, 4], [1, -1, 1, -1, 1, -1]),
+    SignedPerm([5, 2, 1, 4, 3, 0], [1, 1, -1, 1, -1, -1]),
+)
+
+# Octonion unit multiplications on R^8: skew signed permutations; L_1 and L_2
+# anticommute, L_1 and R_2 neither commute nor anticommute.
+OCT_LEFT, OCT_RIGHT = unit_left_mults(3), unit_right_mults(3)
+
+# Skew signed permutation pairs whose products ab, ba have different
+# permutations but sign vectors that agree (on R^6) or are opposite (on R^8):
+# a sign-only test would take [a, b] for 0 or for 2ab.
+SIGNS_AGREE = (
+    SignedPerm([5, 4, 3, 2, 1, 0], [-1, 1, 1, -1, -1, 1]),
+    SignedPerm([2, 3, 0, 1, 5, 4], [1, -1, -1, 1, 1, -1]),
+)
+SIGNS_OPPOSE = (
+    SignedPerm([5, 4, 6, 7, 1, 0, 2, 3], [-1, -1, 1, 1, 1, 1, -1, -1]),
+    SignedPerm([3, 5, 7, 0, 6, 1, 4, 2], [1, -1, 1, -1, -1, 1, 1, -1]),
+)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 4).flatmap(lambda n: st.lists(skew_generators(n), min_size=1, max_size=3)))
 @example([LEFT_I, LEFT_J])
 @example([LEFT_I, RIGHT_J])
 @example([LEFT_I, LEFT_J, np.asarray(RIGHT_J)])
+@example([np.asarray(RIGHT_J), LEFT_I, LEFT_J])
+@example(list(NON_CLOSING))
+@example([NON_CLOSING[1], NON_CLOSING[0], NON_CLOSING[0] @ NON_CLOSING[1] @ NON_CLOSING[0]])
+@example([OCT_LEFT[1], OCT_LEFT[2]])
+@example([OCT_LEFT[1], OCT_RIGHT[2]])
+@example([OCT_LEFT[1], OCT_LEFT[2], OCT_LEFT[4]])
+@example(list(SIGNS_AGREE))
+@example(list(SIGNS_OPPOSE))
 def test_lie_closure_matches_fraction_reference(gens):
     assert lie_closure_dim(gens) == reference_closure_dim(gens)
 
@@ -234,14 +268,6 @@ def test_lie_closure_signed_perm_fast_paths():
     assert lie_closure_dim([LEFT_I, LEFT_J]) == 3  # su(2)
     assert lie_closure_dim([LEFT_I, RIGHT_J]) == 2  # abelian
     assert lie_closure_dim([LEFT_I, LEFT_J, RIGHT_J]) == 4
-
-
-# Skew signed permutations on R^6 pairing (01)(23)(45) and (12)(34)(50): their
-# products have different permutations, so [a, b] is neither 0 nor +-2ab.
-NON_CLOSING = (
-    SignedPerm([1, 0, 3, 2, 5, 4], [1, -1, 1, -1, 1, -1]),
-    SignedPerm([5, 2, 1, 4, 3, 0], [1, 1, -1, 1, -1, -1]),
-)
 
 
 def test_lie_closure_general_bracket(monkeypatch):
@@ -268,6 +294,99 @@ def test_lie_closure_exact_beyond_int64():
     a = np.array([[0, big, 0], [-big, 0, 0], [0, 0, 0]], dtype=np.int64)
     b = Matrix.from_rows([[0, 0, 0], [0, 0, big], [0, -big, 0]])
     assert lie_closure_dim([a, b]) == 3
+
+
+def per_pair_basis(generators, max_dim=None) -> list:
+    """The closure basis of the sweep that brackets pair by pair: each signed
+    permutation product formed on its own, every bracket's row reduced."""
+    n, elements = linalg._elements(generators)
+    if max_dim is None:
+        max_dim = n * (n - 1) // 2
+    space, basis = linalg.RowSpace(), []
+
+    def keep(x):
+        if space.add(linalg._flat_row(x, n)):
+            basis.append(x)
+            if len(basis) > max_dim:
+                raise ValueError(f"Lie closure exceeds max_dim={max_dim}")
+
+    for g in elements:
+        keep(g)
+    i = 0
+    while i < len(basis):
+        a = basis[i]
+        for j in range(i):
+            b = basis[j]
+            if isinstance(a, SignedPerm) and isinstance(b, SignedPerm):
+                ab, ba = a @ b, b @ a
+                if ab == ba:
+                    continue
+                if ab == -ba:
+                    keep(ab)
+                    continue
+            keep(linalg._sparse_bracket(a, b))
+        i += 1
+    return basis
+
+
+def spin9_pairs() -> list:
+    mats = standard_system("spin9").mats
+    return [mats[a] @ mats[b] for a in range(9) for b in range(a + 1, 9)]
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        spin9_pairs(),
+        [np.asarray(RIGHT_J), LEFT_I, LEFT_J],  # table rows lag basis indices by one
+        [NON_CLOSING[0], np.asarray(NON_CLOSING[1]), NON_CLOSING[0] @ NON_CLOSING[1] @ NON_CLOSING[0]],
+        [OCT_LEFT[1], OCT_RIGHT[2], OCT_LEFT[2]],
+        list(SIGNS_AGREE),
+        list(SIGNS_OPPOSE),
+    ],
+)
+def test_lie_closure_basis_matches_per_pair_sweep(gens):
+    got, want = linalg._lie_closure_basis(gens, None), per_pair_basis(gens)
+    assert [type(x) for x in got] == [type(x) for x in want]
+    assert got == want  # SignedPerm and sparse-dict equality, in order
+
+
+@pytest.mark.parametrize("max_dim", [8, 9, 20, 35, 36])
+def test_lie_closure_max_dim_matches_per_pair_sweep(max_dim):
+    pairs = spin9_pairs()
+    if max_dim >= 36:
+        assert linalg._lie_closure_basis(pairs, max_dim) == per_pair_basis(pairs, max_dim)
+        return
+    for sweep in (per_pair_basis, linalg._lie_closure_basis):
+        with pytest.raises(ValueError, match=f"max_dim={max_dim}$"):
+            sweep(pairs, max_dim)
+
+
+def test_lie_closure_reduces_each_signed_perm_once(monkeypatch):
+    """The evi closure brackets 66 elements; the per-pair sweep reduced 726
+    rows, 660 of them +- a signed permutation reduced before."""
+    rows = []
+    add = linalg.RowSpace.add
+    monkeypatch.setattr(linalg.RowSpace, "add", lambda self, row: rows.append(row) or add(self, row))
+    assert lie_closure_dim(lambda2_generators(build_model("evi")), max_dim=300) == 66
+    keys = []
+    for row in rows:
+        assert sorted(map(abs, row.values())) == [1] * 64  # a signed permutation's row
+        lead = row[min(row)]
+        keys.append(frozenset((k, v * lead) for k, v in row.items()))
+    assert len(set(keys)) == len(keys)
+    assert len(rows) < 100
+
+
+def test_trusted_results_are_read_only_int64():
+    a, b = NON_CLOSING
+    for x in (a @ b, -a, a.T, a.kron(b), (a @ b).T, -(a.kron(b))):
+        for v in (x.perm, x.sign):
+            assert v.dtype == np.int64 and not v.flags.writeable
+            with pytest.raises(ValueError):
+                v[0] = v[0]
+    wide = SignedPerm._trusted(np.array([1, 0], dtype=np.int32), np.array([1, -1], dtype=np.int8))
+    assert wide.perm.dtype == wide.sign.dtype == np.int64 and wide == SignedPerm([1, 0], [1, -1])
 
 
 @settings(max_examples=30, deadline=None)
