@@ -40,6 +40,14 @@ reduced against its weight columns while it is still in cache.  The groups
 return these monomial sums, and a call contracts their total to the 12870
 slot sums and sums of squares once.
 
+Workers: the samples are cut into 64 fixed block groups.  With more than one
+worker and enough groups, the call forks its workers after the plan is built,
+so they inherit it.  Worker w runs groups w, w + P, w + 2P, ... (P workers)
+and writes each group's moments to its own pipe; the parent reads group g
+from pipe g % P, which gives the groups in index order, and folds each as it
+arrives.  The parent starts no thread and pickles nothing.  Without os.fork,
+or with too few groups to pay for it, the groups run serially.
+
 Determinism: samples are generated by the counter-based Philox generator, 12
 uniforms per sample (so every fixed-size block starts on a counter boundary),
 converted by Box-Muller; blocks and their chunks have a fixed size, block
@@ -47,17 +55,17 @@ groups are fixed in number, per-chunk sums go through einsum's fixed-order
 loops rather than BLAS, the fit uses correctly rounded sums, and reduction
 folds group results in index order.  Each moment is one monomial row's sum
 over one chunk, added chunk by chunk, however the rows are split into slabs
-and whether or not a pool runs.  The output is therefore bit-identical per
-seed, independent of the worker count and of the BLAS thread count, for a
+and whether or not workers are forked.  The output is therefore bit-identical
+per seed, independent of the worker count and of the BLAS thread count, for a
 given numpy build and CPU.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
-from contextlib import nullcontext
+import signal
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, combinations_with_replacement, permutations
@@ -69,13 +77,14 @@ from .cayley_dickson import unit_signs
 
 _BLOCK = 1024
 _GROUPS = 64
-# A pool pays only when each worker saves more block times than the pool
-# costs.  On a 2-vCPU VM a warm block took about 6.5 ms, a pool of two
-# returned its first one-block group after 23-25 ms (fork and dispatch, about
-# 17 ms over the block), and, with the main process's result handling competing
-# for the CPUs, berger_mc at 2 workers took 40-65 ms longer than half the
-# 1-worker time at 4-16 blocks.  So a worker needs 60 / 6.5, rounded up, groups.
-_MIN_GROUPS_PER_WORKER = 10
+# Forked workers pay only when each saves more block times than the fan-out
+# costs.  On a 2-vCPU VM a warm block took about 6.3 ms, two forked workers
+# returned their first one-block group after 11-15 ms, and berger_mc at 2
+# workers took 23-29 ms longer than half the 1-worker time at 6-14 blocks.
+# So a worker needs 25 / 6.3, rounded up, groups: two workers start at 8192
+# samples, where they saved about 3 ms of 55, and not at 6144, where they
+# would lose 4 ms.
+_MIN_GROUPS_PER_WORKER = 4
 _CHUNK = 128  # samples per monomial pass, so the monomial rows stay cache-sized
 _SLAB = 512  # product rows gathered and reduced at a time
 _DRAWS_PER_SAMPLE = 12  # multiple of 4: Philox counter units hold 4 doubles
@@ -330,14 +339,18 @@ def _block_uniforms(seed: int, block: int, count: int) -> np.ndarray:
 
 
 def _sample_sphere9(seed: int, block: int, count: int) -> np.ndarray:
-    """`count` unit 9-vectors for one block, via Box-Muller normals."""
+    """`count` unit 9-vectors for one block, via Box-Muller normals.
+
+    Of the 12 uniforms a sample owns, the first 10 are 5 (radius, angle)
+    pairs; normal 2i is radius_i cos(angle_i) and normal 2i + 1 is
+    radius_i sin(angle_i), and only the first 9 normals are drawn.
+    """
     u = _block_uniforms(seed, block, count).reshape(count, _DRAWS_PER_SAMPLE)
-    radius = np.sqrt(-2.0 * np.log(1.0 - u[:, 0::2]))
-    angle = 2.0 * np.pi * u[:, 1::2]
-    z = np.empty((count, 12), dtype=np.float64)
-    z[:, 0::2] = radius * np.cos(angle)
-    z[:, 1::2] = radius * np.sin(angle)
-    v = z[:, :9]
+    radius = np.sqrt(-2.0 * np.log(1.0 - u[:, 0:10:2]))
+    angle = 2.0 * np.pi * u[:, 1:10:2]
+    v = np.empty((count, 9), dtype=np.float64)
+    v[:, 0::2] = radius * np.cos(angle)
+    v[:, 1::2] = radius[:, :4] * np.sin(angle[:, :4])
     norm = np.sqrt(np.sum(v * v, axis=1))
     norm = np.maximum(norm, 1e-300)
     return v / norm[:, None]
@@ -410,6 +423,69 @@ def _group_worker(args):
         count = min(_BLOCK, n_samples - b * _BLOCK)
         _process_block(seed, b, count, moments)
     return moments
+
+
+def _fan_out(tasks: list, workers: int):
+    """Yield ``_group_worker(task)`` for each task, in order, computed by
+    `workers` forked children (child w takes tasks w, w + workers, ...).
+
+    A child that fails leaves its pipe short; the parent then kills and
+    reaps every child and raises RuntimeError naming the task.  Closing the
+    generator early kills and reaps the children as well.
+    """
+    size = _plan()["moments"]
+    pipes, pids = [], []
+    done, failed = False, None
+    try:
+        for w in range(workers):
+            r, wfd = os.pipe()
+            pipes.append(r)
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(wfd)
+                raise
+            if pid == 0:  # child: never returns into the caller's frames
+                code = 1
+                try:
+                    for fd in pipes:
+                        os.close(fd)
+                    for task in tasks[w::workers]:
+                        out = memoryview(_group_worker(task)).cast("B")
+                        while out:
+                            out = out[os.write(wfd, out) :]
+                    code = 0
+                except BaseException:
+                    sys.excepthook(*sys.exc_info())
+                finally:
+                    os._exit(code)
+            os.close(wfd)
+            pids.append(pid)
+        for g in range(len(tasks)):
+            part = np.empty(size, dtype=np.float64)
+            buf = memoryview(part).cast("B")
+            got = 0
+            while got < len(buf):
+                n = os.readv(pipes[g % workers], [buf[got:]])
+                if n == 0:
+                    break
+                got += n
+            if got < len(buf):
+                failed = g
+                break
+            yield part
+        else:
+            done = True
+    finally:
+        if not done:
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+        for fd in pipes:
+            os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
+    if failed is not None:
+        raise RuntimeError(f"the worker of block group {failed} exited before returning it")
 
 
 @dataclass(frozen=True)
@@ -490,17 +566,17 @@ def berger_mc(samples: int, seed: int = 0, workers: int = 1):
     if workers < 1:
         raise ValueError("workers must be >= 1")
     tasks = _group_tasks(samples, seed)
-    # the task list and the reduction order are fixed, so the pool size is
+    # the task list and the reduction order are fixed, so the worker count is
     # pure execution detail: capped at the usable CPUs to avoid thrash, and
-    # at the workers that the groups keep busy long enough to pay the start
-    pool_size = min(workers, _usable_cpus(), len(tasks) // _MIN_GROUPS_PER_WORKER)
+    # at the workers that the groups keep busy long enough to pay the fork
+    procs = min(workers, _usable_cpus(), len(tasks) // _MIN_GROUPS_PER_WORKER)
     # built before any fork, so that the workers inherit the plan
     moments = np.zeros(_plan()["moments"], dtype=np.float64)
     # group results are folded in group order as they arrive: a fixed,
     # deterministic reduction that does not hold every group's sums at once
-    with multiprocessing.Pool(pool_size) if pool_size > 1 else nullcontext() as pool:
-        for part in pool.imap(_group_worker, tasks) if pool else map(_group_worker, tasks):
-            moments += part
+    parallel = procs > 1 and hasattr(os, "fork")
+    for part in _fan_out(tasks, procs) if parallel else map(_group_worker, tasks):
+        moments += part
     sums, sumsq = _contract(moments)
 
     mean = sums / samples

@@ -60,6 +60,24 @@ def _default_workers() -> int:
     return 1
 
 
+def _write_stdout(text: str) -> None:
+    """Write `text` to stdout in full.
+
+    Under PYTHONUNBUFFERED the binary layer of stdout is a raw FileIO, and a
+    signal that interrupts a blocking pipe write cuts it short; the text
+    layer drops what was not written.  So the bytes go through the binary
+    layer in a loop on the count it returns.
+    """
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:  # an in-memory text stream takes the whole string
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        data = data[buffer.write(data) :]
+
+
 def _int_at_least(low: int):
     """argparse type: an int >= low, so a smaller value is a usage error."""
 
@@ -264,8 +282,8 @@ def _cmd_berger(args) -> int:
     if args.json:
         if args.full:
             payload["coefficients"] = [float_str(x) for x in form.coeffs.tolist()]
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        # one encode, not a write per encoder chunk: 12870 coefficients
+        _write_stdout(json.dumps(payload, indent=2) + "\n")
     else:
         for k, v in payload.items():
             print(f"{k}: {v}")

@@ -354,7 +354,7 @@ def _clear_denominators(values) -> tuple[list[int], int]:
     non-finite one is a ValueError."""
     values = [_exact(v) if isinstance(v, float) else v for v in values]
     scale = lcm(*(v.denominator for v in values if isinstance(v, Fraction)))
-    return [int(v * scale) for v in values], scale
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def _exact(x: float) -> Fraction:

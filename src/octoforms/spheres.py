@@ -29,14 +29,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import numpy as np
 
 from .cayley_dickson import unit_left_mults, unit_right_mults
 from .clifford import _FLIP, _TURN, standard_system
-from .linalg import SignedPerm, _clear_denominators, _dot
+from .linalg import SignedPerm, _dot
 
 # Formal left multiplication tables, printed form.  Row u, slot t holds the
 # signed source index: L_u(s^1..s^l) has sign * s^{|entry|} in slot t, slots
@@ -136,28 +136,29 @@ def _matrix_conditions(fields) -> list:
     return failures
 
 
-def _rational_unit_vector(m: int, rng) -> list:
-    # stereographic image of a random rational point: exact unit norm
-    t = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(m - 1)]
-    s = sum(v * v for v in t)
-    den = 1 + s
-    vec = [2 * v / den for v in t]
-    vec.append((1 - s) / den)
-    return vec
+def _integer_sample_point(m: int, rng) -> list:
+    """An integer point on the ray of a random rational point of S^(m-1):
+    the stereographic image of t = u / q (q one denominator) is
+    (2 q u, q^2 - |u|^2) / (q^2 + |u|^2), kept without its positive
+    denominator."""
+    t = [(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(m - 1)]
+    q = lcm(*(d for _, d in t))
+    u = [n * (q // d) for n, d in t]
+    return [2 * q * v for v in u] + [q * q - _dot(u, u)]
 
 
 def verify_system(v: VectorFieldSystem, samples: int = 2, seed: int = 0) -> FieldsReport:
     """Exact matrix conditions plus sampled-point tangency/orthonormality.
 
-    Tangency and orthonormality at x are homogeneous of degree 2 in x, so the
-    rational sample point is scaled once to the integer vector s x (s the lcm
-    of its denominators) and every dot product is an integer one, compared
-    with the integer norm^2 of s x.
+    Tangency and orthonormality at x are homogeneous of degree 2 in x, so
+    they are checked at an integer point x on the ray of a rational unit
+    point: every dot product is an integer one, compared with the integer
+    norm^2 of x.
     """
     failures = list(_matrix_conditions(list(v.fields)))
     rng = random.Random(seed)
     for _ in range(samples):
-        x, _ = _clear_denominators(_rational_unit_vector(v.m, rng))
+        x = _integer_sample_point(v.m, rng)
         norm2 = _dot(x, x)
         images = []
         for idx, a in enumerate(v.fields):

@@ -1,7 +1,11 @@
 """Monte-Carlo line integral: oracle checks, determinism, convergence."""
 
 import json
+import os
+import signal
+import threading
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -188,15 +192,15 @@ def test_groups_fold_in_index_order(monkeypatch):
 
 def test_pool_capped_by_cpu_affinity(monkeypatch):
     """A process allowed one CPU runs the serial path, with the same bits, at
-    a size where two CPUs would start a pool."""
+    a size where two CPUs would fork workers."""
     samples = 2 * _MIN_GROUPS_PER_WORKER * _BLOCK
     want, _ = berger_mc(samples, seed=42, workers=1)
 
     def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started on a 1-CPU affinity")
+        raise AssertionError("workers were forked on a 1-CPU affinity")
 
     monkeypatch.setattr(berger.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(berger.multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(berger, "_fan_out", no_pool)
     got, rep = berger_mc(samples, seed=42, workers=2)
     assert rep.workers == 2
     assert np.array_equal(got.coeffs, want.coeffs)
@@ -204,16 +208,16 @@ def test_pool_capped_by_cpu_affinity(monkeypatch):
 
 
 def test_pool_started_only_for_enough_groups(monkeypatch):
-    """A pool starts only when each worker gets _MIN_GROUPS_PER_WORKER
-    groups, and the bits do not depend on whether it started."""
-    real_pool = berger.multiprocessing.Pool
+    """Workers are forked only when each gets _MIN_GROUPS_PER_WORKER
+    groups, and the bits do not depend on whether they were."""
+    real_fan_out = berger._fan_out
     started = []
 
-    def spy(processes):
-        started.append(processes)
-        return real_pool(processes)
+    def spy(tasks, workers):
+        started.append(workers)
+        return real_fan_out(tasks, workers)
 
-    monkeypatch.setattr(berger.multiprocessing, "Pool", spy)
+    monkeypatch.setattr(berger, "_fan_out", spy)
     edge = 2 * _MIN_GROUPS_PER_WORKER * _BLOCK
     for samples, pools in ((2048, []), (edge - _BLOCK, []), (edge, [2]), (65536, [2])):
         started.clear()
@@ -223,6 +227,90 @@ def test_pool_started_only_for_enough_groups(monkeypatch):
         assert started == pools, samples
         assert np.array_equal(got.coeffs, want.coeffs), samples
         assert np.array_equal(got.sigma, want.sigma), samples
+
+
+def test_serial_without_fork(monkeypatch):
+    """Where os.fork is missing the groups run serially, with the same bits."""
+    samples = 2 * _MIN_GROUPS_PER_WORKER * _BLOCK
+    want, _ = berger_mc(samples, seed=8, workers=1)
+
+    def no_fan_out(*args, **kwargs):
+        raise AssertionError("workers were forked without os.fork")
+
+    monkeypatch.delattr(berger.os, "fork")
+    monkeypatch.setattr(berger, "_fan_out", no_fan_out)
+    got, _ = berger_mc(samples, seed=8, workers=2)
+    assert np.array_equal(got.coeffs, want.coeffs)
+    assert np.array_equal(got.sigma, want.sigma)
+
+
+@contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the body if it runs longer than `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_fan_out_yields_groups_in_task_order(monkeypatch):
+    """Whatever the worker count, the fan-out yields each task's result in
+    task order."""
+    tasks = _group_tasks(64 * _BLOCK, 0)
+
+    def numbered(args):
+        return np.full(_plan()["moments"], float(args[1].start))
+
+    monkeypatch.setattr(berger, "_group_worker", numbered)
+    for workers in (2, 3):
+        with _deadline(60):
+            got = [part[0] for part in berger._fan_out(tasks, workers)]
+        assert got == [float(g) for g in range(len(tasks))], workers
+
+
+def test_failed_worker_raises_after_reaping(monkeypatch):
+    """A group worker that raises makes berger_mc raise RuntimeError naming
+    the group, without hanging, starting a thread or leaving a child; the
+    other worker is killed in the 30 s group it has started, not waited
+    for."""
+
+    def failing(args):
+        if args[1].start == 5:
+            raise ValueError("group 5 fails")
+        if args[1].start == 6:
+            time.sleep(30)
+        return np.zeros(_plan()["moments"])
+
+    monkeypatch.setattr(berger, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(berger, "_group_worker", failing)
+    threads = threading.active_count()
+    with _deadline(10), pytest.raises(RuntimeError, match="group 5 "):
+        berger_mc(64 * _BLOCK, seed=0, workers=2)
+    assert threading.active_count() == threads
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_closed_fan_out_leaves_no_child():
+    """Closing the fan-out after its first group kills and reaps the
+    workers; none of it starts a thread."""
+    tasks = _group_tasks(64 * _BLOCK, 3)
+    threads = threading.active_count()
+    with _deadline(60):
+        parts = berger._fan_out(tasks, 2)
+        assert np.array_equal(next(parts), _group_worker(tasks[0]))
+        assert threading.active_count() == threads
+        parts.close()
+    assert threading.active_count() == threads
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_phi_dense_is_the_charpoly_form():
@@ -413,14 +501,17 @@ def _reference_block(seed, block, count, moments):
             moments[at : at + r1 - r0] += np.einsum("c,rc->r", cols[c, lo : lo + n], x[r0:r1])
 
 
+# (seed, block, count) of single blocks
+_BLOCK_CASES = ((1, 0, 1024), (5, 3, 1000), (7, 0, 1), (9, 2, 16), (11, 1, 129), (0, 63, 1024))
+
+
 def test_block_moments_match_reference_chunk_loop():
     """The block's slab loop gives the very bits of the all-rows loop: every
     moment is still one row's einsum over one chunk, added chunk by chunk.
     The counts cover one sample, short last chunks (16, 129, 1000) and a
     last block; the group mixes full blocks with a partial one."""
     size = _plan()["moments"]
-    for seed, block, count in ((1, 0, 1024), (5, 3, 1000), (7, 0, 1), (9, 2, 16),
-                               (11, 1, 129), (0, 63, 1024)):
+    for seed, block, count in _BLOCK_CASES:
         got, want = np.zeros(size), np.zeros(size)
         _process_block(seed, block, count, got)
         _reference_block(seed, block, count, want)
@@ -445,3 +536,24 @@ def test_plan_gathers_are_checked():
     for a, b in (([0, 9], [1, 2]), ([0, 1], [9, 2]), ([-1, 1], [1, 2])):
         with pytest.raises(ValueError):
             _slabs(9, np.array(a), np.array(b))
+
+
+def _twelve_normal_sphere9(seed, block, count):
+    """The sampler as all 12 Box-Muller normals a sample's uniforms give,
+    of which the first 9 are kept."""
+    u = berger._block_uniforms(seed, block, count).reshape(count, 12)
+    radius = np.sqrt(-2.0 * np.log(1.0 - u[:, 0::2]))
+    angle = 2.0 * np.pi * u[:, 1::2]
+    z = np.empty((count, 12), dtype=np.float64)
+    z[:, 0::2] = radius * np.cos(angle)
+    z[:, 1::2] = radius * np.sin(angle)
+    v = z[:, :9]
+    norm = np.maximum(np.sqrt(np.sum(v * v, axis=1)), 1e-300)
+    return v / norm[:, None]
+
+
+def test_sampler_matches_twelve_normal_reference():
+    """Computing only the 9 kept normals gives the very bits of all 12."""
+    for seed, block, count in _BLOCK_CASES + ((2, 5, 777), (123, 17, 1024)):
+        got = _sample_sphere9(seed, block, count)
+        assert np.array_equal(got, _twelve_normal_sphere9(seed, block, count)), (seed, block)

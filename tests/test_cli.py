@@ -253,3 +253,48 @@ def test_berger_full_coefficients_are_float_str_of_the_run():
     assert code == 0
     form, _ = berger_mc(1500, seed=4)
     assert json.loads(out)["coefficients"] == [float_str(x) for x in form.coeffs]
+
+
+# The CLI under a 1 ms SIGALRM timer with a no-op handler, as a sampling
+# profiler runs it: a blocking write to a full pipe returns short each time
+# the timer fires.
+_UNDER_TIMER = """
+import signal, sys
+from octoforms.cli import main
+signal.signal(signal.SIGALRM, lambda signum, frame: None)
+signal.setitimer(signal.ITIMER_REAL, 0.001, 0.001)
+code = main(sys.argv[1:])
+signal.setitimer(signal.ITIMER_REAL, 0)  # before exit restores the default action
+sys.exit(code)
+"""
+
+
+def test_berger_json_complete_when_signals_cut_pipe_writes():
+    """`berger --json --full` writes all its bytes unbuffered into a pipe
+    that fills while the reader sleeps, with a signal cutting every
+    blocking write short."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import octoforms
+
+    src = str(Path(octoforms.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    args = ["berger", "--samples", "2048", "--seed", "0", "--json", "--full"]
+    want = subprocess.run([sys.executable, "-m", "octoforms.cli", *args], env=env,
+                          capture_output=True, timeout=300)
+    assert want.returncode == 0, want.stderr.decode()
+    proc = subprocess.Popen([sys.executable, "-c", _UNDER_TIMER, *args], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        time.sleep(1.0)
+        out, err = proc.communicate(timeout=300)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 0, err.decode()
+    assert len(want.stdout) > 1 << 16  # more than a pipe holds
+    assert out == want.stdout

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -85,6 +86,20 @@ def test_clear_denominators():
     ints, scale = _clear_denominators([Fraction(-3, 4), 2, Fraction(5, -6), Fraction(0)])
     assert (ints, scale) == ([-9, 24, -10, 0], 12)
     assert all(type(v) is int for v in ints)
+
+
+def test_clear_denominators_matches_fraction_products():
+    """Each value scaled by an integer equals its exact Fraction times the
+    lcm, for ints, Fractions and dyadic floats."""
+    rng = random.Random(5)
+    values = [0, 7, -3, True, Fraction(-3, 4), Fraction(5, 6), Fraction(7, -12), 0.5, -0.375,
+              2.0, 1e-3, 3.0 * 2**60, -0.0]
+    values += [Fraction(rng.randint(-99, 99), rng.randint(1, 40)) for _ in range(30)]
+    values += [rng.uniform(-8, 8) for _ in range(10)]
+    exact = [Fraction(v) for v in values]
+    scale = lcm(*(v.denominator for v in exact))
+    assert _clear_denominators(values) == ([int(v * scale) for v in exact], scale)
+    assert all(type(v) is int for v in _clear_denominators(values)[0])
 
 
 def test_clear_denominators_takes_floats_exactly():

@@ -1,12 +1,18 @@
 """Vector fields on spheres: counts, constructions, the documented failure."""
 
+import random
+from fractions import Fraction
+from math import lcm
+
 import numpy as np
 import pytest
 
 from octoforms.cayley_dickson import CDElement, left_mult_matrix
 from octoforms.spheres import (
+    FieldsReport,
     VectorFieldSystem,
     _base_16,
+    _integer_sample_point,
     _matrix_conditions,
     build_fields,
     fixed_beta_variant,
@@ -153,3 +159,65 @@ def test_broken_systems_fail():
     assert at_point == ["field 0 not tangent at sample point"]
     with pytest.raises(ValueError):
         VectorFieldSystem(m=2, fields=(np.array([[0, 2], [-2, 0]]),))
+
+
+def _fraction_point(m, rng):
+    """The rational unit point of S^(m-1) built from Fractions: the
+    stereographic image of t, each t_i drawn with its own denominator."""
+    t = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(m - 1)]
+    s = sum((c * c for c in t), Fraction(0))
+    point = [2 * c / (1 + s) for c in t] + [(1 - s) / (1 + s)]
+    assert sum(c * c for c in point) == 1
+    return point
+
+
+def test_integer_sample_point_is_on_the_fraction_points_ray():
+    """The integer sample point is a positive multiple of the Fraction
+    point from the same draws."""
+    for m in (1, 2, 16, 48, 512):
+        for seed in range(4):
+            x = _integer_sample_point(m, random.Random(seed))
+            point = _fraction_point(m, random.Random(seed))
+            i = next(i for i, c in enumerate(point) if c)
+            scale = Fraction(x[i]) / point[i]
+            assert scale > 0 and [scale * c for c in point] == x, (m, seed)
+
+
+def _fraction_point_report(v, samples, seed):
+    """verify_system at the Fraction point scaled by the lcm of its
+    denominators: the reference for the integer sample points."""
+    failures = list(_matrix_conditions(list(v.fields)))
+    rng = random.Random(seed)
+    for _ in range(samples):
+        point = _fraction_point(v.m, rng)
+        scale = lcm(*(c.denominator for c in point))
+        x = [int(c * scale) for c in point]
+        images = [a.apply(x) for a in v.fields]
+        for idx, ax in enumerate(images):
+            if sum(p * q for p, q in zip(ax, x)) != 0:
+                failures.append(f"field {idx} not tangent at sample point")
+        norm2 = sum(c * c for c in x)
+        for i in range(len(images)):
+            for j in range(i, len(images)):
+                dot = sum(p * q for p, q in zip(images[i], images[j]))
+                if dot != (norm2 if i == j else 0):
+                    failures.append(f"fields {i},{j} not orthonormal at sample point")
+    return FieldsReport(ok=not failures, failures=tuple(failures), notes=v.notes)
+
+
+def test_integer_sample_points_give_the_fraction_reports():
+    """Every sphere's report, and those of broken systems, equal the reports
+    at the Fraction sample points; the naive S^511 system still fails."""
+    systems = [build_fields(m) for m in (1, 2, 4, 8, 16, 32, 48, 64, 128, 256, 512)]
+    v16, v512 = systems[4], systems[-1]
+    naive = VectorFieldSystem(m=512, fields=v512.fields[:16] + (naive_s511_extra(),))
+    systems += [
+        naive,
+        VectorFieldSystem(m=16, fields=(v16.fields[0], v16.fields[0])),
+        VectorFieldSystem(m=16, fields=(np.eye(16, dtype=np.int64),)),
+    ]
+    for v in systems:
+        for seed in (0, 1):
+            assert verify_system(v, samples=2, seed=seed) == _fraction_point_report(v, 2, seed), v.m
+    rep = verify_system(naive, samples=1)
+    assert not rep.ok and any("sample point" in f for f in rep.failures)
