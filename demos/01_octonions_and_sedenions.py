@@ -6,6 +6,8 @@ loses order, commutativity, associativity, and finally (at the sedenions)
 freedom from zero divisors.
 """
 
+import numpy as np
+
 from octoforms.cayley_dickson import (
     CDElement,
     associator,
@@ -44,9 +46,9 @@ print("Sedenion zero divisor: (e2 - e11)(e7 + e14) =",
       "with |x|^2 |y|^2 =", norm2(zd1) * norm2(zd2))
 
 # --- multiplication as matrices ----------------------------------------------
-ri = right_mult_matrix(i)
-print("\nRight multiplication by i is skew:", ri.is_skew(),
-      "and squares to -Id:", (ri @ ri) == right_mult_matrix(octonion_unit("1")).scaled(-1))
+ri = right_mult_matrix(i)  # an exact dtype=object array
+print("\nRight multiplication by i is skew:", np.array_equal(ri, -ri.T),
+      "and squares to -Id:", np.array_equal(ri @ ri, -right_mult_matrix(octonion_unit("1"))))
 
 print("\nConjugation reverses products: conj(xy) == conj(y) conj(x):",
       conjugate(x * y) == conjugate(y) * conjugate(x))

@@ -8,6 +8,8 @@ Everything below is exact rational arithmetic on exact sphere points.
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from octoforms.cayley_dickson import CDElement
 from octoforms.hopf import (
     SpherePoint16,
@@ -48,7 +50,7 @@ tangent = list(zero.coeffs) + list(w.coeffs)
 print("  at (0, 1) with tangent (0, f):", fiber_orthogonality_check(p_inf, tangent))
 
 g = hopf_action(CDElement.unit(3, 3), 0)  # an involution of the action
-moved = g.apply(list(p_inf.coords()))
+moved = (g @ np.array(p_inf.coords(), dtype=object)).tolist()
 q = SpherePoint16(x=CDElement(3, moved[:8]), y=CDElement(3, moved[8:]))
 print("  after moving point and tangent by an action involution:",
-      fiber_orthogonality_check(q, g.apply(tangent)))
+      fiber_orthogonality_check(q, (g @ np.array(tangent, dtype=object)).tolist()))

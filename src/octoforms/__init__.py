@@ -8,13 +8,12 @@ octonionic Hopf fibration, and even Clifford structures on model spaces.
 from .cayley_dickson import CDElement, cd_mul, right_mult_matrix, left_mult_matrix
 from .clifford import CliffordSystem, delta, extend, standard_system, verify
 from .exterior import FormMatrix, Multivector, charpoly_coeffs, kahler_form, tau4_direct
-from .linalg import Matrix, lie_closure_dim, mat_mul, rank
+from .linalg import lie_closure_dim, rank
 
 __all__ = [
     "CDElement",
     "CliffordSystem",
     "FormMatrix",
-    "Matrix",
     "Multivector",
     "cd_mul",
     "charpoly_coeffs",
@@ -23,7 +22,6 @@ __all__ = [
     "kahler_form",
     "left_mult_matrix",
     "lie_closure_dim",
-    "mat_mul",
     "rank",
     "right_mult_matrix",
     "standard_system",

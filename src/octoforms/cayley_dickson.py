@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import Matrix, SignedPerm
+from .linalg import SignedPerm
 
 UNIT_NAMES = ("1", "i", "j", "k", "e", "f", "g", "h")
 
@@ -142,18 +142,20 @@ def associator(x: CDElement, y: CDElement, z: CDElement) -> CDElement:
     return (x * y) * z - x * (y * z)
 
 
-def right_mult_matrix(u: CDElement) -> Matrix:
-    """Matrix M with M . vec(x) = vec(x * u) in the canonical basis."""
-    n = 1 << u.level
-    cols = [(CDElement.unit(u.level, j) * u).coeffs for j in range(n)]
-    return Matrix(n, n, [cols[j][i] for i in range(n) for j in range(n)])
+def right_mult_matrix(u: CDElement) -> np.ndarray:
+    """M with M @ vec(x) = vec(x * u) in the canonical basis.
+
+    Always ``dtype=object`` with the exact entries, even when every entry is
+    an integer: products of int64 arrays would wrap silently.
+    """
+    cols = [(CDElement.unit(u.level, j) * u).coeffs for j in range(1 << u.level)]
+    return np.array(cols, dtype=object).T
 
 
-def left_mult_matrix(u: CDElement) -> Matrix:
-    """Matrix M with M . vec(x) = vec(u * x) in the canonical basis."""
-    n = 1 << u.level
-    cols = [(u * CDElement.unit(u.level, j)).coeffs for j in range(n)]
-    return Matrix(n, n, [cols[j][i] for i in range(n) for j in range(n)])
+def left_mult_matrix(u: CDElement) -> np.ndarray:
+    """M with M @ vec(x) = vec(u * x), ``dtype=object`` as in right_mult_matrix."""
+    cols = [(u * CDElement.unit(u.level, j)).coeffs for j in range(1 << u.level)]
+    return np.array(cols, dtype=object).T
 
 
 @lru_cache(maxsize=None)

@@ -60,6 +60,16 @@ def _default_workers() -> int:
     return 1
 
 
+def _dump_json(obj, compact: bool = False) -> None:
+    """Stream obj to stdout as JSON and end the line: indented by 2, or with
+    no whitespace when compact."""
+    if compact:
+        json.dump(obj, sys.stdout, separators=(",", ":"))
+    else:
+        json.dump(obj, sys.stdout, indent=2)
+    sys.stdout.write("\n")
+
+
 def _write_stdout(text: str) -> None:
     """Write `text` to stdout in full.
 
@@ -108,8 +118,7 @@ def _cmd_form(args) -> int:
     if args.format == "csv":
         sys.stdout.write(multivector_to_csv(mv))
     else:
-        json.dump(multivector_to_json(mv), sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _dump_json(multivector_to_json(mv))
     return 0
 
 
@@ -125,8 +134,7 @@ def _cmd_charpoly(args) -> int:
         for j, t in enumerate(taus)
     ]
     if args.json:
-        json.dump({"which": args.which, "coefficients": rows}, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _dump_json({"which": args.which, "coefficients": rows})
     else:
         for r in rows:
             print(f"tau_{r['tau']}: grade {r['grade']}, {r['monomials']} monomials"
@@ -154,8 +162,7 @@ def _cmd_fields(args) -> int:
         if report is not None:
             payload["verified"] = report.ok
             payload["failures"] = list(report.failures)
-        json.dump(payload, sys.stdout, indent=None, separators=(",", ":"))
-        sys.stdout.write("\n")
+        _dump_json(payload, compact=True)
     else:
         print(f"m = {args.m}: sigma = {sigma(args.m)}, built {len(system.fields)} fields")
         for note in system.notes:
@@ -193,15 +200,10 @@ def _cmd_hopf(args) -> int:
         sum(a * b for a, b in zip(coords, section)) for section in spin9_sections(point)
     ]
     if args.json:
-        json.dump(
-            {
-                "lambda": [rational_str(v) for v in lam],
-                "inner_products": [rational_str(v) for v in inner],
-            },
-            sys.stdout,
-            indent=2,
-        )
-        sys.stdout.write("\n")
+        _dump_json({
+            "lambda": [rational_str(v) for v in lam],
+            "inner_products": [rational_str(v) for v in inner],
+        })
     else:
         print("lambda:        ", " ".join(rational_str(v) for v in lam))
         print("<N, I_a N>:    ", " ".join(rational_str(v) for v in inner))
@@ -220,20 +222,14 @@ def _cmd_clifford(args) -> int:
         system = extend(system)
     report = verify(system)
     if args.json:
-        json.dump(
-            {
-                "kind": args.kind,
-                "extended": args.extend,
-                "n": system.n,
-                "m": system.m,
-                "verified": report.ok,
-                "matrices": [matrix_to_json(p) for p in system.mats],
-            },
-            sys.stdout,
-            indent=None,
-            separators=(",", ":"),
-        )
-        sys.stdout.write("\n")
+        _dump_json({
+            "kind": args.kind,
+            "extended": args.extend,
+            "n": system.n,
+            "m": system.m,
+            "verified": report.ok,
+            "matrices": [matrix_to_json(p) for p in system.mats],
+        }, compact=True)
     else:
         print(f"{args.kind} extended {args.extend}x: C_{system.m} on R^{system.n}, "
               f"verify {'pass' if report.ok else 'FAIL'}")
@@ -252,8 +248,7 @@ def _cmd_clifford_structure(args) -> int:
         "lambda2_count": len(lambda2_generators(model)),
     }
     if args.json:
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _dump_json(payload)
     else:
         m = payload["model"]
         print(f"{m['name']}: rank {m['rank']} on R^{m['ambient_dim']}, "
@@ -305,8 +300,7 @@ def _cmd_pontrjagin(args) -> int:
             "relations": report["relations"],
             "normalizations": report["normalizations"],
         }
-        json.dump(out, sys.stdout, indent=2, default=str)
-        sys.stdout.write("\n")
+        _dump_json(out)
     else:
         print(render_pontrjagin_text(report))
     return 0

@@ -36,13 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _INT64_SAFE, Matrix, _accumulate
-
-# _PARITY16[i] = popcount(i) mod 2, built by doubling in place: the upper half
-# of each prefix is the lower half with one more bit set
-_PARITY16 = np.zeros(1 << 16, dtype=np.int8)
-for _k in range(16):
-    np.subtract(1, _PARITY16[: 1 << _k], out=_PARITY16[1 << _k : 2 << _k])
+from .linalg import _INT64_SAFE, _accumulate
 
 # Structure tensor of the real coefficients: 1 * 1 = 1.
 _REAL = np.ones((1, 1, 1), dtype=np.int64)
@@ -244,11 +238,16 @@ def wedge_square(a: dict, out: dict) -> dict:
 
 
 def _popcounts(n: int):
-    """popcount(i) for i < 2^n, by the doubling that builds _PARITY16."""
+    """popcount(i) for i < 2^n (int8), built by doubling in place: the upper
+    half of each prefix is the lower half with one more bit set."""
     pop = np.zeros(1 << n, dtype=np.int8)
     for k in range(n):
         np.add(pop[: 1 << k], 1, out=pop[1 << k : 2 << k])
     return pop
+
+
+# _PARITY16[i] = popcount(i) mod 2
+_PARITY16 = _popcounts(16) & 1
 
 
 class _Terms(NamedTuple):
@@ -429,25 +428,20 @@ def wedge_sum(pairs, n: int, tensor=_REAL) -> dict:
 def kahler_form(j, n: int | None = None) -> Multivector:
     """Kahler 2-form of a skew endomorphism: psi(X, Y) = <X, JY>.
 
-    Accepts an exact Matrix or an integer numpy array; the coefficient on
-    e^{pq} (p < q) is J[p-1, q-1].
+    Accepts any square array: a SignedPerm, an int64 array, or exact
+    rationals as ``dtype=object``.  The coefficient on e^{pq} (p < q) is
+    J[p-1, q-1], read as a Python number.
     """
-    if isinstance(j, Matrix):
-        if not j.is_skew():
-            raise ValueError("kahler_form needs a skew endomorphism")
-        size = j.rows
-        entry = lambda p, q: j[p, q]
-    else:
-        arr = np.asarray(j)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("square matrix required")
-        if not np.array_equal(arr, -arr.T):
-            raise ValueError("kahler_form needs a skew endomorphism")
-        size = arr.shape[0]
-        entry = lambda p, q: int(arr[p, q])
+    arr = np.asarray(j)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError("square matrix required")
+    if not np.array_equal(arr, -arr.T):
+        raise ValueError("kahler_form needs a skew endomorphism")
+    size = arr.shape[0]
+    rows = arr.tolist()
     if n is None:
         n = size
-    return Multivector(n, {(1 << p) | (1 << q): entry(p, q) for p, q in combinations(range(size), 2)})
+    return Multivector(n, {(1 << p) | (1 << q): rows[p][q] for p, q in combinations(range(size), 2)})
 
 
 class FormMatrix:
@@ -473,7 +467,7 @@ class FormMatrix:
     @classmethod
     def from_endomorphisms(cls, mats, n: int | None = None) -> "FormMatrix":
         """Kahler-form matrix psi_ab of the compositions J_ab = M_a M_b."""
-        arrs = [m.to_int_array() if isinstance(m, Matrix) else np.asarray(m) for m in mats]
+        arrs = [np.asarray(m) for m in mats]
         size = arrs[0].shape[0]
         if n is None:
             n = size

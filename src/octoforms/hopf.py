@@ -17,7 +17,7 @@ it over the north pole, a sign convention documented here and not patched.
 The nine I_a are signed permutations, held as ``linalg.SignedPerm``, so each
 section I_a N is an exact O(16) gather, and so is each right multiplication
 y -> y u_t in lambda; ``reconstruct`` runs over Z.  The action at a general
-rational (u, r) is a rational ``linalg.Matrix``.
+rational (u, r) is an exact ``dtype=object`` array.
 """
 
 from __future__ import annotations
@@ -28,9 +28,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
+import numpy as np
+
 from .cayley_dickson import CDElement, right_mult_matrix, unit_right_mults
 from .clifford import standard_system
-from .linalg import Matrix, _clear_denominators, _dot
+from .linalg import _clear_denominators, _dot
 
 
 @dataclass(frozen=True)
@@ -55,17 +57,15 @@ def spin9_involutions() -> tuple:
     return standard_system("spin9").mats
 
 
-def hopf_action(u: CDElement, r) -> Matrix:
+def hopf_action(u: CDElement, r) -> np.ndarray:
     """The symmetric involution of the unit vector (u, r) in S^8 = O x R."""
     if u.level != 3:
         raise ValueError("u must be an octonion")
     if u.norm2() + r * r != 1:
         raise ValueError("(u, r) must be a unit vector")
-    ru = right_mult_matrix(u)
-    ruc = right_mult_matrix(u.conjugate())
-    eye = Matrix.identity(8)
-    return Matrix.from_blocks(
-        [[eye.scaled(r), ruc], [ru, eye.scaled(-r)]]
+    eye = np.eye(8, dtype=object)
+    return np.block(
+        [[r * eye, right_mult_matrix(u.conjugate())], [right_mult_matrix(u), -r * eye]]
     )
 
 

@@ -1,10 +1,12 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Matrices are immutable, row-major, with ``int`` or ``fractions.Fraction``
-entries.  Signed permutation matrices, which make up the Clifford systems,
+A dense matrix is a 2-D numpy array: int64 for the dense view of a signed
+permutation, ``dtype=object`` holding Python ``int`` and
+``fractions.Fraction`` for exact rationals (int64 products would wrap
+silently).  Signed permutation matrices, which make up the Clifford systems,
 the sphere fields and the Hopf involutions, are held as ``SignedPerm`` (a
-column and a sign per row) instead.  Everything here is pure and safe to
-share across threads.  Rank and Lie-closure computations reduce integer rows
+column and a sign per row).  Everything here is pure and safe to share
+across threads.  Rank and Lie-closure computations reduce integer rows
 fraction-free (cross-multiplied, gcd-normalized), so no rational blow-up
 occurs.  The Lie closure keeps signed permutations as ``SignedPerm`` and
 brackets them in O(n); other matrices are bracketed as sparse dicts of
@@ -22,162 +24,6 @@ import numpy as np
 # The int64 wedge kernel (exterior._wedge_kernel) keeps its products below this.
 _INT64_SAFE = 2**62
 _INT64 = np.dtype(np.int64)
-
-
-class Matrix:
-    """Immutable dense matrix with exact rational entries."""
-
-    __slots__ = ("rows", "cols", "_e")
-
-    def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(entries)
-        if len(entries) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        self.rows = rows
-        self.cols = cols
-        self._e = entries
-
-    @classmethod
-    def from_rows(cls, rows) -> "Matrix":
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        return cls(len(rows), ncols, [x for r in rows for x in r])
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [0] * (rows * cols))
-
-    @classmethod
-    def from_blocks(cls, blocks) -> "Matrix":
-        """Assemble from a 2D grid of matrices (block rows must align)."""
-        rows = []
-        for brow in blocks:
-            height = brow[0].rows
-            if any(b.rows != height for b in brow):
-                raise ValueError("block heights differ within a block row")
-            for i in range(height):
-                rows.append([x for b in brow for x in b.row(i)])
-        return cls.from_rows(rows)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self._e[i * self.cols + j]
-
-    def row(self, i: int):
-        return self._e[i * self.cols : (i + 1) * self.cols]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and all(a == b for a, b in zip(self._e, other._e))
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self._e))
-
-    def __repr__(self):
-        return f"Matrix({self.rows}x{self.cols})"
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(self.rows, self.cols, [a + b for a, b in zip(self._e, other._e)])
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(self.rows, self.cols, [a - b for a, b in zip(self._e, other._e)])
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [-a for a in self._e])
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        return mat_mul(self, other)
-
-    def scaled(self, s) -> "Matrix":
-        return Matrix(self.rows, self.cols, [s * a for a in self._e])
-
-    def _same_shape(self, other: "Matrix"):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-
-    def _require_square(self):
-        if self.rows != self.cols:
-            raise ValueError("matrix is not square")
-
-    def transpose(self) -> "Matrix":
-        n, m = self.rows, self.cols
-        return Matrix(m, n, [self._e[i * m + j] for j in range(m) for i in range(n)])
-
-    def trace(self):
-        self._require_square()
-        return sum(self._e[i * self.cols + i] for i in range(self.rows))
-
-    def is_symmetric(self) -> bool:
-        self._require_square()
-        n = self.cols
-        return all(
-            self._e[i * n + j] == self._e[j * n + i] for i in range(n) for j in range(i + 1, n)
-        )
-
-    def is_skew(self) -> bool:
-        self._require_square()
-        n = self.cols
-        if any(self._e[i * n + i] != 0 for i in range(n)):
-            return False
-        return all(
-            self._e[i * n + j] == -self._e[j * n + i] for i in range(n) for j in range(i + 1, n)
-        )
-
-    def is_integer(self) -> bool:
-        return all(isinstance(a, int) or a.denominator == 1 for a in self._e)
-
-    def to_int_array(self) -> np.ndarray:
-        """Exact int64 view; raises if any entry is not an integer."""
-        if not self.is_integer():
-            raise ValueError("matrix has non-integer entries")
-        arr = np.array([int(a) for a in self._e], dtype=np.int64)
-        return arr.reshape(self.rows, self.cols)
-
-    def apply(self, vec):
-        """Matrix-vector product on an exact coefficient sequence."""
-        vec = list(vec)
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        return [
-            sum(self._e[i * self.cols + j] * vec[j] for j in range(self.cols))
-            for i in range(self.rows)
-        ]
-
-    def kron(self, other: "Matrix") -> "Matrix":
-        out = []
-        for i in range(self.rows):
-            for p in range(other.rows):
-                row = []
-                for j in range(self.cols):
-                    a = self._e[i * self.cols + j]
-                    row.extend(a * b for b in other.row(p))
-                out.append(row)
-        return Matrix.from_rows(out)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a.cols != b.rows:
-        raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    bt = b.transpose()
-    out = []
-    for i in range(a.rows):
-        arow = a.row(i)
-        for j in range(b.cols):
-            brow = bt.row(j)
-            out.append(sum(x * y for x, y in zip(arow, brow)))
-    return Matrix(a.rows, b.cols, out)
 
 
 class SignedPerm:
@@ -219,15 +65,15 @@ class SignedPerm:
 
     @classmethod
     def of(cls, x) -> "SignedPerm":
-        """The signed permutation equal to a square Matrix or array x.
+        """The signed permutation equal to a square array x.
 
-        Raises ValueError when x is not one: a non-integer Matrix, an entry
-        other than 0 and +-1, a row without exactly one nonzero entry, or a
-        repeated column.
+        Raises ValueError when x is not one: an entry other than 0 and +-1
+        (a non-integer one included), a row without exactly one nonzero
+        entry, or a repeated column.
         """
         if isinstance(x, SignedPerm):
             return x
-        arr = x.to_int_array() if isinstance(x, Matrix) else np.asarray(x)
+        arr = np.asarray(x)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("a signed permutation is a square matrix")
         nonzero = arr != 0
@@ -275,7 +121,7 @@ class SignedPerm:
         return SignedPerm._trusted(perm.ravel(), np.outer(self.sign, other.sign).ravel())
 
     def apply(self, vec) -> list:
-        """Matrix-vector product on an exact coefficient sequence."""
+        """The matrix-vector product on an exact coefficient sequence."""
         vec = list(vec)
         if len(vec) != self.n:
             raise ValueError("vector length mismatch")
@@ -368,12 +214,16 @@ def _dot(a, b):
     return sum(map(mul, a, b))
 
 
-def rank(m: Matrix) -> int:
-    """Exact rank via incremental fraction-free row reduction; clearing a
-    row's denominators does not change the row space."""
+def rank(m) -> int:
+    """Exact rank of a 2-D array-like via incremental fraction-free row
+    reduction.  Rows are read as Python numbers, never as int64, and clearing
+    a row's denominators does not change the row space."""
+    arr = np.asarray(m)
+    if arr.ndim != 2:
+        raise ValueError("rank needs a 2-D matrix")
     space = RowSpace()
-    for i in range(m.rows):
-        ints, _ = _clear_denominators(m.row(i))
+    for row in arr.tolist():
+        ints, _ = _clear_denominators(row)
         space.add({j: v for j, v in enumerate(ints) if v})
     return space.dim
 
@@ -388,7 +238,7 @@ def _entries(x) -> dict:
 def _elements(mats) -> tuple[int, list]:
     """(n, elements) for equally sized square matrices ``mats``.
 
-    A ``SignedPerm`` stays one; any other Matrix or array becomes the sparse
+    A ``SignedPerm`` stays one; any other array becomes the sparse
     {(i, j): int} dict of its entries scaled to integers, which keeps every
     span.  n is 0 when ``mats`` is empty.
     """
@@ -398,15 +248,11 @@ def _elements(mats) -> tuple[int, list]:
             sizes.add(m.n)
             out.append(m)
             continue
-        if isinstance(m, Matrix):
-            m._require_square()
-            n, values = m.rows, m._e
-        else:
-            arr = np.asarray(m)
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise ValueError("generators must be square")
-            n, values = arr.shape[0], arr.ravel().tolist()
-        ints, _ = _clear_denominators(values)
+        arr = np.asarray(m)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ValueError("generators must be square")
+        n = arr.shape[0]
+        ints, _ = _clear_denominators(arr.ravel().tolist())
         sizes.add(n)
         out.append({divmod(k, n): v for k, v in enumerate(ints) if v})
     if len(sizes) > 1:
@@ -525,8 +371,8 @@ def lie_closure_dim(generators, max_dim: int | None = None) -> int:
     their perms and signs.  A signed permutation already reduced by the row
     space, or its negative, lies in the span, so a repeat skips the
     reduction.  Every other bracket, and every one with a
-    non-signed-permutation operand (a Matrix or array, whose denominators are
-    cleared first), is a sparse dict product in Python ints, so the result is
+    non-signed-permutation operand (an array, whose denominators are cleared
+    first), is a sparse dict product in Python ints, so the result is
     exact at any entry size.  The basis, its order and the point where
     ``max_dim`` raises are those of bracketing pair by pair.
     """

@@ -20,10 +20,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
+import numpy as np
+
 from .cayley_dickson import CDElement, right_mult_matrix, unit_right_mults
 from .clifford import independence_count, standard_system
 from .exterior import FormMatrix, Multivector, kahler_form, tau2_direct, tau4_coefficient
-from .linalg import Matrix, SignedPerm, lie_closure_dim
+from .linalg import SignedPerm, lie_closure_dim
 
 MODEL_NAMES = ("eiii", "evi", "eviii", "gr8r", "gr4c", "gr2h")
 
@@ -119,17 +121,17 @@ def eiii_tau4_nonzero() -> bool:
     return tau4_coefficient(eiii_form_matrix(), (1, 2, 3, 4, 5, 6, 7, 8)) != 0
 
 
-def m_uv(u: CDElement, v: CDElement) -> Matrix:
+def m_uv(u: CDElement, v: CDElement) -> np.ndarray:
     """diag(-R_u R_conj(v), -R_conj(u) R_v): for orthonormal octonions u, v a
-    complex structure with m_vu = -m_uv."""
+    complex structure with m_vu = -m_uv.  An exact ``dtype=object`` array."""
     if u.level != 3 or v.level != 3:
         raise ValueError("u and v must be octonions")
     ru = right_mult_matrix(u)
     rv = right_mult_matrix(v)
     ruc = right_mult_matrix(u.conjugate())
     rvc = right_mult_matrix(v.conjugate())
-    z = Matrix.zero(8, 8)
-    return Matrix.from_blocks([[-(ru @ rvc), z], [z, -(ruc @ rv)]])
+    z = np.zeros((8, 8), dtype=object)
+    return np.block([[-(ru @ rvc), z], [z, -(ruc @ rv)]])
 
 
 def grassmann_phi_apply(u: CDElement, v: CDElement, tangent) -> list:
@@ -140,8 +142,7 @@ def grassmann_phi_apply(u: CDElement, v: CDElement, tangent) -> list:
     mat = m_uv(u, v)
     out = []
     for a, b in zip(tangent[::2], tangent[1::2]):
-        vec = list(a.coeffs) + list(b.coeffs)
-        img = mat.apply(vec)
+        img = (mat @ np.array(a.coeffs + b.coeffs, dtype=object)).tolist()
         out.append(CDElement(3, img[:8]))
         out.append(CDElement(3, img[8:]))
     return out

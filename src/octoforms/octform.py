@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cayley_dickson import unit_signs
+from .cayley_dickson import _conj, unit_signs
 from .exterior import wedge_sum
 
 # Structure tensor T[a, b, c] = coefficient of e_c in e_a * e_b, where
@@ -26,10 +26,6 @@ from .exterior import wedge_sum
 _OCT_TENSOR = np.zeros((8, 8, 8), dtype=np.int64)
 _units = np.arange(8)
 _OCT_TENSOR[_units[:, None], _units, _units[:, None] ^ _units] = unit_signs(3)
-
-
-def oct_conj8(a: tuple) -> tuple:
-    return (a[0],) + tuple(-c for c in a[1:])
 
 
 class OctForm:
@@ -76,7 +72,7 @@ class OctForm:
     __mul__ = __rmul__
 
     def conjugate(self) -> "OctForm":
-        return OctForm(self.n, {m: oct_conj8(c) for m, c in self._t.items()})
+        return OctForm(self.n, {m: _conj(c) for m, c in self._t.items()})
 
     def grades(self) -> set:
         return {m.bit_count() for m in self._t}

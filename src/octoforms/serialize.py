@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 from .exterior import Multivector, _indices_to_mask
 from .linalg import SignedPerm
 
@@ -60,5 +58,10 @@ def multivector_to_csv(mv: Multivector) -> str:
 
 
 def matrix_to_json(m: SignedPerm) -> list:
-    """Dense rows of entry strings."""
-    return [[rational_str(x) for x in row] for row in np.asarray(m).tolist()]
+    """Dense rows of entry strings: row i is "0" but for "1" or "-1" at perm[i]."""
+    rows = []
+    for j, s in zip(m.perm.tolist(), m.sign.tolist()):
+        row = ["0"] * m.n
+        row[j] = "1" if s > 0 else "-1"
+        rows.append(row)
+    return rows

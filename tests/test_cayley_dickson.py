@@ -12,6 +12,7 @@ frozen below and both are held against cd_mul.
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,7 +32,7 @@ from octoforms.cayley_dickson import (
     unit_right_mults,
     unit_signs,
 )
-from octoforms.linalg import Matrix, SignedPerm
+from octoforms.linalg import SignedPerm
 
 # Octonion unit products in the basis (1, i, j, k, e, f, g, h), frozen from
 # the quaternion-doubling oracle: entry [a][b] = signed index of e_a * e_b.
@@ -181,11 +182,29 @@ def test_associator_quaternions_vanishes_octonions_not():
 
 
 def test_right_mult_matrix_basics():
-    assert right_mult_matrix(CDElement.unit(3, 0)) == Matrix.identity(8)
+    eye = np.eye(8, dtype=object)
+    assert np.array_equal(right_mult_matrix(CDElement.unit(3, 0)), eye)
     ri = right_mult_matrix(octonion_unit("i"))
-    assert ri @ ri == Matrix.identity(8).scaled(-1)
-    assert ri.is_skew()
-    assert ri.transpose() @ ri == Matrix.identity(8)
+    assert np.array_equal(ri @ ri, -eye)
+    assert np.array_equal(ri, -ri.T)
+    assert np.array_equal(ri.T @ ri, eye)
+
+
+def test_dense_matrices_stay_exact_past_int64():
+    """The dense multiplication matrices, the Hopf action and m_uv are
+    dtype=object even when every entry is an integer: at u = (2^40,) * 8,
+    R_u^T R_u = |u|^2 I = 8 * 2^80 I, where int64 products would wrap."""
+    from octoforms.hopf import hopf_action
+    from octoforms.models import m_uv
+
+    one, i = CDElement.unit(3, 0), CDElement.unit(3, 1)
+    for m in (right_mult_matrix(i), left_mult_matrix(i), hopf_action(i, 0), m_uv(one, i)):
+        assert m.dtype == object
+    u = CDElement(3, [2**40] * 8)
+    assert norm2(u) == 8 * 2**80 > 2**63
+    eye = np.eye(8, dtype=object)
+    for m in (right_mult_matrix(u), left_mult_matrix(u)):
+        assert np.array_equal(m.T @ m, norm2(u) * eye)
 
 
 def test_mult_matrices_encode_products():
@@ -193,26 +212,27 @@ def test_mult_matrices_encode_products():
     for _ in range(10):
         x = CDElement(3, [Fraction(rng.randint(-4, 4)) for _ in range(8)])
         u = CDElement(3, [Fraction(rng.randint(-4, 4)) for _ in range(8)])
-        assert right_mult_matrix(u).apply(x.coeffs) == list((x * u).coeffs)
-        assert left_mult_matrix(u).apply(x.coeffs) == list((u * x).coeffs)
+        vec = np.array(x.coeffs, dtype=object)
+        assert (right_mult_matrix(u) @ vec).tolist() == list((x * u).coeffs)
+        assert (left_mult_matrix(u) @ vec).tolist() == list((u * x).coeffs)
 
 
 def test_right_mult_skew_iff_imaginary():
     u = octonion_unit("e") + octonion_unit("g")
-    assert right_mult_matrix(u).is_skew()
     m = right_mult_matrix(u)
-    assert m.transpose() @ m == Matrix.identity(8).scaled(norm2(u))
+    assert np.array_equal(m, -m.T)
+    assert np.array_equal(m.T @ m, norm2(u) * np.eye(8, dtype=object))
 
 
 def test_left_right_agree_on_central_elements():
     # C is commutative; in H only the reals are central
     for t in range(2):
         u = CDElement.unit(1, t)
-        assert right_mult_matrix(u) == left_mult_matrix(u)
+        assert np.array_equal(right_mult_matrix(u), left_mult_matrix(u))
     r = CDElement.from_real(2, Fraction(7, 2))
-    assert right_mult_matrix(r) == left_mult_matrix(r)
+    assert np.array_equal(right_mult_matrix(r), left_mult_matrix(r))
     i2 = CDElement.unit(2, 1)
-    assert right_mult_matrix(i2) != left_mult_matrix(i2)
+    assert not np.array_equal(right_mult_matrix(i2), left_mult_matrix(i2))
 
 
 def test_basis_products_structure():

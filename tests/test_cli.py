@@ -6,6 +6,7 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from octoforms import cli, clifford
@@ -13,6 +14,7 @@ from octoforms.canonical import spin9_form
 from octoforms.cli import main
 from octoforms.exterior import Multivector
 from octoforms.serialize import (
+    matrix_to_json,
     multivector_from_json,
     multivector_to_csv,
     multivector_to_json,
@@ -149,6 +151,28 @@ def test_clifford_subcommand():
     obj = json.loads(out)
     assert code == 0 and obj["n"] == 32 and obj["m"] == 9 and obj["verified"]
     assert obj["matrices"][0][0][16] == "1"  # Q_0 = antidiag(Id, Id)
+
+
+@pytest.mark.parametrize("kind", clifford.STANDARD_KINDS)
+def test_matrix_to_json_matches_dense_rational_strings(kind):
+    """The row writer against the formula it replaced, rational_str of every
+    dense entry, for the systems of `clifford --extend 0..2 --json`."""
+    system = clifford.standard_system(kind)
+    for _ in range(3):
+        for p in system.mats:
+            want = [[rational_str(x) for x in row] for row in np.asarray(p).tolist()]
+            assert matrix_to_json(p) == want
+        system = clifford.extend(system)
+
+
+@pytest.mark.parametrize("compact", [False, True])
+def test_dump_json_ends_the_line(compact):
+    obj = {"a": [1, "2/3"], "b": {"c": None}}
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli._dump_json(obj, compact=compact)
+    want = json.dumps(obj, separators=(",", ":")) if compact else json.dumps(obj, indent=2)
+    assert out.getvalue() == want + "\n"
 
 
 def test_clifford_extend_bound_exits_2_before_building(monkeypatch):

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from octoforms.cayley_dickson import CDElement, unit_right_mults
@@ -18,7 +19,7 @@ from octoforms.hopf import (
     reconstruct,
     spin9_sections,
 )
-from octoforms.linalg import Matrix, SignedPerm
+from octoforms.linalg import SignedPerm
 
 
 def test_action_at_basis_vectors_gives_involutions():
@@ -31,7 +32,7 @@ def test_action_at_basis_vectors_gives_involutions():
 
 def test_action_squares_to_identity_on_random_units():
     rng = random.Random(4)
-    eye = Matrix.identity(16)
+    eye = np.eye(16, dtype=object)
     for _ in range(25):
         # rational unit (u, r): stereographic image of a rational 8-vector
         t = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(8)]
@@ -39,8 +40,8 @@ def test_action_squares_to_identity_on_random_units():
         u = CDElement(3, [2 * v / (1 + s) for v in t])
         r = (1 - s) / (1 + s)
         g = hopf_action(u, r)
-        assert g.is_symmetric()
-        assert g @ g == eye
+        assert np.array_equal(g, g.T)
+        assert np.array_equal(g @ g, eye)
 
 
 def test_action_rejects_non_unit():
@@ -128,9 +129,9 @@ def test_fiber_orthogonality_invariant_under_action():
     t8 = [Fraction(1, 2), 0, 0, 0, 0, 0, 0, 0]
     s = sum(v * v for v in t8)
     g = hopf_action(CDElement(3, [2 * v / (1 + s) for v in t8]), (1 - s) / (1 + s))
-    moved = g.apply(list(p.coords()))
+    moved = (g @ np.array(p.coords(), dtype=object)).tolist()
     q = SpherePoint16(x=CDElement(3, moved[:8]), y=CDElement(3, moved[8:]))
-    assert fiber_orthogonality_check(q, g.apply(tangent))
+    assert fiber_orthogonality_check(q, (g @ np.array(tangent, dtype=object)).tolist())
     assert sum(v * v for v in lambda_coeffs(q)) == 1  # lambda stays unit
 
 

@@ -1,4 +1,8 @@
-"""Exact matrix core: products, predicates, rank, Lie closures."""
+"""Exact linear algebra: signed permutations, rank, Lie closures.
+
+A dense exact matrix is a numpy array of dtype=object holding Python ints
+and Fractions.
+"""
 
 import random
 from fractions import Fraction
@@ -13,14 +17,7 @@ from octoforms import linalg
 from octoforms.cayley_dickson import unit_left_mults, unit_right_mults
 from octoforms.clifford import independence_count, standard_system
 from octoforms.models import build_model, lambda2_generators
-from octoforms.linalg import (
-    Matrix,
-    SignedPerm,
-    _clear_denominators,
-    lie_closure_dim,
-    mat_mul,
-    rank,
-)
+from octoforms.linalg import SignedPerm, _clear_denominators, lie_closure_dim, rank
 
 
 def bareiss_rank(rows):
@@ -50,34 +47,20 @@ def bareiss_rank(rows):
 rational = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
 
 
-def mat_strategy(rows, cols):
-    return st.lists(
-        st.lists(rational, min_size=cols, max_size=cols), min_size=rows, max_size=rows
-    ).map(Matrix.from_rows)
-
-
-def test_identity_product():
-    eye = Matrix.identity(2)
-    assert mat_mul(eye, eye) == eye
+def exact(rows) -> np.ndarray:
+    """An exact dense matrix: Python ints and Fractions in a dtype=object array."""
+    return np.array(rows, dtype=object)
 
 
 def test_spin9_involution_relations():
-    mats = [Matrix.from_rows(np.asarray(p).tolist()) for p in standard_system("spin9").mats]
-    eye = Matrix.identity(16)
-    assert mat_mul(mats[0], mats[0]) == eye
-    anti = mat_mul(mats[0], mats[1]) + mat_mul(mats[1], mats[0])
-    assert anti == Matrix.zero(16, 16)
-    assert mats[8].is_symmetric()
+    mats = [exact(np.asarray(p).tolist()) for p in standard_system("spin9").mats]
+    eye = np.eye(16, dtype=object)
+    assert np.array_equal(mats[0] @ mats[0], eye)
+    anti = mats[0] @ mats[1] + mats[1] @ mats[0]
+    assert np.array_equal(anti, np.zeros((16, 16), dtype=object))
+    assert np.array_equal(mats[8], mats[8].T)
     j12 = mats[0] @ mats[1]
-    assert j12.is_skew()
-
-
-def test_trace_and_dimension_errors():
-    assert Matrix.identity(16).trace() == 16
-    with pytest.raises(ValueError):
-        mat_mul(Matrix.zero(2, 3), Matrix.zero(2, 3))
-    with pytest.raises(ValueError):
-        Matrix.zero(2, 3).trace()
+    assert np.array_equal(j12, -j12.T)
 
 
 def test_clear_denominators():
@@ -124,13 +107,6 @@ def test_clear_denominators_scales_exactly(values):
     assert all(scale % v.denominator == 0 for v in values)
 
 
-@settings(max_examples=25, deadline=None)
-@given(mat_strategy(3, 3), mat_strategy(3, 3), mat_strategy(3, 3))
-def test_mat_mul_associative_distributive(a, b, c):
-    assert (a @ b) @ c == a @ (b @ c)
-    assert a @ (b + c) == a @ b + a @ c
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     st.lists(
@@ -138,7 +114,18 @@ def test_mat_mul_associative_distributive(a, b, c):
     )
 )
 def test_rank_matches_bareiss_oracle(rows):
-    assert rank(Matrix.from_rows(rows)) == bareiss_rank(rows)
+    assert rank(exact(rows)) == bareiss_rank(rows)
+
+
+def test_rank_reads_any_2d_array_in_python_ints():
+    """int64 rows are reduced in Python ints: the cross-multiplied second row
+    holds 2^80 - 1.  A SignedPerm counts through its dense view."""
+    big = 2**40
+    m = np.array([[big, 1], [1, big], [big + 1, big + 1]], dtype=np.int64)
+    assert rank(m) == rank(m.tolist()) == 2
+    assert rank(SignedPerm([2, 0, 1], [1, -1, 1])) == 3
+    with pytest.raises(ValueError):
+        rank([1, 2, 3])
 
 
 def test_lie_closure_spin9_is_36():
@@ -178,9 +165,7 @@ def test_lie_closure_max_dim_bound():
 
 
 def to_fraction_rows(g) -> list:
-    if isinstance(g, Matrix):
-        return [[Fraction(x) for x in g.row(i)] for i in range(g.rows)]
-    return [[Fraction(int(x)) for x in row] for row in np.asarray(g).tolist()]
+    return [[Fraction(x) for x in row] for row in np.asarray(g).tolist()]
 
 
 def reference_closure_dim(generators) -> int:
@@ -209,9 +194,9 @@ def reference_closure_dim(generators) -> int:
 
 @st.composite
 def skew_generators(draw, n):
-    """A skew n x n generator: a SignedPerm (n even), an int array or a
-    Fraction Matrix."""
-    kinds = ("array", "matrix") + (("perm",) if n % 2 == 0 else ())
+    """A skew n x n generator: a SignedPerm (n even), an int64 array or an
+    exact Fraction array."""
+    kinds = ("array", "exact") + (("perm",) if n % 2 == 0 else ())
     kind = draw(st.sampled_from(kinds))
     if kind == "perm":
         order = draw(st.permutations(range(n)))
@@ -226,7 +211,7 @@ def skew_generators(draw, n):
         for j in range(i + 1, n):
             rows[i][j] = draw(entry)
             rows[j][i] = -rows[i][j]
-    return np.array(rows, dtype=np.int64) if kind == "array" else Matrix.from_rows(rows)
+    return np.array(rows, dtype=np.int64) if kind == "array" else exact(rows)
 
 
 # Skew signed permutations on R^4: LEFT_I anticommutes with LEFT_J (their
@@ -307,7 +292,7 @@ def test_lie_closure_general_path_max_dim():
 def test_lie_closure_exact_beyond_int64():
     big = 2**40
     a = np.array([[0, big, 0], [-big, 0, 0], [0, 0, 0]], dtype=np.int64)
-    b = Matrix.from_rows([[0, 0, 0], [0, 0, big], [0, -big, 0]])
+    b = exact([[0, 0, 0], [0, 0, big], [0, -big, 0]])
     assert lie_closure_dim([a, b]) == 3
 
 
@@ -408,7 +393,7 @@ def test_trusted_results_are_read_only_int64():
 @given(st.integers(1, 4).flatmap(lambda n: st.lists(signed_perms(n), min_size=1, max_size=4)))
 @example([SignedPerm([1, 2, 0], [1, -1, 1])])
 def test_independence_count_signed_perms_match_dense(perms):
-    dense_twins = [Matrix.from_rows(np.asarray(p).tolist()) for p in perms]
+    dense_twins = [exact(np.asarray(p).tolist()) for p in perms]
     count = independence_count(perms)
     assert count == independence_count(perms + dense_twins)
     assert count == bareiss_rank([[Fraction(x) for x in np.asarray(p).ravel()] for p in perms])
@@ -417,18 +402,9 @@ def test_independence_count_signed_perms_match_dense(perms):
 def test_inputs_must_share_one_size():
     j2 = SignedPerm([1, 0], [1, -1])
     with pytest.raises(ValueError, match="differ in size"):
-        independence_count([j2, Matrix.identity(3)])
+        independence_count([j2, np.eye(3, dtype=object)])
     with pytest.raises(ValueError, match="differ in size"):
         lie_closure_dim([j2, np.zeros((3, 3), dtype=np.int64)])
-
-
-def test_kron_and_blocks():
-    a = Matrix.from_rows([[0, 1], [1, 0]])
-    eye = Matrix.identity(2)
-    k = eye.kron(a)
-    assert k.rows == 4 and k[0, 1] == 1 and k[2, 3] == 1 and k[0, 3] == 0
-    b = Matrix.from_blocks([[a, eye], [eye, a]])
-    assert b.rows == 4 and b[0, 2] == 1 and b[0, 1] == 1
 
 
 @st.composite
@@ -465,7 +441,7 @@ def test_signed_perm_matches_dense(args):
     assert np.array_equal(dense(a.T), da.T)
     assert np.array_equal(dense(-a), -da)
     assert np.array_equal(dense(a.kron(c)), np.kron(da, dc))
-    assert a.apply(vec) == Matrix.from_rows(da.tolist()).apply(vec)
+    assert a.apply(vec) == (exact(da.tolist()) @ exact(vec)).tolist()
     assert type(a.trace()) is int and a.trace() == int(np.trace(da))
     assert SignedPerm.of(da) == a and (a @ b == b @ a) == np.array_equal(da @ db, db @ da)
 
@@ -477,7 +453,7 @@ def test_signed_perm_matches_dense(args):
         [[1, 1], [0, 1]],  # a row with two nonzeros
         [[1, 0], [1, 0]],  # a repeated column
         [[0, 0], [0, 1]],  # a zero row
-        Matrix.from_rows([[Fraction(1, 2), 0], [0, 1]]),  # a rational Matrix
+        np.array([[Fraction(1, 2), 0], [0, 1]], dtype=object),  # a rational entry
         [[1, 0, 0], [0, 1, 0]],  # not square
     ],
 )
@@ -487,7 +463,8 @@ def test_signed_perm_of_rejects_non_signed_permutations(x):
 
 
 def test_signed_perm_of_matrix():
-    assert SignedPerm.of(Matrix.from_rows([[0, -1], [1, 0]])) == SignedPerm([1, 0], [-1, 1])
+    assert SignedPerm.of(exact([[0, -1], [1, 0]])) == SignedPerm([1, 0], [-1, 1])
+    assert SignedPerm.of(exact([[0, Fraction(-1)], [Fraction(1), 0]])) == SignedPerm([1, 0], [-1, 1])
 
 
 def test_signed_perm_equality_matches_dense():
@@ -512,5 +489,5 @@ def test_signed_perm_equality_matches_dense():
             assert hash(a) == hash(b)
     a = SignedPerm.identity(3)
     assert a != SignedPerm.identity(4) and a != -a
-    for other in (np.asarray(a), Matrix.identity(3), 1, None):
+    for other in (np.asarray(a), np.eye(3, dtype=object), 1, None):
         assert a.__eq__(other) is False

@@ -3,9 +3,9 @@
 import random
 from fractions import Fraction
 
-from octoforms.cayley_dickson import CDElement, basis_products
+from octoforms.cayley_dickson import CDElement, _conj, basis_products
 from octoforms.exterior import _sums_dicts, _wedge_kernel, _wedge_reference
-from octoforms.octform import _OCT_TENSOR, OctForm, coordinate_octonion_form, oct_conj8
+from octoforms.octform import _OCT_TENSOR, OctForm, coordinate_octonion_form
 
 
 def rand_octform(n, grade, terms, rng, lo=-4, hi=4):
@@ -96,7 +96,7 @@ def test_real_part_and_imag_check():
     assert not f.imaginary_is_zero()
     real = f.real_part()
     assert real == {0b11: 3}
-    assert oct_conj8((1, 2, 3, 4, 5, 6, 7, 8)) == (1, -2, -3, -4, -5, -6, -7, -8)
+    assert _conj((1, 2, 3, 4, 5, 6, 7, 8)) == (1, -2, -3, -4, -5, -6, -7, -8)
 
 
 def test_oct_tensor_matches_basis_products():

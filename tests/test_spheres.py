@@ -91,7 +91,7 @@ def test_printed_l_tables_match_left_mults_at_low_levels():
     for l, level in ((2, 1), (4, 2)):
         printed = formal_left_mults(l, printed=True)
         derived = [
-            left_mult_matrix(CDElement.unit(level, t)).to_int_array()
+            left_mult_matrix(CDElement.unit(level, t))
             for t in range(1, l)
         ]
         for a, b in zip(printed, derived):
