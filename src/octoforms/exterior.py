@@ -8,16 +8,22 @@ of index crossings when merging two disjoint blades.
 One exterior-product core serves real and octonion coefficients.  It is
 parametrised by the coefficient structure tensor T[a, b, c], the coefficient
 of unit c in the product of units a and b: 1x1x1 for R, the octonion table
-for O (``octform``).  ``_wedge_kernel`` is a numpy kernel that accumulates
-exactly in int64 for n <= 16 and ``int`` coefficients under the bound
-``linalg._INT64_SAFE``.  It has a group axis: every term of an operand
+for O (``octform``).  Every product of two units must be one signed unit or
+zero, so T is read once as two d x d tables, ``unit_of`` and ``unit_sign``,
+and both engines work on unit terms: a d-tuple coefficient is expanded into
+one (blade, unit, scalar) term per nonzero component, and a pair of terms
+lands on unit unit_of[u, v] with sign unit_sign[u, v].  For R the unit is
+always 0 and the sign 1.  ``_wedge_kernel`` is a numpy kernel that
+accumulates exactly in int64 for n <= 16 and ``int`` coefficients under the
+bound ``linalg._INT64_SAFE``.  It has a group axis: every term of an operand
 carries an output-entry offset, one call sums the products of many pairs
 into many entries, and each entry's slots are the blades of the output
 grades only.  ``wedge_sums`` (and ``wedge_sum``, its one-entry case) runs it
 once the call holds more than ``_KERNEL_MIN_WORK`` blade pairs.  Otherwise,
 or when the kernel declines, it runs the pure-Python reference built on
-``wedge_dicts``, exact for any n and any rational coefficients.  Tests
-compare the two engines.
+``wedge_dicts`` for R and on the same unit tables for d > 1, exact for any n
+and any rational coefficients.  Tests compare the two engines with each
+other and with ``CDElement`` products.
 
 ``charpoly_coeffs`` is one Faddeev-LeVerrier recursion over the k(k+1)/2
 upper entries of each step matrix M_s, whose lower entries follow from
@@ -36,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _INT64_SAFE, _accumulate
+from .linalg import _INT64_SAFE, SignedPerm, _accumulate
 
 # Structure tensor of the real coefficients: 1 * 1 = 1.
 _REAL = np.ones((1, 1, 1), dtype=np.int64)
@@ -251,23 +257,26 @@ _PARITY16 = _popcounts(16) & 1
 
 
 class _Terms(NamedTuple):
-    """A kernel operand as int64 arrays.
+    """A kernel operand as int64 arrays, one row per unit term.
 
-    The kernel's bound needs every (mask, group) to occur once.
+    The kernel's bound needs every (mask, group, unit) to occur once.
     """
 
     masks: np.ndarray  # blade masks, N
-    coeffs: np.ndarray  # coefficients, N x d
+    coeffs: np.ndarray  # scalar coefficients, N
     groups: np.ndarray  # each term's offset on the output-entry axis, N
     grades: set  # the grades that may occur
     top: int  # max |coefficient|
     odd: np.ndarray | None = None  # _odd_masks(masks), for a left operand
+    units: np.ndarray | None = None  # each term's unit, N; None for R
+    blades: int = 0  # distinct (mask, group) pairs; 0: N, one unit each
 
 
 def _terms(x: dict, d: int, group: int = 0):
     """x as a kernel operand with every term at offset group, or None.
 
-    None means the kernel must decline: a coefficient is not an int (numpy's
+    A d-tuple coefficient becomes one unit term per nonzero component.  None
+    means the kernel must decline: a coefficient is not an int (numpy's
     int64 conversion truncates a Fraction), or one alone reaches
     _INT64_SAFE, which the kernel's bound refuses anyway.
     """
@@ -276,9 +285,27 @@ def _terms(x: dict, d: int, group: int = 0):
     if not set(map(type, vals)) <= {int} or top >= _INT64_SAFE:
         return None
     masks = np.fromiter(x, dtype=np.int64, count=len(x))
-    coeffs = np.array(vals, dtype=np.int64).reshape(len(x), d)
-    groups = np.full(len(x), group, dtype=np.int64)
-    return _Terms(masks, coeffs, groups, {m.bit_count() for m in x}, top, _odd_masks(masks))
+    coeffs = np.array(vals, dtype=np.int64)
+    units = None
+    if d > 1:
+        blade, units = np.nonzero(coeffs.reshape(len(x), d))
+        masks, coeffs = masks[blade], coeffs[blade * d + units]
+    groups = np.full(len(masks), group, dtype=np.int64)
+    return _Terms(masks, coeffs, groups, {m.bit_count() for m in x}, top, _odd_masks(masks), units, len(x))
+
+
+def _unit_tables(tensor):
+    """(unit_of, unit_sign), flat over u * d + v: e_u e_v = unit_sign e_unit_of.
+
+    Raises ValueError unless every product of two units is one signed unit
+    or zero: a second nonzero component, or an entry outside {-1, 0, 1},
+    would be dropped by the lookups.
+    """
+    nonzero = tensor != 0
+    if (nonzero.sum(axis=2) > 1).any() or (np.abs(tensor) > 1).any():
+        raise ValueError("each product of two units must be one signed unit or zero")
+    unit_of = nonzero.argmax(axis=2).ravel()
+    return unit_of, tensor.reshape(len(unit_of), -1)[np.arange(len(unit_of)), unit_of]
 
 
 def _odd_masks(masks: np.ndarray) -> np.ndarray:
@@ -298,14 +325,20 @@ def _wedge_kernel(pairs, n: int, tensor, groups: int = 1):
     _Terms; a left one carries its odd-crossings masks, which _terms computes
     once, so an operand reused over pairs or calls does not redo them.  A
     product of two terms lands in the entry that is the sum of their
-    offsets.  Coefficients are ints (d = 1) or d-tuples of ints,
-    multiplied through the d x d x d structure tensor, whose entries lie in
-    {-1, 0, 1}.  Every int64 intermediate is bounded by
-    d^2 * min(A, B) * max|a| * max|b| summed over the pairs, with A, B the
-    pair's term counts: for a fixed output slot and a fixed term of a at most
-    one term of b contributes, and vice versa.  Returns None, so the caller
-    takes the reference engine, when n > 16, a coefficient is not an int, or
-    that bound reaches _INT64_SAFE.
+    offsets.  Coefficients are ints (d = 1) or d-tuples of ints, expanded
+    into unit terms; a pair of unit terms (u, v) lands on unit
+    unit_of[u, v] with sign unit_sign[u, v], two gathers per kept pair.
+
+    int64: every intermediate is bounded by d^2 * min(A, B) * max|a| * max|b|
+    summed over the pairs, with A, B the pair's counts of blade terms (one per
+    (mask, group)).  Fix an output slot (entry, blade, unit c) and a blade term
+    of a: at most one blade term of b completes it, and at most d x d unit
+    pairs of those two blade terms land on c; likewise from b's side.  The
+    blade count is kept, not the unit-term count A' <= dA: with it the bound,
+    and so which engine runs, does not depend on how many units a
+    coefficient has.  Returns None, so the caller takes the reference engine,
+    when n > 16, a coefficient is not an int, or that bound reaches
+    _INT64_SAFE; raises ValueError for a tensor _unit_tables rejects.
 
     Otherwise returns (sums, masks): sums[g, s] is the d-vector coefficient of
     blade masks[s] in entry g.  The slots of an entry are the blades of the
@@ -313,6 +346,8 @@ def _wedge_kernel(pairs, n: int, tensor, groups: int = 1):
     buffer holds groups x C(n, grade) slots, not groups x 2^n.
     """
     d = tensor.shape[0]
+    if d > 1:
+        unit_of, unit_sign = _unit_tables(tensor)
     if n > 16:
         return None
     pairs = [tuple(_terms(x, d) if isinstance(x, dict) else x for x in pair) for pair in pairs]
@@ -320,7 +355,7 @@ def _wedge_kernel(pairs, n: int, tensor, groups: int = 1):
     for a, b in pairs:
         if a is None or b is None:
             return None
-        bound += d * d * min(len(a.masks), len(b.masks)) * a.top * b.top
+        bound += d * d * min(a.blades or len(a.masks), b.blades or len(b.masks)) * a.top * b.top
         if bound >= _INT64_SAFE:
             return None
     wanted = np.zeros(n + 1, dtype=bool)  # the output grades
@@ -329,10 +364,8 @@ def _wedge_kernel(pairs, n: int, tensor, groups: int = 1):
     w = len(slot_masks)
     slot_of = np.zeros(1 << n, dtype=np.int32)
     slot_of[slot_masks] = np.arange(w)
-    t_flat = tensor.reshape(d, d * d)
     # one flat buffer, slot (entry * w + s) * d + c: np.add.at is much slower
-    # on a 2-D buffer, and adding one component per call needs no (pairs x d)
-    # index
+    # on a 2-D buffer
     buf = np.zeros(groups * w * d, dtype=np.int64)
     for a, b in pairs:
         # the disjoint term pairs, as flat indices into the A x B block and as
@@ -342,24 +375,17 @@ def _wedge_kernel(pairs, n: int, tensor, groups: int = 1):
         q = keep - p * len(b.masks)
         mb = b.masks[q]
         idx = slot_of[a.masks[p] | mb]
-        idx += (a.groups * w)[p]
-        idx += (b.groups * w)[q]
-        signs = 1 - 2 * _PARITY16[a.odd[p] & mb]
-        if d == 1:
-            vals = a.coeffs[p, 0] * b.coeffs[q, 0]
-            vals *= signs
-            np.add.at(buf, idx, vals)
-            continue
-        # component c of the product of terms p and q is
-        # sum_b (ca T)[p, b, c] cb[q, b]: one A x B block per component,
-        # read at the disjoint pairs, so no d x A x B block is held
-        ca_t = (a.coeffs @ t_flat).reshape(-1, d, d)
-        idx *= d
-        for c in range(d):
-            vals = (ca_t[:, :, c] @ b.coeffs.T).ravel()[keep]
-            vals *= signs
-            np.add.at(buf, idx, vals)
-            idx += 1
+        if groups > 1:  # one entry: every offset is 0
+            idx += (a.groups * w)[p]
+            idx += (b.groups * w)[q]
+        vals = a.coeffs[p] * b.coeffs[q]
+        vals *= 1 - 2 * _PARITY16[a.odd[p] & mb]
+        if d > 1:
+            uv = a.units[p] * d + b.units[q]
+            idx *= d
+            idx += unit_of[uv]
+            vals *= unit_sign[uv]
+        np.add.at(buf, idx, vals)
     return buf.reshape(groups, w, d), slot_masks
 
 
@@ -378,24 +404,40 @@ def _sums_dicts(sums, masks) -> list:
 def _wedge_reference(pairs, tensor) -> dict:
     """Dict-engine sum of a ^ b over pairs, coefficients through the tensor.
 
-    For d > 1 it is the componentwise sum
-    out_c = sum_ij T[i, j, c] * wedge_dicts(a_i, b_j).
+    For d > 1 it is one double loop over the unit terms of a and b, with the
+    kernel's unit_of and unit_sign lookups; exact for any rationals.
     """
     d = tensor.shape[0]
+    out: dict = {}
     if d == 1:
-        out: dict = {}
         for a, b in pairs:
             _accumulate(out, wedge_dicts(a, b).items())
         return out
-    parts = [{} for _ in range(d)]
+    unit_of, unit_sign = (t.tolist() for t in _unit_tables(tensor))
+    parts: dict = {}  # blade mask * d + unit: coefficient
     for a, b in pairs:
-        a_i = [{m: c[i] for m, c in a.items() if c[i]} for i in range(d)]
-        b_j = [{m: c[j] for m, c in b.items() if c[j]} for j in range(d)]
-        for i, j in zip(*np.nonzero(tensor.any(axis=2))):
-            w = wedge_dicts(a_i[i], b_j[j])
-            for c in np.flatnonzero(tensor[i, j]):
-                _accumulate(parts[c], w.items(), int(tensor[i, j, c]))
-    return {m: tuple(p.get(m, 0) for p in parts) for m in set().union(*parts)}
+        b_terms = _unit_terms(b)
+        for ma, u, ca in _unit_terms(a):
+            odd = _odd_crossings_mask(ma)
+            row = u * d
+            _accumulate(
+                parts,
+                [
+                    ((ma | mb) * d + unit_of[row + v],
+                     (-ca if (mb & odd).bit_count() & 1 else ca) * cb * unit_sign[row + v])
+                    for mb, v, cb in b_terms
+                    if not ma & mb
+                ],
+            )
+    for key, v in parts.items():
+        m, c = divmod(key, d)
+        out.setdefault(m, [0] * d)[c] = v
+    return {m: tuple(c) for m, c in out.items()}
+
+
+def _unit_terms(x: dict) -> list:
+    """(mask, unit, coefficient) for every nonzero component of x."""
+    return [(m, u, v) for m, c in x.items() for u, v in enumerate(c) if v]
 
 
 def wedge_sums(entries, n: int, tensor=_REAL) -> list:
@@ -466,16 +508,25 @@ class FormMatrix:
 
     @classmethod
     def from_endomorphisms(cls, mats, n: int | None = None) -> "FormMatrix":
-        """Kahler-form matrix psi_ab of the compositions J_ab = M_a M_b."""
-        arrs = [np.asarray(m) for m in mats]
-        size = arrs[0].shape[0]
+        """Kahler-form matrix psi_ab of the compositions J_ab = M_a M_b.
+
+        Signed permutations compose as SignedPerm products, exactly and in
+        O(n); any other input is multiplied as ``dtype=object``, so large
+        int64 entries do not wrap.
+        """
+        mats = list(mats)
+        if all(isinstance(m, SignedPerm) for m in mats):
+            size = mats[0].n
+        else:
+            mats = [np.asarray(m, dtype=object) for m in mats]
+            size = mats[0].shape[0]
         if n is None:
             n = size
         upper = {}
-        for a in range(len(arrs)):
-            for b in range(a + 1, len(arrs)):
-                upper[(a, b)] = kahler_form(arrs[a] @ arrs[b], n)
-        return cls(len(arrs), n, upper)
+        for a in range(len(mats)):
+            for b in range(a + 1, len(mats)):
+                upper[(a, b)] = kahler_form(mats[a] @ mats[b], n)
+        return cls(len(mats), n, upper)
 
     def entry(self, a: int, b: int) -> Multivector:
         return Multivector(self.n, self.entry_dict(a, b))
@@ -555,7 +606,7 @@ def _charpoly_step(psi, x, base, n, sign, step):
     lens = cuts[cell + 1] - cuts[cell]
     ends = np.cumsum(lens)
     take = np.arange(ends[-1]) + np.repeat(cuts[cell] - ends + lens, lens)
-    coeffs = (coef[take] * np.repeat(np.where(t > j, sign, 1), lens))[:, None]
+    coeffs = coef[take] * np.repeat(np.where(t > j, sign, 1), lens)
     slots, cols = blade[take], np.repeat(j, lens)
     top = np.zeros(len(cuts) - 1, dtype=np.int64)
     np.maximum.at(top, ent, np.abs(coef))

@@ -11,7 +11,11 @@ conj(alpha ^ beta) = (-1)^{kl} conj(beta) ^ conj(alpha) on k- and l-forms.
 
 The wedge is ``exterior.wedge_sum`` with the octonion structure tensor, so
 real and octonion forms share one exterior-product core and its exactness
-rules (int64 kernel or the componentwise dict reference).
+rules (int64 kernel or the dict reference).  e_a * e_b is the single signed
+unit S[a, b] e_(a xor b), so both engines expand a coefficient into unit
+terms, one per nonzero component, and multiply terms by two table lookups.
+The coordinate forms dx, dy and every blade of Psi_8's four 4-forms carry
+one unit each, so a product costs one multiplication per disjoint blade pair.
 """
 
 from __future__ import annotations

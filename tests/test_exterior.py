@@ -31,7 +31,7 @@ from octoforms.exterior import (
     wedge_sum,
     wedge_sums,
 )
-from octoforms.linalg import _INT64_SAFE
+from octoforms.linalg import _INT64_SAFE, SignedPerm
 from octoforms.octform import _OCT_TENSOR
 
 
@@ -564,7 +564,7 @@ def test_charpoly_slices_carry_their_own_max(monkeypatch):
     monkeypatch.setattr(exterior, "_wedge_kernel", spy)
     charpoly_coeffs(f)
     assert len(slices) > k * k
-    assert all(b.top == max(map(abs, b.coeffs[:, 0].tolist()), default=0) for b in slices)
+    assert all(b.top == max(map(abs, b.coeffs.tolist()), default=0) for b in slices)
 
 
 # the kernel declines the first step (a Fraction entry, n = 17) or a later
@@ -585,3 +585,83 @@ def test_charpoly_falls_back_per_step(monkeypatch, case):
     assert calls == [(k * (k + 1) // 2, True)] * (step - 1) + [(k * (k + 1) // 2, False)]
     assert 1 < step < k if case == "bound" else step == 1
     assert [dict(t.mask_items()) for t in got] == faddeev_leverrier_dicts(entries, k)
+
+
+def bad_tensor(kind):
+    """A 2x2x2 tensor that is the complex one except for T[1, 1]."""
+    t = np.zeros((2, 2, 2), dtype=np.int64)
+    t[0, 0, 0] = t[0, 1, 1] = t[1, 0, 1] = 1
+    t[1, 1] = (1, 1) if kind == "two-units" else (-2, 0)
+    return t
+
+
+ENGINES = {
+    "kernel": lambda pairs, tensor: _wedge_kernel(pairs, 2, tensor),
+    "reference": _wedge_reference,
+    "wedge_sum": lambda pairs, tensor: wedge_sum(pairs, 2, tensor),
+}
+
+
+# the engines read a tensor as one signed unit per product of units; one
+# that is not must be refused, not read at its first nonzero component
+@pytest.mark.parametrize("kind", ["two-units", "entry-2"])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_engines_reject_non_unit_tensors(kind, engine):
+    with pytest.raises(ValueError, match="one signed unit"):
+        ENGINES[engine]([({0b1: (1, 1)}, {0b10: (0, 1)})], bad_tensor(kind))
+
+
+def test_from_endomorphisms_does_not_wrap_int64():
+    big = 2**32
+    m0 = np.array([[0, big], [big, 0]], dtype=np.int64)
+    m1 = np.array([[big, 0], [0, -big]], dtype=np.int64)
+    assert (m0 @ m1)[0, 1] == 0  # what int64 matmul gives
+    f = FormMatrix.from_endomorphisms([m0, m1])
+    assert f.entry(0, 1) == Multivector(2, {0b11: -(2**64)})
+    # a signed permutation mixed with dense input takes the exact dense path
+    f = FormMatrix.from_endomorphisms([SignedPerm([1, 0], [1, 1]), m1])
+    assert f.entry(0, 1) == Multivector(2, {0b11: -big})
+
+
+def test_from_endomorphisms_composes_signed_perms(monkeypatch):
+    """The Spin(9) system's 36 products stay SignedPerm products."""
+    want, seen = spin9_psi(), []
+    real = exterior.kahler_form
+    monkeypatch.setattr(exterior, "kahler_form", lambda j, n=None: seen.append(type(j)) or real(j, n))
+    f = FormMatrix.from_endomorphisms(standard_system("spin9").mats)
+    assert seen == [SignedPerm] * 36
+    assert all(f.entry_dict(a, b) == want.entry_dict(a, b) for a in range(9) for b in range(9))
+
+
+def tensor_sum_wedge(pairs, tensor):
+    """sum_ijc T[i, j, c] a_i b_j e_c over disjoint blade pairs, read off the
+    dense tensor: an oracle for any structure tensor, no unit tables."""
+    d, out = tensor.shape[0], {}
+    for a, b in pairs:
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                if not ma & mb:
+                    s = merge_sign(ma, mb)
+                    prod = [sum(int(tensor[i, j, c]) * ca[i] * cb[j] for i in range(d) for j in range(d)) for c in range(d)]
+                    out[ma | mb] = tuple(x + s * y for x, y in zip(out.get(ma | mb, (0,) * d), prod))
+    return {m: c for m, c in out.items() if any(c)}
+
+
+# a random signed-unit table with unit_of[u, v] != unit_of[v, u], unlike the
+# Cayley-Dickson ones (u xor v), so reading either lookup in the wrong operand
+# order shows
+@pytest.mark.parametrize("seed", range(3))
+def test_engines_match_tensor_sum_on_asymmetric_tables(seed):
+    rng = random.Random(seed)
+    d, n = 4, 8
+    tensor = np.zeros((d, d, d), dtype=np.int64)
+    for u in range(d):
+        for v in range(d):
+            tensor[u, v, rng.randrange(d)] = rng.choice((-1, 0, 1, 1))
+    of = tensor.any(axis=2) * np.abs(tensor).argmax(axis=2)
+    assert (of != of.T).any()
+    pairs = [(rand_dict(n, [1, 2], 30, d, rng), rand_dict(n, [1, 2], 30, d, rng)) for _ in range(2)]
+    want = tensor_sum_wedge(pairs, tensor)
+    assert want
+    assert _wedge_reference(pairs, tensor) == want
+    assert _sums_dicts(*_wedge_kernel(pairs, n, tensor)) == [want]

@@ -3,8 +3,13 @@
 import random
 from fractions import Fraction
 
-from octoforms.cayley_dickson import CDElement, _conj, basis_products
-from octoforms.exterior import _sums_dicts, _wedge_kernel, _wedge_reference
+import numpy as np
+import pytest
+
+from octoforms import exterior
+from octoforms.canonical import kotrbaty_psi8, spin9_form
+from octoforms.cayley_dickson import CDElement, _conj, basis_products, unit_signs
+from octoforms.exterior import _sums_dicts, _terms, _wedge_kernel, _wedge_reference, merge_sign, wedge_sums
 from octoforms.octform import _OCT_TENSOR, OctForm, coordinate_octonion_form
 
 
@@ -106,3 +111,96 @@ def test_oct_tensor_matches_basis_products():
     for (a, b), (c, s) in table.items():
         assert _OCT_TENSOR[a, b, c] == s, (a, b)
         assert [x for x in range(8) if x != c and _OCT_TENSOR[a, b, x]] == [], (a, b)
+
+
+def cd_tensor(level):
+    """The level-k Cayley-Dickson structure tensor, built as _OCT_TENSOR is."""
+    d = 1 << level
+    t = np.zeros((d, d, d), dtype=np.int64)
+    units = np.arange(d)
+    t[units[:, None], units, units[:, None] ^ units] = unit_signs(level)
+    return t
+
+
+def brute_wedge(pairs, level):
+    """Sum of a ^ b over blade pairs, coefficients multiplied as CDElements:
+    an oracle that reads no unit table."""
+    d = 1 << level
+    out = {}
+    for a, b in pairs:
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                if not ma & mb:
+                    s = merge_sign(ma, mb)
+                    prod = (CDElement(level, ca) * CDElement(level, cb)).coeffs
+                    out[ma | mb] = tuple(x + s * y for x, y in zip(out.get(ma | mb, (0,) * d), prod))
+    return {m: c for m, c in out.items() if any(c)}
+
+
+def oracle_operand(kind, n, d, terms, rng):
+    """Random {mask: d-tuple}: one unit per blade, dense tuples, or dense
+    Fraction tuples."""
+    out = {}
+    for _ in range(terms):
+        mask = sum(1 << i for i in rng.sample(range(n), rng.choice([1, 2, 3])))
+        if kind == "unit":
+            c = [0] * d
+            c[rng.randrange(d)] = rng.choice((-1, 1)) * rng.randint(1, 9)
+        elif kind == "dense":
+            c = [rng.randint(-9, 9) for _ in range(d)]
+        else:
+            c = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d)]
+        if any(c):
+            out[mask] = tuple(c)
+    return out
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["unit", "dense", "fraction"])
+def test_engines_match_cd_products(kind, level):
+    """Single and grouped calls of both engines against brute_wedge; the
+    kernel declines Fraction coefficients, so that case is reference only."""
+    rng = random.Random(f"{kind}-{level}")
+    d, n = 1 << level, 9
+    tensor = _OCT_TENSOR if level == 3 else cd_tensor(level)
+    entries = [
+        [(oracle_operand(kind, n, d, rng.randint(3, 14), rng), oracle_operand(kind, n, d, rng.randint(3, 14), rng))
+         for _ in range(rng.randint(1, 3))]
+        for _ in range(4)
+    ]
+    want = [brute_wedge(pairs, level) for pairs in entries]
+    assert all(want)
+    for pairs, w in zip(entries, want):
+        assert _wedge_reference(pairs, tensor) == w
+        for a, b in pairs:
+            single = _wedge_kernel([(a, b)], n, tensor)
+            if kind == "fraction":
+                assert single is None
+            else:
+                assert _sums_dicts(*single) == [brute_wedge([(a, b)], level)]
+    grouped = [(_terms(a, d, g), _terms(b, d)) for g, pairs in enumerate(entries) for a, b in pairs]
+    if kind == "fraction":
+        assert grouped[0][0] is None
+    else:
+        assert _sums_dicts(*_wedge_kernel(grouped, n, tensor, len(entries))) == want
+    assert wedge_sums(entries, n, tensor) == want
+
+
+def test_psi8_products_run_on_the_kernel(monkeypatch):
+    """Psi_8's four 448 x 448 blade products (200,704 pairs each) run on the
+    kernel, on one unit term per blade; no kernel call declines."""
+    want, calls = -2880 * spin9_form(), []
+    real = exterior._wedge_kernel
+
+    def spy(pairs, n, tensor, groups=1):
+        out = real(pairs, n, tensor, groups)
+        calls.extend((len(a.masks) * len(b.masks), a.blades, b.blades, out is not None) for a, b in pairs)
+        return out
+
+    monkeypatch.setattr(exterior, "_wedge_kernel", spy)
+    _, psi8 = kotrbaty_psi8.__wrapped__()
+    assert psi8 == want
+    assert all(ran for *_, ran in calls)
+    big = [c for c in calls if c[0] == 448 * 448]
+    assert big == [(200704, 448, 448, True)] * 4
+    assert sorted(c[0] for c in calls if c[0] != 448 * 448) == [70 * 70] * 2
