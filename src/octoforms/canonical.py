@@ -7,6 +7,12 @@ Omega_CGM, and the octonionic coordinate construction Psi_8.  The module also
 carries the quaternionic 4-form analogue on R^8, the scalar polynomial
 identity F = 2P^2 - 4Q behind Omega_CGM = -4 tau_4, and the Pontrjagin-class
 coefficient table of compact Spin(9)-holonomy manifolds.
+
+F = 2P^2 - 4Q is checked over Z on random rational skew 9x9 matrices with
+their denominators cleared, a stack of trials at a time in int64: F as the
+literal quadruple sum (one einsum, never the grouping Omega_CGM uses), P as
+a sum of squares, Q from the 126 sub-Pfaffians.  A stated bound on the
+largest entry keeps every sum exact, and past it the check raises.
 """
 
 from __future__ import annotations
@@ -16,6 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import isqrt
+
+import numpy as np
 
 from .cayley_dickson import unit_left_mults
 from .clifford import standard_system
@@ -27,7 +36,7 @@ from .exterior import (
     wedge_sum,
     wedge_sums,
 )
-from .linalg import SignedPerm, _clear_denominators
+from .linalg import _INT64_SAFE, SignedPerm, _clear_denominators
 from .octform import coordinate_octonion_form
 
 
@@ -62,7 +71,9 @@ def cgm_form() -> Multivector:
     Grouped as sum_{a,a'} (sum_b psi_ab ^ psi_a'b)^2, which is the same sum
     because homogeneous 2-forms commute under the wedge: the 45 inner sums
     (a <= a') are one grouped wedge_sums call, and their squares, doubled
-    when a < a', one wedge_sum.
+    when a < a', one wedge_sum.  The inner call's 324 pairs of 8 x 8 blades
+    fall below the kernel's mean test and run on the reference engine; the
+    squares run on the kernel.
     """
     f = spin9_psi()
     n = f.n
@@ -73,6 +84,17 @@ def cgm_form() -> Multivector:
 
 
 _UPPER = tuple(combinations(range(9), 2))
+_ROW, _COL = np.array(_UPPER).T
+_QUADS = np.array(list(combinations(range(9), 4))).T  # the 126 sub-Pfaffians a1 < a2 < a3 < a4
+
+# The int64 guard of _fpq_ints: with top the largest |entry| after clearing
+# denominators, 9^4 top^4 bounds |F| (9^4 products, each at most top^4) and
+# every partial sum of it, P^2 <= (36 top^2)^2, 4Q <= 4 * 126 * (3 top^2)^2,
+# hence 2P^2, 4Q and 2P^2 - 4Q (two nonnegative terms); all stay exact while
+# 9^4 top^4 < _INT64_SAFE.  2^62 is not a multiple of 3^8, so that holds
+# exactly for top < _FPQ_TOP_LIMIT.
+_FPQ_TOP_LIMIT = isqrt(isqrt((_INT64_SAFE - 1) // 9**4)) + 1
+_FPQ_CHUNK = 32  # trials per int64 stack in fpq_identity_check
 
 
 def _random_skew_entries(rng: random.Random) -> dict:
@@ -83,28 +105,41 @@ def _random_skew_entries(rng: random.Random) -> dict:
     return x
 
 
+def _fpq_ints(ints: list):
+    """int64 arrays F, P, Q of the integer skew 9x9 matrices whose upper
+    entries, in _UPPER order, are the rows of ints (T x 36).
+
+    F is the literal quadruple sum of x_ab x_ab' x_a'b x_a'b' as one einsum
+    with no contraction path, P the sum of the squared upper entries and Q
+    the sum of the 126 squared sub-Pfaffians.  Raises ValueError past the
+    guard above (top >= _FPQ_TOP_LIMIT).
+    """
+    top = max((abs(v) for row in ints for v in row), default=0)
+    if top >= _FPQ_TOP_LIMIT:
+        raise ValueError(f"entries up to {top} after clearing denominators overflow int64; "
+                         f"the bound is {_FPQ_TOP_LIMIT - 1}")
+    upper = np.array(ints, dtype=np.int64).reshape(-1, len(_UPPER))
+    x = np.zeros((len(upper), 9, 9), dtype=np.int64)
+    x[:, _ROW, _COL] = upper
+    x[:, _COL, _ROW] = -upper
+    f = np.einsum("tab,tac,tdb,tdc->t", x, x, x, x, optimize=False)
+    p = np.einsum("tk,tk->t", upper, upper)
+    a1, a2, a3, a4 = _QUADS
+    pf = x[:, a1, a2] * x[:, a3, a4] - x[:, a1, a3] * x[:, a2, a4] + x[:, a1, a4] * x[:, a2, a3]
+    return f, p, np.einsum("tk,tk->t", pf, pf)
+
+
 def _fpq_values(x: dict):
     """F, P, Q of the scalar skew matrix with upper entries x[(a, b)].
 
     F and Q are homogeneous of degree 4 in the entries and P of degree 2, so
-    they are computed over Z on the integer matrix s x, where s is the lcm of
-    the denominators, and returned exactly as F/s^4, P/s^2 and Q/s^4.  F stays
-    the literal quadruple sum of x_ab x_ab' x_a'b x_a'b'.
+    they are computed in int64 by _fpq_ints on the integer matrix s x, where
+    s is the lcm of the denominators, and returned exactly as F/s^4, P/s^2
+    and Q/s^4.  F stays the literal quadruple sum.  This is the one-trial
+    case of fpq_identity_check; past the int64 guard it raises ValueError.
     """
     ints, s = _clear_denominators(x[k] for k in _UPPER)
-    rows = [[0] * 9 for _ in range(9)]
-    for (a, b), v in zip(_UPPER, ints):
-        rows[a][b], rows[b][a] = v, -v
-    f = 0
-    for ra in rows:
-        for ra2 in rows:
-            for xab, xa2b in zip(ra, ra2):
-                f += sum(xab * xab2 * xa2b * xa2b2 for xab2, xa2b2 in zip(ra, ra2))
-    p = sum(v * v for v in ints)
-    q = 0
-    for a1, a2, a3, a4 in combinations(range(9), 4):
-        pf = rows[a1][a2] * rows[a3][a4] - rows[a1][a3] * rows[a2][a4] + rows[a1][a4] * rows[a2][a3]
-        q += pf * pf
+    f, p, q = (int(v[0]) for v in _fpq_ints([ints]))
     return Fraction(f, s**4), Fraction(p, s**2), Fraction(q, s**4)
 
 
@@ -116,15 +151,22 @@ class FPQReport:
 
 
 def fpq_identity_check(trials: int, seed: int = 0) -> FPQReport:
-    """Verify F = 2 P^2 - 4 Q on random rational skew 9x9 matrices, exactly."""
+    """Verify F = 2 P^2 - 4 Q on random rational skew 9x9 matrices, exactly.
+
+    Each matrix is scaled by the lcm s of its denominators, which multiplies
+    both sides by s^4, so the identity is compared over Z.  The trials are
+    drawn in order and checked _FPQ_CHUNK at a time, as one int64 stack.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
-    for t in range(trials):
-        x = _random_skew_entries(rng)
-        f, p, q = _fpq_values(x)
-        if f != 2 * p * p - 4 * q:
-            return FPQReport(trials=t + 1, all_exact=False, first_failure=dict(x))
+    for start in range(0, trials, _FPQ_CHUNK):
+        xs = [_random_skew_entries(rng) for _ in range(min(_FPQ_CHUNK, trials - start))]
+        f, p, q = _fpq_ints([_clear_denominators(x[k] for k in _UPPER)[0] for x in xs])
+        bad = np.flatnonzero(f != 2 * p * p - 4 * q)
+        if len(bad):
+            k = int(bad[0])
+            return FPQReport(trials=start + k + 1, all_exact=False, first_failure=dict(xs[k]))
     return FPQReport(trials=trials, all_exact=True, first_failure=None)
 
 

@@ -50,16 +50,6 @@ _FORMS = {
 _MAX_CLIFFORD_DIM = 1024
 
 
-def _default_workers() -> int:
-    env = os.environ.get("OCTOFORMS_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def _dump_json(obj, compact: bool = False) -> None:
     """Stream obj to stdout as JSON and end the line: indented by 2, or with
     no whitespace when compact."""
@@ -101,6 +91,18 @@ def _int_at_least(low: int):
         return value
 
     return parse
+
+
+def _default_workers() -> int:
+    """OCTOFORMS_WORKERS, or 1 when it is unset or empty.  Any other value
+    that is not an int >= 1 is a ValueError naming the variable."""
+    env = os.environ.get("OCTOFORMS_WORKERS")
+    if not env:
+        return 1
+    try:
+        return _int_at_least(1)(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"OCTOFORMS_WORKERS: {exc}") from None
 
 
 def _sphere_dim(text: str) -> int:
@@ -260,9 +262,16 @@ def _cmd_clifford_structure(args) -> int:
 
 
 def _cmd_berger(args) -> int:
+    workers = args.workers
+    if workers is None:  # an explicit --workers wins over the environment
+        try:
+            workers = _default_workers()
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     from .berger import berger_mc
 
-    form, report = berger_mc(args.samples, seed=args.seed, workers=args.workers)
+    form, report = berger_mc(args.samples, seed=args.seed, workers=workers)
     payload = {
         "samples": report.samples,
         "seed": report.seed,
@@ -361,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("berger", help="Monte-Carlo line-integral reconstruction")
     p.add_argument("--samples", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=_int_at_least(1), default=_default_workers())
+    p.add_argument("--workers", type=_int_at_least(1), default=None,
+                   help="worker processes (default: OCTOFORMS_WORKERS, else 1)")
     p.add_argument("--json", action="store_true")
     p.add_argument("--full", action="store_true", help="include all 12870 coefficients")
     p.set_defaults(func=_cmd_berger)

@@ -19,7 +19,8 @@ bound ``linalg._INT64_SAFE``.  It has a group axis: every term of an operand
 carries an output-entry offset, one call sums the products of many pairs
 into many entries, and each entry's slots are the blades of the output
 grades only.  ``wedge_sums`` (and ``wedge_sum``, its one-entry case) runs it
-once the call holds more than ``_KERNEL_MIN_WORK`` blade pairs.  Otherwise,
+once the call holds more than ``_KERNEL_MIN_WORK`` blade pairs and at least
+``_KERNEL_MIN_MEAN`` per operand pair on average.  Otherwise,
 or when the kernel declines, it runs the pure-Python reference built on
 ``wedge_dicts`` for R and on the same unit tables for d > 1, exact for any n
 and any rational coefficients.  Tests compare the two engines with each
@@ -47,10 +48,20 @@ from .linalg import _INT64_SAFE, SignedPerm, _accumulate
 # Structure tensor of the real coefficients: 1 * 1 = 1.
 _REAL = np.ones((1, 1, 1), dtype=np.int64)
 
-# Blade pairs per wedge_sum call up to which the reference engine runs.  The
+# wedge_sums runs the kernel only if both tests pass.
+# _KERNEL_MIN_WORK: the call holds more blade pairs than this in all.  The
 # kernel is faster from a few hundred pairs on, but the Spin(9) charpoly,
 # Psi_8 and CGM routes ran no faster with 400 or 200 than with 2000.
+# _KERNEL_MIN_MEAN: the operand pairs hold at least this many blade pairs on
+# average, since the kernel pays a fixed set-up per operand pair.  On random
+# 2-forms on R^16 in 45 entries (2 vCPUs, numpy 2.4), 324 pairs of 8 x 8
+# blades took 35 ms on the kernel against 17 ms on the reference, 144 pairs
+# of 12 x 12 took 19 against 15 ms, and 81 pairs of 16 x 16 took 8.6
+# against 9.3 ms; from a mean of 256 on, the kernel was faster at both
+# 20,000 and 80,000 blade pairs in all.  CGM's inner sums (324 pairs of
+# 8 x 8) stay on the reference.
 _KERNEL_MIN_WORK = 2000
+_KERNEL_MIN_MEAN = 256
 
 
 def _odd_crossings_mask(mask_a: int) -> int:
@@ -252,8 +263,9 @@ def _popcounts(n: int):
     return pop
 
 
-# _PARITY16[i] = popcount(i) mod 2
-_PARITY16 = _popcounts(16) & 1
+# _POPCOUNT16[i] = popcount(i), _PARITY16[i] = popcount(i) mod 2
+_POPCOUNT16 = _popcounts(16)
+_PARITY16 = _POPCOUNT16 & 1
 
 
 class _Terms(NamedTuple):
@@ -358,9 +370,14 @@ def _wedge_kernel(pairs, n: int, tensor, groups: int = 1):
         bound += d * d * min(a.blades or len(a.masks), b.blades or len(b.masks)) * a.top * b.top
         if bound >= _INT64_SAFE:
             return None
-    wanted = np.zeros(n + 1, dtype=bool)  # the output grades
-    wanted[[i + j for a, b in pairs for i in a.grades for j in b.grades if i + j <= n]] = True
-    slot_masks = np.flatnonzero(wanted[_popcounts(n)])
+    # the blades of the output grades: comparing the popcount table is about
+    # four times faster than a gather through it; slot_of is not cached, as
+    # one 256 KB table per grade set would raise peak memory
+    popcount = _POPCOUNT16[: 1 << n]
+    wanted = np.zeros(1 << n, dtype=bool)
+    for g in {i + j for a, b in pairs for i in a.grades for j in b.grades if i + j <= n}:
+        wanted |= popcount == g
+    slot_masks = np.flatnonzero(wanted)
     w = len(slot_masks)
     slot_of = np.zeros(1 << n, dtype=np.int32)
     slot_of[slot_masks] = np.arange(w)
@@ -444,11 +461,13 @@ def wedge_sums(entries, n: int, tensor=_REAL) -> list:
     """wedge_sum of each entry's (a, b) pairs, as one kernel call.
 
     The kernel runs when the entries together hold more than
-    _KERNEL_MIN_WORK blade pairs and it accepts them; the reference engine
-    runs entry by entry otherwise.
+    _KERNEL_MIN_WORK blade pairs, at least _KERNEL_MIN_MEAN per (a, b) pair
+    on average, and it accepts them; the reference engine runs entry by
+    entry otherwise.
     """
     entries = [[(a, b) for a, b in pairs if a and b] for pairs in entries]
-    if sum(len(a) * len(b) for pairs in entries for a, b in pairs) > _KERNEL_MIN_WORK:
+    work = sum(len(a) * len(b) for pairs in entries for a, b in pairs)
+    if work > _KERNEL_MIN_WORK and work >= _KERNEL_MIN_MEAN * sum(map(len, entries)):
         d = tensor.shape[0]
         grouped = [(_terms(a, d, g), _terms(b, d)) for g, pairs in enumerate(entries) for a, b in pairs]
         out = _wedge_kernel(grouped, n, tensor, len(entries))

@@ -20,6 +20,8 @@ one unit each, so a product costs one multiplication per disjoint blade pair.
 
 from __future__ import annotations
 
+from operator import add
+
 import numpy as np
 
 from .cayley_dickson import _conj, unit_signs
@@ -64,14 +66,15 @@ class OctForm:
             raise ValueError("ambient dimension mismatch")
         t = dict(self._t)
         for m, c in other._t.items():
-            t[m] = tuple(x + y for x, y in zip(t.get(m, (0,) * 8), c))
+            old = t.get(m)
+            t[m] = c if old is None else tuple(map(add, old, c))
         return OctForm(self.n, t)
 
     def __sub__(self, other: "OctForm") -> "OctForm":
         return self + (-1) * other
 
     def __rmul__(self, s) -> "OctForm":
-        return OctForm(self.n, {m: tuple(s * x for x in c) for m, c in self._t.items()})
+        return OctForm(self.n, {m: tuple([s * x for x in c]) for m, c in self._t.items()})
 
     __mul__ = __rmul__
 

@@ -3,10 +3,13 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
+from octoforms import canonical, exterior
 from octoforms.canonical import (
+    FPQReport,
     _fpq_values,
     _manifold_classes,
     cgm_form,
@@ -21,6 +24,7 @@ from octoforms.canonical import (
     tau8_and_ratio,
 )
 from octoforms.exterior import Multivector, tau2_direct, tau4_direct, wedge_dicts
+from octoforms.linalg import _INT64_SAFE
 
 
 def test_charpoly_shape():
@@ -62,6 +66,31 @@ def test_cgm_equals_minus_4_tau4():
 
 def test_cgm_702_monomials():
     assert len(cgm_form()) == 702
+
+
+def test_cgm_inner_sums_run_on_the_reference(monkeypatch):
+    """The 324 inner (a, b) pairs of 8 x 8 blades, averaging 64 blade pairs,
+    run entry by entry on the reference; the 45 squares are the one kernel
+    call."""
+    want, kernel, reference = cgm_form(), [], []
+    real_kernel, real_reference = exterior._wedge_kernel, exterior._wedge_reference
+
+    def spy_kernel(pairs, n, tensor, groups=1):
+        out = real_kernel(pairs, n, tensor, groups)
+        kernel.append((len(pairs), groups, out is not None))
+        return out
+
+    def spy_reference(pairs, tensor):
+        reference.append([(len(a), len(b)) for a, b in pairs])
+        return real_reference(pairs, tensor)
+
+    monkeypatch.setattr(exterior, "_wedge_kernel", spy_kernel)
+    monkeypatch.setattr(exterior, "_wedge_reference", spy_reference)
+    assert cgm_form.__wrapped__() == want
+    assert kernel == [(45, 1, True)]
+    assert len(reference) == 45
+    assert sorted(map(len, reference)) == [7] * 36 + [8] * 9
+    assert {size for entry in reference for size in entry} == {(8, 8)}
 
 
 def test_tau2_sum_of_squares_vanishes():
@@ -115,6 +144,77 @@ def test_fpq_values_match_fraction_reference():
             for b in range(a + 1, 9)
         }
         assert _fpq_values(x) == _fpq_reference(x), seed
+
+
+def _trials(seed: int, count: int) -> list:
+    rng = random.Random(seed)
+    return [canonical._random_skew_entries(rng) for _ in range(count)]
+
+
+# trials 0, 5, the last of the first chunk and one in the third chunk are
+# broken, each with a later trial broken too
+@pytest.mark.parametrize("k", [0, 5, canonical._FPQ_CHUNK - 1, 2 * canonical._FPQ_CHUNK + 3])
+def test_fpq_reports_the_first_broken_trial(monkeypatch, k):
+    real, seen = canonical._fpq_ints, [0]
+
+    def broken(ints):
+        f, p, q = real(ints)
+        start = seen[0]
+        seen[0] += len(f)
+        for t in (k, k + 2):
+            if start <= t < seen[0]:
+                f[t - start] += 1
+        return f, p, q
+
+    monkeypatch.setattr(canonical, "_fpq_ints", broken)
+    rep = fpq_identity_check(3 * canonical._FPQ_CHUNK, seed=3)
+    assert rep == FPQReport(trials=k + 1, all_exact=False, first_failure=_trials(3, k + 1)[k])
+
+
+def test_fpq_chunks_match_a_per_trial_reference(monkeypatch):
+    """Nine trials in chunks of 4, 4 and 1: every row of every chunk is its
+    trial's F, P, Q over Z, and the report is the per-trial loop's."""
+    monkeypatch.setattr(canonical, "_FPQ_CHUNK", 4)
+    real, rows = canonical._fpq_ints, []
+
+    def spy(ints):
+        out = real(ints)
+        rows.extend(zip(*out))
+        return out
+
+    monkeypatch.setattr(canonical, "_fpq_ints", spy)
+    rep = fpq_identity_check(9, seed=5)
+    xs = _trials(5, 9)
+    refs = [_fpq_reference(x) for x in xs]
+    want = FPQReport(trials=9, all_exact=True, first_failure=None)
+    for t, (f, p, q) in enumerate(refs):
+        if f != 2 * p * p - 4 * q:
+            want = FPQReport(trials=t + 1, all_exact=False, first_failure=xs[t])
+            break
+    assert rep == want
+    assert len(rows) == 9
+    for (f, p, q), x, ref in zip(rows, xs, refs):
+        s = lcm(*(v.denominator for v in x.values()))
+        assert (Fraction(int(f), s**4), Fraction(int(p), s**2), Fraction(int(q), s**4)) == ref
+
+
+def test_fpq_int64_guard_edge():
+    """The largest top with 9^4 top^4 < 2^62 runs and matches the Fraction
+    reference; top + 1 raises, also when it is reached only by clearing a
+    denominator."""
+    limit = canonical._FPQ_TOP_LIMIT
+    assert 9**4 * (limit - 1) ** 4 < _INT64_SAFE <= 9**4 * limit**4
+    rng = random.Random(9)
+    x = {k: Fraction(rng.choice([-1, 1]) * rng.randint(limit // 2, limit - 1)) for k in canonical._UPPER}
+    x[(0, 1)], x[(2, 3)] = Fraction(limit - 1), Fraction(1 - limit)
+    assert _fpq_values(x) == _fpq_reference(x)
+    x[(4, 5)] = Fraction(limit)
+    with pytest.raises(ValueError):
+        _fpq_values(x)
+    half = {k: Fraction(limit // 2 + 1) for k in canonical._UPPER}
+    half[(7, 8)] = Fraction(1, 2)  # every entry below the limit, 2 (limit // 2 + 1) past it
+    with pytest.raises(ValueError):
+        _fpq_values(half)
 
 
 def test_fpq_random_trials():

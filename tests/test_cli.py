@@ -235,6 +235,32 @@ def test_bad_arguments_exit_2(argv):
     assert any(s in err for s in ("must be >= ", "out of scope", "invalid int value"))
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+def test_bad_workers_environment_exits_2(monkeypatch, value):
+    monkeypatch.setenv("OCTOFORMS_WORKERS", value)
+    code, out, err = run_cli("berger", "--samples", "10", "--json")
+    assert code == 2 and out == ""
+    assert err.startswith("error: OCTOFORMS_WORKERS: ") and value in err
+
+
+def test_workers_environment_sets_the_default(monkeypatch):
+    monkeypatch.setenv("OCTOFORMS_WORKERS", "2")
+    code, out, _ = run_cli("berger", "--samples", "10", "--json")
+    assert code == 0 and json.loads(out)["workers"] == 2
+
+
+def test_workers_flag_wins_over_a_bad_environment(monkeypatch):
+    monkeypatch.setenv("OCTOFORMS_WORKERS", "abc")
+    code, out, _ = run_cli("berger", "--samples", "10", "--workers", "3", "--json")
+    assert code == 0 and json.loads(out)["workers"] == 3
+
+
+def test_bad_workers_environment_is_read_only_by_berger(monkeypatch):
+    monkeypatch.setenv("OCTOFORMS_WORKERS", "0")
+    code, out, _ = run_cli("pontrjagin", "--json")
+    assert code == 0 and json.loads(out)["manifold_classes"]
+
+
 def test_pontrjagin_subcommand():
     code, out, _ = run_cli("pontrjagin", "--json")
     obj = json.loads(out)

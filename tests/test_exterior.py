@@ -3,7 +3,7 @@ charpoly routes."""
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -313,6 +313,30 @@ def test_tau4_direct_does_not_use_the_kernel(monkeypatch):
 
     monkeypatch.setattr(exterior, "_wedge_kernel", refuse)
     assert tau4_direct(spin9_psi()) == want
+
+
+def two_form(rng, terms):
+    """A 2-form on R^16 with `terms` distinct blades and coefficients in 1..3."""
+    blades = rng.sample(list(combinations(range(16), 2)), terms)
+    return {(1 << i) | (1 << j): rng.randint(1, 3) for i, j in blades}
+
+
+# ten (a, b) pairs in two entries, all 16 x 16 blades (2560 blade pairs, mean
+# 256), or the last one 17 x 15 (2559, mean 255.9): both clear
+# _KERNEL_MIN_WORK, only the first the mean test
+@pytest.mark.parametrize("last, kernel_runs", [((16, 16), True), ((17, 15), False)],
+                         ids=["mean-256", "mean-255.9"])
+def test_kernel_needs_the_mean_blade_pairs(monkeypatch, last, kernel_runs):
+    assert exterior._KERNEL_MIN_MEAN == 256
+    rng = random.Random(11)
+    sizes = [(16, 16)] * 9 + [last]
+    pairs = [(two_form(rng, i), two_form(rng, j)) for i, j in sizes]
+    entries = [pairs[:5], pairs[5:]]
+    assert sum(len(a) * len(b) for a, b in pairs) > exterior._KERNEL_MIN_WORK
+    calls = spy_kernel(monkeypatch)
+    out = wedge_sums(entries, 16)
+    assert len(calls) == kernel_runs and all(c is not None for c in calls)
+    assert out == [_wedge_reference(e, _REAL) for e in entries]
 
 
 def test_psi78_squared_coefficient():
