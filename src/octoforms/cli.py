@@ -1,46 +1,28 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 invariant/verification failure, 2 usage error.
-Rationals are printed as "p/q" strings; Monte-Carlo floats carry 17
-significant digits.  Output is deterministic for fixed flags and seed.
+Exit codes: 0 success, 1 invariant/verification failure, 2 usage error, and
+141 (128 + SIGPIPE, what a shell reports for a writer whose reader left)
+when stdout is closed before all output is written; that exit prints
+nothing.  Rationals are printed as "p/q" strings; Monte-Carlo floats carry
+17 significant digits.  Output is deterministic for fixed flags and seed.
+
+Each command imports what it runs inside its own function, so a process
+loads only its command's modules; with bytecode writing off, every process
+compiles every module it imports.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from fractions import Fraction
 
-from .canonical import (
-    cgm_form,
-    kotrbaty_psi8,
-    pontrjagin_report,
-    quaternionic_forms,
-    render_pontrjagin_text,
-    spin9_form,
-    spin9_taus,
-)
-from .cayley_dickson import CDElement
-from .clifford import extend, standard_system, verify
-from .hopf import SpherePoint16, lambda_coeffs, spin9_sections
-from .models import MODEL_NAMES, build_model, lambda2_generators, structure_census
-from .serialize import (
-    float_str,
-    matrix_to_json,
-    multivector_to_csv,
-    multivector_to_json,
-    rational_str,
-)
-from .spheres import build_fields, hr_decompose, sigma, verify_system
-from . import verifysuite
-
+# --which -> the form, read off octoforms.canonical when the command runs
 _FORMS = {
-    "spin9": spin9_form,
-    "cgm": cgm_form,
-    "psi8": lambda: kotrbaty_psi8()[1],
-    "tau8": lambda: spin9_taus()[7],
+    "spin9": lambda canonical: canonical.spin9_form(),
+    "cgm": lambda canonical: canonical.cgm_form(),
+    "psi8": lambda canonical: canonical.kotrbaty_psi8()[1],
+    "tau8": lambda canonical: canonical.spin9_taus()[7],
 }
 
 
@@ -49,15 +31,70 @@ _FORMS = {
 # four times as much per further doubling.
 _MAX_CLIFFORD_DIM = 1024
 
+_EXIT_STDOUT_CLOSED = 141
+_WRITE_CHUNK = 1 << 16  # _dump_json hands _write_stdout at least this many characters
 
-def _dump_json(obj, compact: bool = False) -> None:
-    """Stream obj to stdout as JSON and end the line: indented by 2, or with
-    no whitespace when compact."""
+
+class _ModelNames:
+    """models.MODEL_NAMES as the --model choices, imported only when argparse
+    reads them: to check a --model value, or to write usage text."""
+
+    def __iter__(self):
+        from .models import MODEL_NAMES
+
+        return iter(MODEL_NAMES)
+
+
+def _error(code: int, message: object) -> int:
+    """Write `error: message` to stderr and return the exit code."""
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
+def _dump_json(obj: dict, compact: bool = False) -> None:
+    """Write the dict obj to stdout as JSON and end the line: indented by 2,
+    or with no whitespace when compact.  The bytes are those of one
+    json.dumps of obj.
+
+    Each top-level value is one json.dumps, which is the C encoder when
+    compact, except that a top-level list of lists or dicts is encoded one
+    element at a time, so that the text of a long list of matrices is never
+    held whole.  The text goes out through _write_stdout in pieces of at
+    least _WRITE_CHUNK characters, not one write per token.
+    """
+    import json
+
     if compact:
-        json.dump(obj, sys.stdout, separators=(",", ":"))
+        options, newline, step, colon = {"separators": (",", ":")}, "", "", ":"
     else:
-        json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+        options, newline, step, colon = {"indent": 2}, "\n", "  ", ": "
+    pieces, size = [], 0
+
+    def put(text: str) -> None:
+        nonlocal size
+        pieces.append(text)
+        size += len(text)
+        if size >= _WRITE_CHUNK:
+            _write_stdout("".join(pieces))
+            pieces.clear()
+            size = 0
+
+    def encode(value, depth: int) -> str:
+        # JSON strings escape newlines, so each one here starts an indented line
+        return json.dumps(value, **options).replace("\n", "\n" + step * depth)
+
+    put("{")
+    for i, (key, value) in enumerate(obj.items()):
+        put(("," if i else "") + newline + step + json.dumps(key) + colon)
+        if isinstance(value, list) and value and isinstance(value[0], (list, dict)):
+            put("[")
+            for j, item in enumerate(value):
+                put(("," if j else "") + newline + step * 2 + encode(item, 2))
+            put(newline + step + "]")
+        else:
+            put(encode(value, 1))
+    put((newline if obj else "") + "}\n")
+    _write_stdout("".join(pieces))
 
 
 def _write_stdout(text: str) -> None:
@@ -107,6 +144,8 @@ def _default_workers() -> int:
 
 def _sphere_dim(text: str) -> int:
     """argparse type: an m whose field system is in scope (m >= 1, q < 3)."""
+    from .spheres import hr_decompose
+
     m = _int_at_least(1)(text)
     if hr_decompose(m).q >= 3:
         raise argparse.ArgumentTypeError(
@@ -116,7 +155,10 @@ def _sphere_dim(text: str) -> int:
 
 
 def _cmd_form(args) -> int:
-    mv = _FORMS[args.which]()
+    from . import canonical
+    from .serialize import multivector_to_csv, multivector_to_json
+
+    mv = _FORMS[args.which](canonical)
     if args.format == "csv":
         sys.stdout.write(multivector_to_csv(mv))
     else:
@@ -126,8 +168,11 @@ def _cmd_form(args) -> int:
 
 def _cmd_charpoly(args) -> int:
     if args.which == "spin9":
+        from .canonical import spin9_taus
+
         taus = spin9_taus()
     else:
+        from .canonical import quaternionic_forms
         from .exterior import charpoly_coeffs
 
         taus = charpoly_coeffs(quaternionic_forms()[0])
@@ -145,6 +190,8 @@ def _cmd_charpoly(args) -> int:
 
 
 def _cmd_fields(args) -> int:
+    from .spheres import build_fields, sigma, verify_system
+
     system = build_fields(args.m)
     code = 0
     report = None
@@ -176,7 +223,12 @@ def _cmd_fields(args) -> int:
     return code
 
 
-def _parse_point(tokens) -> SpherePoint16:
+def _parse_point(tokens):
+    from fractions import Fraction
+
+    from .cayley_dickson import CDElement
+    from .hopf import SpherePoint16
+
     if len(tokens) not in (16, 32):
         raise ValueError("--point needs 16 rationals (or 32 numerator/denominator integers)")
     try:
@@ -190,12 +242,13 @@ def _parse_point(tokens) -> SpherePoint16:
 
 
 def _cmd_hopf(args) -> int:
+    from .hopf import lambda_coeffs, spin9_sections
+    from .serialize import rational_str
+
     try:
         point = _parse_point(args.point)
     except ValueError as exc:
-        usage = "unit sphere" not in str(exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2 if usage else 1
+        return _error(1 if "unit sphere" in str(exc) else 2, exc)
     lam = lambda_coeffs(point)
     coords = point.coords()
     inner = [
@@ -213,17 +266,20 @@ def _cmd_hopf(args) -> int:
 
 
 def _cmd_clifford(args) -> int:
+    from .clifford import extend, standard_system, verify
+
     system = standard_system(args.kind)
     room = (_MAX_CLIFFORD_DIM // system.n).bit_length() - 1  # n is a power of 2
     if args.extend > room:
-        print(f"error: --extend {args.extend} would put C_{system.m + args.extend} on "
-              f"R^(2^{system.n.bit_length() - 1 + args.extend}); the bound is "
-              f"R^{_MAX_CLIFFORD_DIM}, --extend {room} for {args.kind}", file=sys.stderr)
-        return 2
+        return _error(2, f"--extend {args.extend} would put C_{system.m + args.extend} on "
+                         f"R^(2^{system.n.bit_length() - 1 + args.extend}); the bound is "
+                         f"R^{_MAX_CLIFFORD_DIM}, --extend {room} for {args.kind}")
     for _ in range(args.extend):
         system = extend(system)
     report = verify(system)
     if args.json:
+        from .serialize import matrix_to_json
+
         _dump_json({
             "kind": args.kind,
             "extended": args.extend,
@@ -239,6 +295,10 @@ def _cmd_clifford(args) -> int:
 
 
 def _cmd_clifford_structure(args) -> int:
+    if args.deep and not args.census:
+        return _error(2, "--deep needs --census")
+    from .models import build_model, lambda2_generators, structure_census
+
     payload = {}
     if args.census:
         payload["census"] = structure_census(deep=args.deep)
@@ -262,14 +322,16 @@ def _cmd_clifford_structure(args) -> int:
 
 
 def _cmd_berger(args) -> int:
+    if args.full and not args.json:
+        return _error(2, "--full needs --json")
     workers = args.workers
     if workers is None:  # an explicit --workers wins over the environment
         try:
             workers = _default_workers()
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _error(2, exc)
     from .berger import berger_mc
+    from .serialize import float_str
 
     form, report = berger_mc(args.samples, seed=args.seed, workers=workers)
     payload = {
@@ -286,8 +348,7 @@ def _cmd_berger(args) -> int:
     if args.json:
         if args.full:
             payload["coefficients"] = [float_str(x) for x in form.coeffs.tolist()]
-        # one encode, not a write per encoder chunk: 12870 coefficients
-        _write_stdout(json.dumps(payload, indent=2) + "\n")
+        _dump_json(payload)
     else:
         for k, v in payload.items():
             print(f"{k}: {v}")
@@ -295,8 +356,12 @@ def _cmd_berger(args) -> int:
 
 
 def _cmd_pontrjagin(args) -> int:
+    from .canonical import pontrjagin_report, render_pontrjagin_text
+
     report = pontrjagin_report()
     if args.json:
+        from .serialize import rational_str
+
         out = {
             "manifold_classes": [
                 {**row, "coefficient": rational_str(row["coefficient"])}
@@ -316,6 +381,8 @@ def _cmd_pontrjagin(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verifysuite
+
     ok = verifysuite.run_all(write=print)
     print("verify:", "all checks passed" if ok else "FAILURES above")
     return 0 if ok else 1
@@ -361,9 +428,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_clifford)
 
     p = sub.add_parser("clifford-structure", help="even Clifford structure models")
-    p.add_argument("--model", choices=MODEL_NAMES, default="eiii")
+    # a metavar, so that add_argument does not read the choices to check it
+    p.add_argument("--model", choices=_ModelNames(), default="eiii", metavar="MODEL",
+                   help="one of %(choices)s (default: %(default)s)")
     p.add_argument("--census", action="store_true")
-    p.add_argument("--deep", action="store_true")
+    p.add_argument("--deep", action="store_true", help="add the evi and eviii closures "
+                                                       "to the census (needs --census)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_clifford_structure)
 
@@ -373,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_int_at_least(1), default=None,
                    help="worker processes (default: OCTOFORMS_WORKERS, else 1)")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--full", action="store_true", help="include all 12870 coefficients")
+    p.add_argument("--full", action="store_true",
+                   help="include all 12870 coefficients (needs --json)")
     p.set_defaults(func=_cmd_berger)
 
     p = sub.add_parser("pontrjagin", help="Pontrjagin class coefficient table")
@@ -386,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -395,8 +466,19 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, AssertionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(1, exc)
+
+
+def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at exit
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at /dev/null, so that the flush
+        # at exit has somewhere to put what is left, and exit quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _EXIT_STDOUT_CLOSED
+    return code
 
 
 if __name__ == "__main__":

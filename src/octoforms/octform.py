@@ -46,6 +46,16 @@ class OctForm:
             raise ValueError(f"blade outside ambient dimension {n}")
 
     @classmethod
+    def _of(cls, n: int, terms: dict) -> "OctForm":
+        """The form of terms that are already 8-tuples on blades inside R^n,
+        as the results of the operations below are: only the all-zero
+        coefficients are dropped."""
+        form = cls.__new__(cls)
+        form.n = n
+        form._t = {m: c for m, c in terms.items() if any(c)}
+        return form
+
+    @classmethod
     def zero(cls, n: int) -> "OctForm":
         return cls(n, {})
 
@@ -68,18 +78,18 @@ class OctForm:
         for m, c in other._t.items():
             old = t.get(m)
             t[m] = c if old is None else tuple(map(add, old, c))
-        return OctForm(self.n, t)
+        return OctForm._of(self.n, t)
 
     def __sub__(self, other: "OctForm") -> "OctForm":
         return self + (-1) * other
 
     def __rmul__(self, s) -> "OctForm":
-        return OctForm(self.n, {m: tuple([s * x for x in c]) for m, c in self._t.items()})
+        return OctForm._of(self.n, {m: tuple([s * x for x in c]) for m, c in self._t.items()})
 
     __mul__ = __rmul__
 
     def conjugate(self) -> "OctForm":
-        return OctForm(self.n, {m: _conj(c) for m, c in self._t.items()})
+        return OctForm._of(self.n, {m: _conj(c) for m, c in self._t.items()})
 
     def grades(self) -> set:
         return {m.bit_count() for m in self._t}
@@ -95,7 +105,7 @@ class OctForm:
         """self ^ other, multiplying coefficients in this operand order."""
         if self.n != other.n:
             raise ValueError("ambient dimension mismatch")
-        return OctForm(self.n, wedge_sum([(self._t, other._t)], self.n, _OCT_TENSOR))
+        return OctForm._of(self.n, wedge_sum([(self._t, other._t)], self.n, _OCT_TENSOR))
 
 
 def coordinate_octonion_form(n: int, offset: int) -> OctForm:

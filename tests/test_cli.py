@@ -175,10 +175,50 @@ def test_dump_json_ends_the_line(compact):
     assert out.getvalue() == want + "\n"
 
 
+class _CountingStdout(io.TextIOWrapper):
+    """A text stdout over a BytesIO that counts the writes to its binary layer."""
+
+    def __init__(self):
+        self.writes = 0
+        raw = io.BytesIO()
+        write = raw.write
+
+        def counted(data):
+            self.writes += 1
+            return write(data)
+
+        raw.write = counted
+        super().__init__(raw, encoding="ascii")
+
+    def value(self) -> str:
+        self.flush()
+        return self.buffer.getvalue().decode()
+
+
+@pytest.mark.parametrize("compact", [False, True])
+def test_dump_json_bytes_are_one_json_dumps(compact):
+    """Values are encoded one at a time, and a top-level list of lists or
+    dicts one element at a time, with the bytes of one json.dumps; a large
+    payload goes out in a few writes, not one per token."""
+    objs = [
+        {},
+        {"empty": [], "dict": {}, "s": "line\nbreak \u00e9", "n": None, "f": 0.1},
+        {"rows": [{"a": [1, 2], "b": {}}, {"a": [], "b": {"c": "d"}}], "x": [[]]},
+        {"head": 1, "matrices": [[["0", "1"] * 250] * 100] * 20, "tail": [1, 2]},
+    ]
+    want_kw = {"separators": (",", ":")} if compact else {"indent": 2}
+    for obj in objs:
+        stdout = _CountingStdout()
+        with redirect_stdout(stdout):
+            cli._dump_json(obj, compact=compact)
+        want = json.dumps(obj, **want_kw) + "\n"
+        assert stdout.value() == want
+        assert stdout.writes <= len(want) // cli._WRITE_CHUNK + 1
+
+
 def test_clifford_extend_bound_exits_2_before_building(monkeypatch):
     calls = []
-    for module in (cli, clifford):  # cli binds extend by name
-        monkeypatch.setattr(module, "extend", lambda c, extra=(): calls.append(c))
+    monkeypatch.setattr(clifford, "extend", lambda c, extra=(): calls.append(c))
     for kind, past in (("spin9", 7), ("pauli_U2", 9), ("spin9", 40), ("spin9", 10**12)):
         t0 = time.perf_counter()
         code, out, err = run_cli("clifford", "--kind", kind, "--extend", str(past))
@@ -227,12 +267,26 @@ def test_unknown_flag_exits_2():
         ("berger", "--samples", "10", "--workers", "0"),
         ("clifford", "--extend", "-1"),
         ("berger", "--samples", "many"),
+        ("berger", "--samples", "10", "--full"),
+        ("clifford-structure", "--deep"),
     ],
 )
 def test_bad_arguments_exit_2(argv):
     code, out, err = run_cli(*argv)
     assert code == 2 and out == ""
-    assert any(s in err for s in ("must be >= ", "out of scope", "invalid int value"))
+    assert any(s in err for s in ("must be >= ", "out of scope", "invalid int value",
+                                  "--full needs --json", "--deep needs --census"))
+
+
+def test_model_choices_are_the_model_names():
+    from octoforms.models import MODEL_NAMES
+
+    code, out, _ = run_cli("clifford-structure", "--help")
+    assert code == 0 and "one of " + ", ".join(MODEL_NAMES) in " ".join(out.split())
+    code, out, err = run_cli("clifford-structure", "--model", "e9")
+    assert code == 2 and out == "" and "invalid choice: 'e9'" in err
+    code, out, _ = run_cli("clifford-structure", "--model", MODEL_NAMES[-1], "--json")
+    assert code == 0 and json.loads(out)["model"]["name"] == MODEL_NAMES[-1]
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
@@ -319,21 +373,26 @@ sys.exit(code)
 """
 
 
-def test_berger_json_complete_when_signals_cut_pipe_writes():
-    """`berger --json --full` writes all its bytes unbuffered into a pipe
-    that fills while the reader sleeps, with a signal cutting every
-    blocking write short."""
+def _subprocess_env(**extra) -> dict:
+    """os.environ with the package's source on PYTHONPATH, plus `extra`."""
     import os
-    import subprocess
-    import sys
     from pathlib import Path
 
     import octoforms
 
     src = str(Path(octoforms.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    env = dict(os.environ, **extra)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    args = ["berger", "--samples", "2048", "--seed", "0", "--json", "--full"]
+    return env
+
+
+def _complete_when_signals_cut_pipe_writes(args):
+    """The CLI writes all its bytes unbuffered into a pipe that fills while
+    the reader sleeps, with a signal cutting every blocking write short."""
+    import subprocess
+    import sys
+
+    env = _subprocess_env(PYTHONUNBUFFERED="1")
     want = subprocess.run([sys.executable, "-m", "octoforms.cli", *args], env=env,
                           capture_output=True, timeout=300)
     assert want.returncode == 0, want.stderr.decode()
@@ -348,3 +407,136 @@ def test_berger_json_complete_when_signals_cut_pipe_writes():
     assert proc.returncode == 0, err.decode()
     assert len(want.stdout) > 1 << 16  # more than a pipe holds
     assert out == want.stdout
+
+
+def test_berger_json_complete_when_signals_cut_pipe_writes():
+    _complete_when_signals_cut_pipe_writes(
+        ["berger", "--samples", "2048", "--seed", "0", "--json", "--full"])
+
+
+def test_clifford_json_complete_when_signals_cut_pipe_writes():
+    _complete_when_signals_cut_pipe_writes(["clifford", "--extend", "2", "--json"])
+
+
+@pytest.mark.parametrize("argv, unbuffered", [
+    (("form", "--which", "tau8"), "1"),  # _dump_json
+    (("form", "--which", "spin9", "--format", "csv"), "1"),  # sys.stdout.write
+    (("form", "--which", "spin9", "--format", "csv"), ""),  # ... left in the buffer
+    (("charpoly",), "1"),  # print
+    (("charpoly",), ""),
+    (("clifford", "--extend", "2", "--json"), "1"),
+    (("berger", "--samples", "2048", "--seed", "3", "--json", "--full"), "1"),
+])
+def test_closed_stdout_exits_quietly(argv, unbuffered):
+    """A reader that closes before the first write: no traceback, no
+    message, exit 141 (128 + SIGPIPE)."""
+    import os
+    import subprocess
+    import sys
+
+    env = _subprocess_env(PYTHONUNBUFFERED=unbuffered)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "octoforms.cli", *argv], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=300)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141 and proc.stderr == b""
+
+
+def test_cli_import_leaves_other_commands_unloaded():
+    """Importing the CLI and parsing a berger command line loads nothing
+    that only other commands run."""
+    import subprocess
+    import sys
+
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import octoforms.cli\n"
+        "octoforms.cli.build_parser().parse_args(['berger', '--samples', '1', '--json'])\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], env=_subprocess_env(),
+                          capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    loaded = set(proc.stdout.split())
+    assert {b"octoforms.cli", b"argparse"} <= loaded
+    unused = {b"octoforms.spheres", b"octoforms.hopf", b"octoforms.verifysuite",
+              b"octoforms.models", b"octoforms.serialize", b"json"}
+    assert not loaded & unused
+
+
+# sha256 of each command's stdout, recorded before the CLI's imports moved
+# into the commands and its JSON writer became _dump_json on json.dumps
+_POINT = ("3/5", "0", "0", "0", "0", "0", "0", "0", "4/5", "0", "0", "0", "0", "0", "0", "0")
+_EXACT_OUTPUTS = {
+    ("form", "--which", "spin9"):
+        "3f5449967d4b33ad7e998360eae2de16131954b0da3430133bfc95fc3ebb5d42",
+    ("form", "--which", "spin9", "--format", "csv"):
+        "3c0cc0ff0445fcaae013f998fd65ad0db421efbf2944e9bc49c2cdb25c354d84",
+    ("form", "--which", "cgm"):
+        "ff90cc75169bfe2a73dfa86e6039aea0c5c3176f721f58623d0ad99c75c2ebef",
+    ("form", "--which", "cgm", "--format", "csv"):
+        "c89f8c4b5367c64c6a99853a278ebdd7370b73eef4238e94d48fd6633f14c054",
+    ("form", "--which", "psi8"):
+        "eaedc1c3eaafbe177ed4a4fe961c3bf347e093a594bd375a2df54195d649312a",
+    ("form", "--which", "psi8", "--format", "csv"):
+        "020601db3267c0094858ecb6264860cd634d2a0b50617b814cd109e76d108817",
+    ("form", "--which", "tau8"):
+        "4ee831783bb5eee326a243f49f87617a0762b1fd5a5e105ba390c109c14a454b",
+    ("form", "--which", "tau8", "--format", "csv"):
+        "276370b96f250fb5db709db97612a973396e5ca6a49c3788d1ea27e7b31fbef7",
+    ("charpoly", "--which", "spin9", "--json"):
+        "842bf0091b02d320c6c32f862ba7b24dd565d677a56f85601a55aab1d1090d6c",
+    ("charpoly", "--which", "quaternionic", "--json"):
+        "98aa2d49c4aced3593101fe8407003c45404fbf40522d0a7b94a759e9c9e468a",
+    ("fields", "--m", "16", "--verify", "--json"):
+        "e7fa861942e7e3251e4d912e629cf9d96fac07babe07426e82098d74c8485684",
+    ("fields", "--m", "512", "--verify", "--json"):
+        "d2c8f8388325c15b64985936d03603a327bcea54fac28d17ab97f2d60854216a",
+    ("hopf", "--point", *_POINT, "--json"):
+        "36cbc5cd4b2aabd85250d11af3e9d3a3c314065298810ab8520c248acac39bfa",
+    ("clifford", "--kind", "spin9", "--extend", "2", "--json"):
+        "fa376b6f23cdff4ac850f691765567aef1477fc909417c88192dea6b188d3db7",
+    ("clifford", "--kind", "pauli_U2", "--extend", "2", "--json"):
+        "461f45303af5abccc1ddad7a078582d16720d0821efcaa24f9f7655789071678",
+    ("clifford-structure", "--census", "--json"):
+        "b1d7485e10c5963fc71117bb87b9aeba1e41e8670122994a4e4e301c93c5b92c",
+    ("pontrjagin", "--json"):
+        "4f67198085d4a062f86bf77a273d94fff73841d30d7f3b841b118b55a3010c2b",
+}
+
+
+@pytest.mark.parametrize("argv", list(_EXACT_OUTPUTS), ids=" ".join)
+def test_exact_output_digests(argv):
+    import hashlib
+
+    code, out, err = run_cli(*argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == _EXACT_OUTPUTS[argv]
+
+
+def test_berger_json_is_json_dumps_of_the_run():
+    """Monte-Carlo bits depend on the machine, so `berger --json --full` is
+    checked against json.dumps(payload, indent=2) of the same run."""
+    from octoforms.berger import berger_mc
+    from octoforms.serialize import float_str
+
+    code, out, _ = run_cli("berger", "--samples", "1500", "--seed", "4", "--workers", "1",
+                           "--json", "--full")
+    form, report = berger_mc(1500, seed=4, workers=1)
+    payload = {
+        "samples": 1500,
+        "seed": 4,
+        "workers": 1,
+        "cosine_similarity": float_str(report.cosine_similarity),
+        "fitted_scale": float_str(report.fitted_scale),
+        "candidate_scale": float_str(report.candidate_scale),
+        "zero_slots": report.zero_slots,
+        "zero_slots_within_3sigma": report.zero_slots_within_3sigma,
+        "max_zero_sigma_ratio": float_str(report.max_zero_sigma_ratio),
+        "coefficients": [float_str(x) for x in form.coeffs],
+    }
+    assert code == 0 and out == json.dumps(payload, indent=2) + "\n"

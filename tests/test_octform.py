@@ -104,6 +104,28 @@ def test_real_part_and_imag_check():
     assert _conj((1, 2, 3, 4, 5, 6, 7, 8)) == (1, -2, -3, -4, -5, -6, -7, -8)
 
 
+def test_results_drop_cancelled_blades():
+    """Results of +, * and wedge skip the public checks but still drop every
+    all-zero coefficient, so a cancelled blade is gone, not a zero entry."""
+    rng = random.Random(4)
+    a = rand_octform(12, 2, 10, rng)
+    mask, coeff = next(iter(a.mask_items()))
+    b = OctForm(12, {mask: tuple(-x for x in coeff), 0b111: (0, 0, 2, 0, 0, 0, 0, 0)})
+    s = a + b
+    assert mask not in dict(s.mask_items()) and len(s) == len(a)
+    assert a - a == OctForm.zero(12) and len(a - a) == 0
+    assert len(0 * a) == 0
+    e1 = OctForm(2, {0b01: (1, 0, 0, 0, 0, 0, 0, 0)})
+    assert len(e1.wedge(e1)) == 0
+
+
+def test_public_constructor_checks_its_terms():
+    with pytest.raises(ValueError, match="outside ambient dimension 4"):
+        OctForm(4, {1 << 4: (1, 0, 0, 0, 0, 0, 0, 0)})
+    f = OctForm(4, {0b1: [0] * 8, 0b10: [0, 3, 0, 0, 0, 0, 0, 0]})
+    assert dict(f.mask_items()) == {0b10: (0, 3, 0, 0, 0, 0, 0, 0)}
+
+
 def test_oct_tensor_matches_basis_products():
     """_OCT_TENSOR is derived from unit_signs(3); cd_mul is the oracle."""
     table = basis_products(3)
