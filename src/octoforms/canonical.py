@@ -34,7 +34,6 @@ from .exterior import (
     charpoly_coeffs,
     kahler_form,
     wedge_sum,
-    wedge_sums,
 )
 from .linalg import _INT64_SAFE, SignedPerm, _clear_denominators
 from .octform import coordinate_octonion_form
@@ -69,16 +68,16 @@ def cgm_form() -> Multivector:
     """The 8-form sum_{a,b,a',b'} psi_ab ^ psi_ab' ^ psi_a'b ^ psi_a'b'.
 
     Grouped as sum_{a,a'} (sum_b psi_ab ^ psi_a'b)^2, which is the same sum
-    because homogeneous 2-forms commute under the wedge: the 45 inner sums
-    (a <= a') are one grouped wedge_sums call, and their squares, doubled
-    when a < a', one wedge_sum.  The inner call's 324 pairs of 8 x 8 blades
-    fall below the kernel's mean test and run on the reference engine; the
-    squares run on the kernel.
+    because homogeneous 2-forms commute under the wedge: each of the 45 inner
+    sums (a <= a') is one wedge_sum, and their squares, doubled when a < a',
+    one more.  An inner sum holds 7 or 8 pairs of 8 x 8 blades (448 or 512
+    blade pairs, at most _KERNEL_MIN_WORK), so it runs on the reference
+    engine; the squares run on the kernel.
     """
     f = spin9_psi()
     n = f.n
     ends = [(a, a2) for a in range(9) for a2 in range(a, 9)]
-    inner = wedge_sums([[(f.entry_dict(a, b), f.entry_dict(a2, b)) for b in range(9)] for a, a2 in ends], n)
+    inner = [wedge_sum([(f.entry_dict(a, b), f.entry_dict(a2, b)) for b in range(9)], n) for a, a2 in ends]
     squares = [(x, x if a == a2 else {m: 2 * c for m, c in x.items()}) for (a, a2), x in zip(ends, inner)]
     return Multivector(n, wedge_sum(squares, n))
 

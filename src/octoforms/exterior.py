@@ -18,13 +18,13 @@ accumulates exactly in int64 for n <= 16 and ``int`` coefficients under the
 bound ``linalg._INT64_SAFE``.  It has a group axis: every term of an operand
 carries an output-entry offset, one call sums the products of many pairs
 into many entries, and each entry's slots are the blades of the output
-grades only.  ``wedge_sums`` (and ``wedge_sum``, its one-entry case) runs it
-once the call holds more than ``_KERNEL_MIN_WORK`` blade pairs and at least
-``_KERNEL_MIN_MEAN`` per operand pair on average.  Otherwise,
-or when the kernel declines, it runs the pure-Python reference built on
-``wedge_dicts`` for R and on the same unit tables for d > 1, exact for any n
-and any rational coefficients.  Tests compare the two engines with each
-other and with ``CDElement`` products.
+grades only.  ``_wedge_reference`` is the pure-Python engine, exact for any
+n and any rational coefficients: one loop that adds the products of every
+pair straight into one output dict, over blades for R and over unit terms
+for d > 1.  ``wedge_sum``, the one public entry point, runs the kernel once
+the call holds more than ``_KERNEL_MIN_WORK`` blade pairs and the kernel
+accepts them, and the reference otherwise.  Tests compare the two engines
+with each other and with ``CDElement`` products.
 
 ``charpoly_coeffs`` is one Faddeev-LeVerrier recursion over the k(k+1)/2
 upper entries of each step matrix M_s, whose lower entries follow from
@@ -48,20 +48,13 @@ from .linalg import _INT64_SAFE, SignedPerm, _accumulate
 # Structure tensor of the real coefficients: 1 * 1 = 1.
 _REAL = np.ones((1, 1, 1), dtype=np.int64)
 
-# wedge_sums runs the kernel only if both tests pass.
-# _KERNEL_MIN_WORK: the call holds more blade pairs than this in all.  The
-# kernel is faster from a few hundred pairs on, but the Spin(9) charpoly,
-# Psi_8 and CGM routes ran no faster with 400 or 200 than with 2000.
-# _KERNEL_MIN_MEAN: the operand pairs hold at least this many blade pairs on
-# average, since the kernel pays a fixed set-up per operand pair.  On random
-# 2-forms on R^16 in 45 entries (2 vCPUs, numpy 2.4), 324 pairs of 8 x 8
-# blades took 35 ms on the kernel against 17 ms on the reference, 144 pairs
-# of 12 x 12 took 19 against 15 ms, and 81 pairs of 16 x 16 took 8.6
-# against 9.3 ms; from a mean of 256 on, the kernel was faster at both
-# 20,000 and 80,000 blade pairs in all.  CGM's inner sums (324 pairs of
-# 8 x 8) stay on the reference.
+# wedge_sum runs the kernel only on calls that hold more blade pairs than
+# this in all.  The kernel is faster from a few hundred pairs on, but the
+# Spin(9) charpoly, Psi_8 and CGM routes ran no faster with 400 or 200 than
+# with 2000.  CGM's inner sums, 448 or 512 blade pairs per entry, stay on
+# the reference, which is faster there: the kernel pays a fixed set-up per
+# operand pair.
 _KERNEL_MIN_WORK = 2000
-_KERNEL_MIN_MEAN = 256
 
 
 def _odd_crossings_mask(mask_a: int) -> int:
@@ -87,12 +80,13 @@ def merge_sign(mask_a: int, mask_b: int) -> int:
 
 
 def _indices_to_mask(indices) -> int:
-    mask = 0
+    """The mask of a blade given by strictly increasing 1-based indices."""
+    mask, last = 0, 0
     for i in indices:
-        bit = 1 << (i - 1)
-        if bit & mask:
-            raise ValueError("repeated index in blade")
-        mask |= bit
+        if i <= last:
+            raise ValueError("blade indices must be strictly increasing from 1")
+        mask |= 1 << (i - 1)
+        last = i
     return mask
 
 
@@ -118,8 +112,6 @@ class Multivector:
     @classmethod
     def blade(cls, n: int, indices, coeff=1) -> "Multivector":
         """Monomial c * e^{i1...ik} from strictly increasing 1-based indices."""
-        if list(indices) != sorted(indices):
-            raise ValueError("blade indices must be strictly increasing")
         return cls(n, {_indices_to_mask(indices): coeff})
 
     @classmethod
@@ -212,28 +204,12 @@ def _div_exact(c, k: int):
     return int(v) if v.denominator == 1 else v
 
 
-def wedge_dicts(a: dict, b: dict) -> dict:
-    """Exact wedge of two {mask: coefficient} dicts: the reference engine."""
-    out: dict = {}
-    for ma, ca in a.items():
-        odd = _odd_crossings_mask(ma)
-        _accumulate(
-            out,
-            [
-                (ma | mb, -ca * cb if (mb & odd).bit_count() & 1 else ca * cb)
-                for mb, cb in b.items()
-                if not ma & mb
-            ],
-        )
-    return out
-
-
 def wedge_square(a: dict, out: dict) -> dict:
     """Add a ^ a into out and return out, for an even form a.
 
     Even blades commute and e_x ^ e_x = 0 unless x is the scalar blade 0, so
     a ^ a = c_0^2 + 2 sum_{x<y} c_x c_y e_x ^ e_y: half the products of
-    wedge_dicts(a, a), with no temporary.
+    _wedge_reference([(a, a)], _REAL), with no temporary.
     """
     items = list(a.items())
     if any(m.bit_count() & 1 for m, _ in items):
@@ -421,14 +397,25 @@ def _sums_dicts(sums, masks) -> list:
 def _wedge_reference(pairs, tensor) -> dict:
     """Dict-engine sum of a ^ b over pairs, coefficients through the tensor.
 
-    For d > 1 it is one double loop over the unit terms of a and b, with the
-    kernel's unit_of and unit_sign lookups; exact for any rationals.
+    One double loop per pair, over the blades of a and b for R and over
+    their unit terms, with the kernel's unit_of and unit_sign lookups, for
+    d > 1; every product is added straight into one output.  Exact for any
+    rationals.
     """
     d = tensor.shape[0]
     out: dict = {}
     if d == 1:
         for a, b in pairs:
-            _accumulate(out, wedge_dicts(a, b).items())
+            for ma, ca in a.items():
+                odd = _odd_crossings_mask(ma)
+                _accumulate(
+                    out,
+                    [
+                        (ma | mb, -ca * cb if (mb & odd).bit_count() & 1 else ca * cb)
+                        for mb, cb in b.items()
+                        if not ma & mb
+                    ],
+                )
         return out
     unit_of, unit_sign = (t.tolist() for t in _unit_tables(tensor))
     parts: dict = {}  # blade mask * d + unit: coefficient
@@ -457,33 +444,21 @@ def _unit_terms(x: dict) -> list:
     return [(m, u, v) for m, c in x.items() for u, v in enumerate(c) if v]
 
 
-def wedge_sums(entries, n: int, tensor=_REAL) -> list:
-    """wedge_sum of each entry's (a, b) pairs, as one kernel call.
-
-    The kernel runs when the entries together hold more than
-    _KERNEL_MIN_WORK blade pairs, at least _KERNEL_MIN_MEAN per (a, b) pair
-    on average, and it accepts them; the reference engine runs entry by
-    entry otherwise.
-    """
-    entries = [[(a, b) for a, b in pairs if a and b] for pairs in entries]
-    work = sum(len(a) * len(b) for pairs in entries for a, b in pairs)
-    if work > _KERNEL_MIN_WORK and work >= _KERNEL_MIN_MEAN * sum(map(len, entries)):
-        d = tensor.shape[0]
-        grouped = [(_terms(a, d, g), _terms(b, d)) for g, pairs in enumerate(entries) for a, b in pairs]
-        out = _wedge_kernel(grouped, n, tensor, len(entries))
-        if out is not None:
-            return _sums_dicts(*out)
-    return [_wedge_reference(pairs, tensor) for pairs in entries]
-
-
 def wedge_sum(pairs, n: int, tensor=_REAL) -> dict:
     """Exact sum of a ^ b over (a, b) pairs of {mask: coefficient} dicts.
 
     With the default tensor coefficients are rationals; with a d x d x d
-    structure tensor they are d-tuples, multiplied in operand order.  This is
-    the one-entry case of wedge_sums.
+    structure tensor they are d-tuples, multiplied in operand order.  The
+    kernel runs when the pairs hold more than _KERNEL_MIN_WORK blade pairs
+    in all and it accepts them; the reference engine runs otherwise.
     """
-    return wedge_sums([pairs], n, tensor)[0]
+    pairs = [(a, b) for a, b in pairs if a and b]
+    if sum(len(a) * len(b) for a, b in pairs) > _KERNEL_MIN_WORK:
+        d = tensor.shape[0]
+        out = _wedge_kernel([(_terms(a, d), _terms(b, d)) for a, b in pairs], n, tensor)
+        if out is not None:
+            return _sums_dicts(*out)[0]
+    return _wedge_reference(pairs, tensor)
 
 
 def kahler_form(j, n: int | None = None) -> Multivector:
@@ -653,16 +628,17 @@ def tau2_direct(f: FormMatrix) -> Multivector:
 
 
 def _sub_pfaffian(entry, a: int, b: int, c: int, d: int) -> dict:
-    """entry(a,b) ^ entry(c,d) - entry(a,c) ^ entry(b,d) + entry(a,d) ^ entry(b,c)."""
-    pf: dict = {}
-    for sgn, (p, q, r, s) in ((1, (a, b, c, d)), (-1, (a, c, b, d)), (1, (a, d, b, c))):
-        _accumulate(pf, wedge_dicts(entry(p, q), entry(r, s)).items(), sgn)
-    return pf
+    """entry(a,b) ^ entry(c,d) - entry(a,c) ^ entry(b,d) + entry(a,d) ^ entry(b,c),
+    as one reference sum: the skew entry(d,b) = -entry(b,d) carries the sign."""
+    return _wedge_reference([(entry(a, b), entry(c, d)), (entry(a, c), entry(d, b)),
+                             (entry(a, d), entry(b, c))], _REAL)
 
 
 def tau4_coefficient(f: FormMatrix, indices) -> "int | Fraction":
     """Coefficient of tau_4 on one blade, by restricting every entry to
     sub-blades of the target before wedging; avoids building the full form."""
+    if f.k < 4:
+        raise ValueError("tau4 needs a matrix of size >= 4")
     target = _indices_to_mask(indices)
 
     def restricted(a, b):

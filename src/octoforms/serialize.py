@@ -42,10 +42,7 @@ def multivector_from_json(obj: dict) -> Multivector:
     """Inverse of multivector_to_json; terms on a repeated blade are summed."""
     terms: dict = {}
     for term in obj["terms"]:
-        blade = term["blade"]
-        if list(blade) != sorted(blade):
-            raise ValueError("blade indices must be strictly increasing")
-        mask = _indices_to_mask(blade)
+        mask = _indices_to_mask(term["blade"])
         terms[mask] = terms.get(mask, 0) + parse_rational(term["coeff"])
     return Multivector(obj["n"], terms)
 

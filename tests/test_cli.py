@@ -386,6 +386,19 @@ def _subprocess_env(**extra) -> dict:
     return env
 
 
+def test_submodule_import_loads_only_its_dependencies():
+    """The package itself imports nothing, so `import octoforms.spheres`
+    does not load the exterior algebra."""
+    import subprocess
+    import sys
+
+    code = "import sys, octoforms.spheres; print('octoforms.exterior' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def _complete_when_signals_cut_pipe_writes(args):
     """The CLI writes all its bytes unbuffered into a pipe that fills while
     the reader sleeps, with a signal cutting every blocking write short."""

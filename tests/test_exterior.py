@@ -26,10 +26,8 @@ from octoforms.exterior import (
     merge_sign,
     tau4_coefficient,
     tau4_direct,
-    wedge_dicts,
     wedge_square,
     wedge_sum,
-    wedge_sums,
 )
 from octoforms.linalg import _INT64_SAFE, SignedPerm
 from octoforms.octform import _OCT_TENSOR
@@ -96,7 +94,7 @@ def test_kernel_agrees_with_dict_engine():
         b = rand_mv(16, rng.choice([2, 4]), 60, rng)
         pairs = [(dict(a.mask_items()), dict(b.mask_items()))]
         (got,) = _sums_dicts(*_wedge_kernel(pairs, 16, _REAL))
-        want = wedge_dicts(dict(a.mask_items()), dict(b.mask_items()))
+        want = _wedge_reference(pairs, _REAL)
         assert got == want
 
 
@@ -117,7 +115,7 @@ def test_wedge_square_matches_wedge_dicts(n, grades, scale):
     rng = random.Random(31 + n)
     for _ in range(5):
         a = even_form(n, grades, 25, rng, scale)
-        want = wedge_dicts(a, a)
+        want = _wedge_reference([(a, a)], _REAL)
         assert any(want)
         assert wedge_square(a, {}) == want
         # it adds into the caller's total, dropping what cancels; a square
@@ -190,7 +188,19 @@ def test_kernel_declines_fraction_and_wide_forms(monkeypatch, tensor, case):
     assert calls == [None]
     assert out == _wedge_reference([(a, b)], tensor)
     if tensor is _REAL:
-        assert out == wedge_dicts(a, b)
+        assert out == blade_by_blade(a, b)
+
+
+def blade_by_blade(a, b):
+    """Independent real wedge oracle: every blade pair signed by
+    sort_parity_sign of its index lists."""
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            if not ma & mb:
+                sign = sort_parity_sign(exterior._mask_to_indices(ma), exterior._mask_to_indices(mb))
+                out[ma | mb] = out.get(ma | mb, 0) + sign * ca * cb
+    return {m: c for m, c in out.items() if c}
 
 
 def rand_dict(n, grades, terms, d, rng):
@@ -265,7 +275,7 @@ def spy_groups(monkeypatch):
 # test_int64_bound_edge split over two entries, top * (top // 2) each
 @pytest.mark.parametrize("tensor", [_REAL, _OCT_TENSOR], ids=["R", "O"])
 @pytest.mark.parametrize("excess, kernel_runs", [(-1, True), (0, False)])
-def test_int64_bound_edge_grouped(monkeypatch, tensor, excess, kernel_runs):
+def test_int64_bound_edge_grouped(tensor, excess, kernel_runs):
     d = tensor.shape[0]
     top = 2**31 // d
     assert d * d * top * (top // 2 + top // 2) == _INT64_SAFE
@@ -275,12 +285,14 @@ def test_int64_bound_edge_grouped(monkeypatch, tensor, excess, kernel_runs):
         b = {m << 1: coeff(tensor, 3, 1) for m in range(1, 2049)}
         b[0b110] = coeff(tensor, 3, b_top)
         entries.append([(a, b)])
-    calls = spy_groups(monkeypatch)
-    out = wedge_sums(entries, 16, tensor)
-    assert calls == [(2, kernel_runs)]
-    assert out[0][0b111] == coeff(tensor, 3, top * (top // 2))
-    assert out[1][0b111] == coeff(tensor, 3, top * (top // 2 + excess))
-    assert out == [_wedge_reference(pairs, tensor) for pairs in entries]
+    want = [_wedge_reference(pairs, tensor) for pairs in entries]
+    assert want[0][0b111] == coeff(tensor, 3, top * (top // 2))
+    assert want[1][0b111] == coeff(tensor, 3, top * (top // 2 + excess))
+    grouped = [(_terms(a, d, g), _terms(b, d)) for g, pairs in enumerate(entries) for a, b in pairs]
+    out = _wedge_kernel(grouped, 16, tensor, 2)
+    assert (out is not None) == kernel_runs
+    if kernel_runs:
+        assert _sums_dicts(*out) == want
 
 
 def test_parity_table_matches_popcount():
@@ -321,22 +333,30 @@ def two_form(rng, terms):
     return {(1 << i) | (1 << j): rng.randint(1, 3) for i, j in blades}
 
 
-# ten (a, b) pairs in two entries, all 16 x 16 blades (2560 blade pairs, mean
-# 256), or the last one 17 x 15 (2559, mean 255.9): both clear
-# _KERNEL_MIN_WORK, only the first the mean test
-@pytest.mark.parametrize("last, kernel_runs", [((16, 16), True), ((17, 15), False)],
-                         ids=["mean-256", "mean-255.9"])
-def test_kernel_needs_the_mean_blade_pairs(monkeypatch, last, kernel_runs):
-    assert exterior._KERNEL_MIN_MEAN == 256
+# two (a, b) pairs of 40 x 25 blades (2000 blade pairs, _KERNEL_MIN_WORK),
+# or the second 77 x 13 (2001): only the second call is past the edge
+@pytest.mark.parametrize("last, engine", [((40, 25), "reference"), ((77, 13), "kernel")],
+                         ids=["2000", "2001"])
+def test_wedge_sum_kernel_edge(monkeypatch, last, engine):
+    assert exterior._KERNEL_MIN_WORK == 2000
     rng = random.Random(11)
-    sizes = [(16, 16)] * 9 + [last]
-    pairs = [(two_form(rng, i), two_form(rng, j)) for i, j in sizes]
-    entries = [pairs[:5], pairs[5:]]
-    assert sum(len(a) * len(b) for a, b in pairs) > exterior._KERNEL_MIN_WORK
-    calls = spy_kernel(monkeypatch)
-    out = wedge_sums(entries, 16)
-    assert len(calls) == kernel_runs and all(c is not None for c in calls)
-    assert out == [_wedge_reference(e, _REAL) for e in entries]
+    pairs = [(two_form(rng, i), two_form(rng, j)) for i, j in [(40, 25), last]]
+    want = _wedge_reference(pairs, _REAL)
+    ran = []
+    real_kernel, real_reference = exterior._wedge_kernel, exterior._wedge_reference
+
+    def on_kernel(*args):
+        ran.append("kernel")
+        return real_kernel(*args)
+
+    def on_reference(*args):
+        ran.append("reference")
+        return real_reference(*args)
+
+    monkeypatch.setattr(exterior, "_wedge_kernel", on_kernel)
+    monkeypatch.setattr(exterior, "_wedge_reference", on_reference)
+    assert wedge_sum(pairs, 16) == want
+    assert ran == [engine]
 
 
 def test_psi78_squared_coefficient():
@@ -403,7 +423,7 @@ def leibniz_charpoly(entries, k, n):
             sign *= (-1) ** (length - 1)
         term = {0: sign * (-1) ** len(moved)}
         for a in moved:
-            term = wedge_dicts(term, ent(a, perm[a]))
+            term = _wedge_reference([(term, ent(a, perm[a]))], _REAL)
             if not term:
                 break
         j = len(moved)
@@ -449,6 +469,32 @@ def test_tau4_coefficient_restriction_agrees():
         assert tau4_coefficient(f, blade) == full.coefficient(blade)
 
 
+def test_tau4_coefficient_needs_size_4():
+    f = FormMatrix(3, 4, {(0, 1): Multivector.blade(4, [1, 2]), (1, 2): Multivector.blade(4, [3, 4])})
+    with pytest.raises(ValueError, match="size >= 4"):
+        tau4_direct(f)
+    with pytest.raises(ValueError, match="size >= 4"):
+        tau4_coefficient(f, (1, 2, 3, 4))
+
+
+# e^21 = -e^12, so an unsorted blade would read a wrong sign, and index 0
+# would be a negative shift: every way in rejects both
+@pytest.mark.parametrize("indices", [(2, 1), (1, 1), (0, 1)], ids=["unsorted", "repeated", "zero"])
+@pytest.mark.parametrize("reader", ["blade", "coefficient", "tau4_coefficient", "multivector_from_json"])
+def test_blade_indices_must_increase_from_1(reader, indices):
+    from octoforms.serialize import multivector_from_json
+
+    calls = {
+        "blade": lambda: Multivector.blade(4, indices, 5),
+        "coefficient": lambda: Multivector.blade(4, [1, 2], 5).coefficient(indices),
+        "tau4_coefficient": lambda: tau4_coefficient(spin9_psi(), indices),
+        "multivector_from_json": lambda: multivector_from_json(
+            {"n": 4, "grade": 2, "terms": [{"blade": list(indices), "coeff": "5"}]}),
+    }
+    with pytest.raises(ValueError, match="strictly increasing"):
+        calls[reader]()
+
+
 def test_scalar_pfaffian_squared_is_determinant():
     """tau_4's quadruple summand on scalars: (x12 x34 - x13 x24 + x14 x23)^2
     equals det for a 4x4 skew matrix."""
@@ -492,7 +538,7 @@ def test_exact_div_and_gcd():
 
 
 def faddeev_leverrier_dicts(entries, k):
-    """Independent Faddeev-LeVerrier on wedge_dicts alone: tau_1..tau_k as
+    """Independent Faddeev-LeVerrier on _wedge_reference alone: tau_1..tau_k as
     dicts, divisions by s as Fractions (ints when exact)."""
 
     def add(acc, x, scale=1):
@@ -529,7 +575,7 @@ def faddeev_leverrier_dicts(entries, k):
             for j in range(k):
                 acc = {}
                 for t in range(k):
-                    add(acc, wedge_dicts(psi[i][t], cur[t][j]))
+                    add(acc, _wedge_reference([(psi[i][t], cur[t][j])], _REAL))
                 row.append(acc)
             nxt.append(row)
         cur = nxt

@@ -9,7 +9,7 @@ import pytest
 from octoforms import exterior
 from octoforms.canonical import kotrbaty_psi8, spin9_form
 from octoforms.cayley_dickson import CDElement, _conj, basis_products, unit_signs
-from octoforms.exterior import _sums_dicts, _terms, _wedge_kernel, _wedge_reference, merge_sign, wedge_sums
+from octoforms.exterior import _sums_dicts, _terms, _wedge_kernel, _wedge_reference, merge_sign, wedge_sum
 from octoforms.octform import _OCT_TENSOR, OctForm, coordinate_octonion_form
 
 
@@ -205,7 +205,7 @@ def test_engines_match_cd_products(kind, level):
         assert grouped[0][0] is None
     else:
         assert _sums_dicts(*_wedge_kernel(grouped, n, tensor, len(entries))) == want
-    assert wedge_sums(entries, n, tensor) == want
+    assert [wedge_sum(pairs, n, tensor) for pairs in entries] == want
 
 
 def test_psi8_products_run_on_the_kernel(monkeypatch):
