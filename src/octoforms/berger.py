@@ -41,12 +41,13 @@ return these monomial sums, and a call contracts their total to the 12870
 slot sums and sums of squares once.
 
 Workers: the samples are cut into 64 fixed block groups.  With more than one
-worker and enough groups, the call forks its workers after the plan is built,
-so they inherit it.  Worker w runs groups w, w + P, w + 2P, ... (P workers)
-and writes each group's moments to its own pipe; the parent reads group g
-from pipe g % P, which gives the groups in index order, and folds each as it
-arrives.  The parent starts no thread and pickles nothing.  Without os.fork,
-or with too few groups to pay for it, the groups run serially.
+worker and enough groups, the call forks its workers through
+``fanout.fan_out`` after the plan is built, so they inherit it.  Worker w
+runs groups w, w + P, w + 2P, ... (P workers) and pickles each group's
+moments into its own pipe; the parent reads group g from pipe g % P, which
+gives the groups in index order, and folds each as it arrives.  The parent
+starts no thread and sends the workers nothing.  Without os.fork, or with
+too few groups to pay for it, the groups run serially.
 
 Determinism: samples are generated by the counter-based Philox generator, 12
 uniforms per sample (so every fixed-size block starts on a counter boundary),
@@ -63,15 +64,13 @@ given numpy build and CPU.
 from __future__ import annotations
 
 import math
-import os
-import signal
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, combinations_with_replacement, permutations
 
 import numpy as np
 
+from . import fanout
 from .canonical import cgm_form
 from .cayley_dickson import unit_signs
 
@@ -425,69 +424,6 @@ def _group_worker(args):
     return moments
 
 
-def _fan_out(tasks: list, workers: int):
-    """Yield ``_group_worker(task)`` for each task, in order, computed by
-    `workers` forked children (child w takes tasks w, w + workers, ...).
-
-    A child that fails leaves its pipe short; the parent then kills and
-    reaps every child and raises RuntimeError naming the task.  Closing the
-    generator early kills and reaps the children as well.
-    """
-    size = _plan()["moments"]
-    pipes, pids = [], []
-    done, failed = False, None
-    try:
-        for w in range(workers):
-            r, wfd = os.pipe()
-            pipes.append(r)
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(wfd)
-                raise
-            if pid == 0:  # child: never returns into the caller's frames
-                code = 1
-                try:
-                    for fd in pipes:
-                        os.close(fd)
-                    for task in tasks[w::workers]:
-                        out = memoryview(_group_worker(task)).cast("B")
-                        while out:
-                            out = out[os.write(wfd, out) :]
-                    code = 0
-                except BaseException:
-                    sys.excepthook(*sys.exc_info())
-                finally:
-                    os._exit(code)
-            os.close(wfd)
-            pids.append(pid)
-        for g in range(len(tasks)):
-            part = np.empty(size, dtype=np.float64)
-            buf = memoryview(part).cast("B")
-            got = 0
-            while got < len(buf):
-                n = os.readv(pipes[g % workers], [buf[got:]])
-                if n == 0:
-                    break
-                got += n
-            if got < len(buf):
-                failed = g
-                break
-            yield part
-        else:
-            done = True
-    finally:
-        if not done:
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-        for fd in pipes:
-            os.close(fd)
-        for pid in pids:
-            os.waitpid(pid, 0)
-    if failed is not None:
-        raise RuntimeError(f"the worker of block group {failed} exited before returning it")
-
-
 @dataclass(frozen=True)
 class SampledForm:
     n: int
@@ -521,9 +457,10 @@ def phi_dense() -> np.ndarray:
 
     Read from the CGM route: Omega_CGM = -4 tau_4, so Phi is -Omega_CGM
     divided by its content (1440).  ``cgm_form`` squares its 45 inner sums
-    on the int64 wedge kernel and takes a few hundredths of a second cold,
-    against about 0.4 s for the dict-engine sub-Pfaffian ``tau4_direct``;
-    the tests tie the result to the charpoly route slot by slot.
+    on the int64 wedge kernel and takes about 0.03 s cold on a 2-vCPU VM,
+    against about 0.12 s for the dict-engine sub-Pfaffian ``tau4_direct``
+    forked on both CPUs (about 0.18 s serially); the tests tie the result
+    to the charpoly route slot by slot.
     """
     cgm = cgm_form()
     phi = cgm.exact_div(-cgm.coeff_gcd())
@@ -546,14 +483,6 @@ def _group_tasks(samples: int, seed: int) -> list:
     ]
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the platform
-    has one, else the machine's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def berger_mc(samples: int, seed: int = 0, workers: int = 1):
     """Average the line-volume pullbacks over `samples` uniform lines.
 
@@ -569,13 +498,20 @@ def berger_mc(samples: int, seed: int = 0, workers: int = 1):
     # the task list and the reduction order are fixed, so the worker count is
     # pure execution detail: capped at the usable CPUs to avoid thrash, and
     # at the workers that the groups keep busy long enough to pay the fork
-    procs = min(workers, _usable_cpus(), len(tasks) // _MIN_GROUPS_PER_WORKER)
+    procs = fanout.worker_count(min(workers, len(tasks) // _MIN_GROUPS_PER_WORKER))
     # built before any fork, so that the workers inherit the plan
     moments = np.zeros(_plan()["moments"], dtype=np.float64)
     # group results are folded in group order as they arrive: a fixed,
     # deterministic reduction that does not hold every group's sums at once
-    parallel = procs > 1 and hasattr(os, "fork")
-    for part in _fan_out(tasks, procs) if parallel else map(_group_worker, tasks):
+    if procs > 1:
+        # loaded here rather than at import, which mc setup_s times, so that
+        # the workers inherit it instead of each importing it (15-18 ms)
+        import numpy.random  # noqa: F401
+
+        parts = fanout.fan_out(_group_worker, tasks, procs, "block group")
+    else:
+        parts = map(_group_worker, tasks)
+    for part in parts:
         moments += part
     sums, sumsq = _contract(moments)
 

@@ -32,11 +32,15 @@ M_s^T = (-1)^s M_s.  A step is one grouped kernel call on kernel arrays; once
 the kernel declines a step, that step and the later ones run on
 ``_wedge_reference``.  ``tau2_direct`` and ``tau4_direct`` square with
 ``wedge_square`` on the dict engine, a route independent of the kernel.
+``tau4_direct`` deals its sub-Pfaffian squares out to forked workers
+(``fanout``) once each has enough work, and adds their partial sums
+exactly; it imports ``fanout`` only when called.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import gcd
 from typing import NamedTuple
@@ -55,6 +59,14 @@ _REAL = np.ones((1, 1, 1), dtype=np.int64)
 # the reference, which is faster there: the kernel pays a fixed set-up per
 # operand pair.
 _KERNEL_MIN_WORK = 2000
+
+# tau4_direct forks a worker per this much _tau4_work, up to the usable CPUs.
+# On a 2-vCPU VM a forked worker returned its first result 2.5-3.5 ms after
+# the fork, and two workers cost 5-10 ms more than half the serial time: on
+# spin9 quads they broke even at about 0.4-0.75 M of work (15-30 ms serial),
+# and the whole spin9 sum (4.6 M) went from 129 to 93 ms (medians of 21).
+# So two workers start at 0.8 M, past the noisy break-even.
+_FORK_MIN_WORK = 400_000
 
 
 def _odd_crossings_mask(mask_a: int) -> int:
@@ -309,13 +321,13 @@ def _odd_masks(masks: np.ndarray) -> np.ndarray:
 def _wedge_kernel(pairs, n: int, tensor, groups: int = 1):
     """Vectorized exact sum of a ^ b over pairs, into `groups` output entries.
 
-    Operands are {mask: coefficient} dicts (every term at offset 0) or
-    _Terms; a left one carries its odd-crossings masks, which _terms computes
-    once, so an operand reused over pairs or calls does not redo them.  A
-    product of two terms lands in the entry that is the sum of their
-    offsets.  Coefficients are ints (d = 1) or d-tuples of ints, expanded
-    into unit terms; a pair of unit terms (u, v) lands on unit
-    unit_of[u, v] with sign unit_sign[u, v], two gathers per kept pair.
+    Operands are _Terms, or None where _terms declined; a left one carries
+    its odd-crossings masks, which _terms computes once, so an operand reused
+    over pairs or calls does not redo them.  A product of two terms lands in
+    the entry that is the sum of their offsets.  Coefficients are ints
+    (d = 1) or d-tuples of ints, expanded into unit terms; a pair of unit
+    terms (u, v) lands on unit unit_of[u, v] with sign unit_sign[u, v], two
+    gathers per kept pair.
 
     int64: every intermediate is bounded by d^2 * min(A, B) * max|a| * max|b|
     summed over the pairs, with A, B the pair's counts of blade terms (one per
@@ -338,7 +350,6 @@ def _wedge_kernel(pairs, n: int, tensor, groups: int = 1):
         unit_of, unit_sign = _unit_tables(tensor)
     if n > 16:
         return None
-    pairs = [tuple(_terms(x, d) if isinstance(x, dict) else x for x in pair) for pair in pairs]
     bound = 0
     for a, b in pairs:
         if a is None or b is None:
@@ -634,6 +645,14 @@ def _sub_pfaffian(entry, a: int, b: int, c: int, d: int) -> dict:
                              (entry(a, d), entry(b, c))], _REAL)
 
 
+def _tau4_sum(entry, quads) -> dict:
+    """The sum over quads of the squared sub-Pfaffians, as one dict."""
+    total: dict = {}
+    for quad in quads:
+        wedge_square(_sub_pfaffian(entry, *quad), total)
+    return total
+
+
 def tau4_coefficient(f: FormMatrix, indices) -> "int | Fraction":
     """Coefficient of tau_4 on one blade, by restricting every entry to
     sub-blades of the target before wedging; avoids building the full form."""
@@ -644,22 +663,41 @@ def tau4_coefficient(f: FormMatrix, indices) -> "int | Fraction":
     def restricted(a, b):
         return {m: c for m, c in f.entry_dict(a, b).items() if not (m & ~target)}
 
-    total: dict = {}
-    for quad in combinations(range(f.k), 4):
-        wedge_square(_sub_pfaffian(restricted, *quad), total)
-    return total.get(target, 0)
+    return _tau4_sum(restricted, combinations(range(f.k), 4)).get(target, 0)
+
+
+def _tau4_work(f: FormMatrix, quads) -> int:
+    """Sum over quads of p^2, p = |f_ab| |f_cd| + |f_ac| |f_bd| + |f_ad| |f_bc|:
+    p bounds the sub-Pfaffian's blades, so p^2 bounds twice the pairs its
+    square visits."""
+
+    def size(a, b):
+        return len(f._upper.get((a, b), ()))
+
+    return sum((size(a, b) * size(c, d) + size(a, c) * size(b, d) + size(a, d) * size(b, c)) ** 2
+               for a, b, c, d in quads)
 
 
 def tau4_direct(f: FormMatrix) -> Multivector:
     """Fourth characteristic coefficient as the sum of squared sub-Pfaffians.
 
     For every a < b < c < d:  (f_ab ^ f_cd - f_ac ^ f_bd + f_ad ^ f_bc)^2,
-    each square added into one running total by wedge_square.  Uses the dict
-    engine only, independently of the Faddeev-LeVerrier path.
+    each square added into a running total by wedge_square.  Uses the dict
+    engine only, independently of the Faddeev-LeVerrier path.  With at least
+    _FORK_MIN_WORK of _tau4_work per worker, the quads are dealt out in turn
+    to forked workers, one per usable CPU at most, and their partial sums are
+    added exactly; otherwise, or without os.fork, the quads run serially.
     """
     if f.k < 4:
         raise ValueError("tau4 needs a matrix of size >= 4")
+    from .fanout import fan_out, worker_count
+
+    quads = list(combinations(range(f.k), 4))
+    workers = worker_count(_tau4_work(f, quads) // _FORK_MIN_WORK)
+    if workers < 2:
+        return Multivector(f.n, _tau4_sum(f.entry_dict, quads))
     total: dict = {}
-    for quad in combinations(range(f.k), 4):
-        wedge_square(_sub_pfaffian(f.entry_dict, *quad), total)
+    shares = [quads[w::workers] for w in range(workers)]
+    for part in fan_out(partial(_tau4_sum, f.entry_dict), shares, workers, "quad share"):
+        _accumulate(total, part.items())
     return Multivector(f.n, total)

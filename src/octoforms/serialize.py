@@ -15,6 +15,8 @@ from .linalg import SignedPerm
 
 
 def rational_str(x) -> str:
+    if type(x) is int:
+        return str(x)
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
@@ -39,12 +41,15 @@ def multivector_to_json(mv: Multivector) -> dict:
 
 
 def multivector_from_json(obj: dict) -> Multivector:
-    """Inverse of multivector_to_json; terms on a repeated blade are summed."""
+    """Inverse of multivector_to_json; terms on a repeated blade are summed.
+
+    An integral coefficient is stored as an int, as the forms are built."""
     terms: dict = {}
     for term in obj["terms"]:
         mask = _indices_to_mask(term["blade"])
         terms[mask] = terms.get(mask, 0) + parse_rational(term["coeff"])
-    return Multivector(obj["n"], terms)
+    return Multivector(obj["n"], {m: c.numerator if c.denominator == 1 else c
+                                  for m, c in terms.items()})
 
 
 def multivector_to_csv(mv: Multivector) -> str:

@@ -2,15 +2,13 @@
 
 import json
 import os
-import signal
 import threading
 import time
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from octoforms import berger
+from octoforms import berger, fanout
 from octoforms.berger import (
     _BLOCK,
     _CHUNK,
@@ -30,6 +28,7 @@ from octoforms.berger import (
     slot_masks,
 )
 from octoforms.canonical import spin9_form
+from conftest import deadline, subprocess_env
 from tests_util_det import exact_det
 
 
@@ -165,7 +164,7 @@ def _skewed_group(args):
     return np.full(_plan()["moments"], 2.0**53)
 
 
-def test_groups_fold_in_index_order(monkeypatch):
+def test_groups_fold_in_index_order(monkeypatch, no_child_left):
     """Both paths fold group results in group order, whatever order they
     finish in.  (The stand-in makes the order show in every moment, which
     real sums do only now and then.)"""
@@ -199,25 +198,26 @@ def test_pool_capped_by_cpu_affinity(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("workers were forked on a 1-CPU affinity")
 
-    monkeypatch.setattr(berger.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(berger, "_fan_out", no_pool)
+    monkeypatch.setattr(fanout.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(fanout, "fan_out", no_pool)
     got, rep = berger_mc(samples, seed=42, workers=2)
     assert rep.workers == 2
     assert np.array_equal(got.coeffs, want.coeffs)
     assert np.array_equal(got.sigma, want.sigma)
 
 
-def test_pool_started_only_for_enough_groups(monkeypatch):
+def test_pool_started_only_for_enough_groups(monkeypatch, no_child_left):
     """Workers are forked only when each gets _MIN_GROUPS_PER_WORKER
     groups, and the bits do not depend on whether they were."""
-    real_fan_out = berger._fan_out
+    real_fan_out = fanout.fan_out
     started = []
 
-    def spy(tasks, workers):
+    def spy(fn, tasks, workers, label):
         started.append(workers)
-        return real_fan_out(tasks, workers)
+        return real_fan_out(fn, tasks, workers, label)
 
-    monkeypatch.setattr(berger, "_fan_out", spy)
+    monkeypatch.setattr(fanout, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(fanout, "fan_out", spy)
     edge = 2 * _MIN_GROUPS_PER_WORKER * _BLOCK
     for samples, pools in ((2048, []), (edge - _BLOCK, []), (edge, [2]), (65536, [2])):
         started.clear()
@@ -237,45 +237,14 @@ def test_serial_without_fork(monkeypatch):
     def no_fan_out(*args, **kwargs):
         raise AssertionError("workers were forked without os.fork")
 
-    monkeypatch.delattr(berger.os, "fork")
-    monkeypatch.setattr(berger, "_fan_out", no_fan_out)
+    monkeypatch.delattr(fanout.os, "fork")
+    monkeypatch.setattr(fanout, "fan_out", no_fan_out)
     got, _ = berger_mc(samples, seed=8, workers=2)
     assert np.array_equal(got.coeffs, want.coeffs)
     assert np.array_equal(got.sigma, want.sigma)
 
 
-@contextmanager
-def _deadline(seconds):
-    """Raise TimeoutError in the body if it runs longer than `seconds`."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
-
-
-def test_fan_out_yields_groups_in_task_order(monkeypatch):
-    """Whatever the worker count, the fan-out yields each task's result in
-    task order."""
-    tasks = _group_tasks(64 * _BLOCK, 0)
-
-    def numbered(args):
-        return np.full(_plan()["moments"], float(args[1].start))
-
-    monkeypatch.setattr(berger, "_group_worker", numbered)
-    for workers in (2, 3):
-        with _deadline(60):
-            got = [part[0] for part in berger._fan_out(tasks, workers)]
-        assert got == [float(g) for g in range(len(tasks))], workers
-
-
-def test_failed_worker_raises_after_reaping(monkeypatch):
+def test_failed_worker_raises_after_reaping(monkeypatch, no_child_left):
     """A group worker that raises makes berger_mc raise RuntimeError naming
     the group, without hanging, starting a thread or leaving a child; the
     other worker is killed in the 30 s group it has started, not waited
@@ -288,29 +257,31 @@ def test_failed_worker_raises_after_reaping(monkeypatch):
             time.sleep(30)
         return np.zeros(_plan()["moments"])
 
-    monkeypatch.setattr(berger, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(fanout, "usable_cpus", lambda: 2)
     monkeypatch.setattr(berger, "_group_worker", failing)
     threads = threading.active_count()
-    with _deadline(10), pytest.raises(RuntimeError, match="group 5 "):
+    with deadline(10), pytest.raises(RuntimeError, match="group 5 "):
         berger_mc(64 * _BLOCK, seed=0, workers=2)
     assert threading.active_count() == threads
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_closed_fan_out_leaves_no_child():
-    """Closing the fan-out after its first group kills and reaps the
-    workers; none of it starts a thread."""
-    tasks = _group_tasks(64 * _BLOCK, 3)
-    threads = threading.active_count()
-    with _deadline(60):
-        parts = berger._fan_out(tasks, 2)
-        assert np.array_equal(next(parts), _group_worker(tasks[0]))
-        assert threading.active_count() == threads
-        parts.close()
-    assert threading.active_count() == threads
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def test_forked_workers_inherit_numpy_random():
+    """numpy.random is loaded by the first call that forks, so its workers
+    inherit it, and not by importing the module, which mc setup_s times."""
+    import subprocess
+    import sys
+
+    code = ("import sys; from octoforms import berger, fanout; "
+            "print('numpy.random' in sys.modules); berger._plan(); "
+            "fanout.usable_cpus = lambda: 2; forked = []; real = fanout.fan_out; "
+            "fanout.fan_out = lambda *a: forked.append(a[2]) or real(*a); "
+            "berger.berger_mc(8192, workers=2); print(forked, 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n[2] True\n"
 
 
 def test_phi_dense_is_the_charpoly_form():

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import subprocess_env
 from octoforms import cli, clifford
 from octoforms.canonical import spin9_form
 from octoforms.cli import main
@@ -44,6 +45,18 @@ def test_multivector_json_roundtrip():
     assert multivector_from_json(obj) == mv
     # blades sorted lexicographically
     assert obj["terms"][0]["blade"] == [1, 2, 3, 4]
+
+
+def test_json_roundtrip_keeps_integer_coefficients_int():
+    """Integral coefficients come back as int, so an integer form keeps its
+    content; the others stay Fraction."""
+    phi = spin9_form()
+    back = multivector_from_json(multivector_to_json(phi))
+    assert back == phi and back.coeff_gcd() == 1
+    assert {type(c) for _, c in back.terms()} == {int}
+    mixed = multivector_from_json(multivector_to_json(
+        Multivector.blade(4, [1, 2], Fraction(6, 3)) + Multivector.blade(4, [3, 4], Fraction(1, 2))))
+    assert [type(c) for _, c in mixed.terms()] == [int, Fraction]
 
 
 def test_multivector_from_json_sums_repeated_blades():
@@ -373,19 +386,6 @@ sys.exit(code)
 """
 
 
-def _subprocess_env(**extra) -> dict:
-    """os.environ with the package's source on PYTHONPATH, plus `extra`."""
-    import os
-    from pathlib import Path
-
-    import octoforms
-
-    src = str(Path(octoforms.__file__).resolve().parent.parent)
-    env = dict(os.environ, **extra)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
-
-
 def test_submodule_import_loads_only_its_dependencies():
     """The package itself imports nothing, so `import octoforms.spheres`
     does not load the exterior algebra."""
@@ -393,7 +393,7 @@ def test_submodule_import_loads_only_its_dependencies():
     import sys
 
     code = "import sys, octoforms.spheres; print('octoforms.exterior' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+    proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
@@ -405,7 +405,7 @@ def _complete_when_signals_cut_pipe_writes(args):
     import subprocess
     import sys
 
-    env = _subprocess_env(PYTHONUNBUFFERED="1")
+    env = subprocess_env(PYTHONUNBUFFERED="1")
     want = subprocess.run([sys.executable, "-m", "octoforms.cli", *args], env=env,
                           capture_output=True, timeout=300)
     assert want.returncode == 0, want.stderr.decode()
@@ -447,7 +447,7 @@ def test_closed_stdout_exits_quietly(argv, unbuffered):
     import subprocess
     import sys
 
-    env = _subprocess_env(PYTHONUNBUFFERED=unbuffered)
+    env = subprocess_env(PYTHONUNBUFFERED=unbuffered)
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -471,7 +471,7 @@ def test_cli_import_leaves_other_commands_unloaded():
         "octoforms.cli.build_parser().parse_args(['berger', '--samples', '1', '--json'])\n"
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", probe], env=_subprocess_env(),
+    proc = subprocess.run([sys.executable, "-c", probe], env=subprocess_env(),
                           capture_output=True, timeout=300)
     assert proc.returncode == 0, proc.stderr.decode()
     loaded = set(proc.stdout.split())

@@ -2,6 +2,7 @@
 charpoly routes."""
 
 import random
+import threading
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octoforms import exterior
+from conftest import deadline
+from octoforms import exterior, fanout
 from octoforms.canonical import spin9_psi, spin9_taus
 from octoforms.clifford import standard_system
 from octoforms.exterior import (
@@ -31,6 +33,11 @@ from octoforms.exterior import (
 )
 from octoforms.linalg import _INT64_SAFE, SignedPerm
 from octoforms.octform import _OCT_TENSOR
+
+
+def _kernel_pairs(pairs, d):
+    """(a, b) pairs of {mask: coefficient} dicts as the kernel's _Terms."""
+    return [(_terms(a, d), _terms(b, d)) for a, b in pairs]
 
 
 def sort_parity_sign(a_indices, b_indices):
@@ -93,7 +100,7 @@ def test_kernel_agrees_with_dict_engine():
         a = rand_mv(16, 2, 30, rng)
         b = rand_mv(16, rng.choice([2, 4]), 60, rng)
         pairs = [(dict(a.mask_items()), dict(b.mask_items()))]
-        (got,) = _sums_dicts(*_wedge_kernel(pairs, 16, _REAL))
+        (got,) = _sums_dicts(*_wedge_kernel(_kernel_pairs(pairs, 1), 16, _REAL))
         want = _wedge_reference(pairs, _REAL)
         assert got == want
 
@@ -469,6 +476,119 @@ def test_tau4_coefficient_restriction_agrees():
         assert tau4_coefficient(f, blade) == full.coefficient(blade)
 
 
+def _random_fraction_matrix(seed, k=6, n=10):
+    """A k x k form matrix of random 2-forms on R^n with Fraction coefficients."""
+    rng = random.Random(seed)
+    pairs = [(1 << i) | (1 << j) for i, j in combinations(range(n), 2)]
+    return FormMatrix(k, n, {
+        (a, b): Multivector(n, {m: Fraction(rng.randint(-7, 7), rng.randint(1, 5))
+                                for m in rng.sample(pairs, rng.randint(2, 9))})
+        for a in range(k) for b in range(a + 1, k)})
+
+
+def test_tau4_coefficient_matches_charpoly():
+    """tau4_coefficient against the Faddeev-LeVerrier tau_4, a route that
+    shares no code with the sub-Pfaffians: on spin9 blades, zero ones
+    included, and on a random Fraction matrix."""
+    f, tau4 = spin9_psi(), spin9_taus()[3]
+    nonzero = [blade for blade, _ in list(tau4.terms())[::175]]
+    zero = [(1, 2, 3, 4, 5, 6, 7, 9), (1, 4, 6, 7, 10, 12, 13, 15), (5, 8, 9, 11, 12, 14, 15, 16)]
+    assert all(tau4.coefficient(b) for b in nonzero) and not any(tau4.coefficient(b) for b in zero)
+    for blade in nonzero + zero:
+        assert tau4_coefficient(f, blade) == tau4.coefficient(blade), blade
+
+    f = _random_fraction_matrix(44, k=5, n=8)
+    tau4 = charpoly_coeffs(f)[3]
+    assert any(isinstance(c, Fraction) and c.denominator > 1 for _, c in tau4.terms())
+    blades = list(combinations(range(1, 9), 4))
+    assert any(tau4.coefficient(b) == 0 for b in blades)
+    for blade in blades:
+        assert tau4_coefficient(f, blade) == tau4.coefficient(blade), blade
+
+
+def _fork_spy(monkeypatch):
+    """Record the worker count of every fan-out tau4_direct starts."""
+    started, real = [], fanout.fan_out
+
+    def spy(fn, tasks, workers, label):
+        started.append(workers)
+        return real(fn, tasks, workers, label)
+
+    monkeypatch.setattr(fanout, "fan_out", spy)
+    return started
+
+
+def test_tau4_direct_forked_equals_serial(monkeypatch, no_child_left):
+    """On two CPUs spin9 forks two workers and gives the charpoly tau_4; a
+    random Fraction matrix, below the threshold unless it is lowered, gives
+    the same exact form forked over 2 or 3 workers as serially."""
+    started = _fork_spy(monkeypatch)
+    monkeypatch.setattr(fanout, "usable_cpus", lambda: 2)
+    assert tau4_direct(spin9_psi()) == spin9_taus()[3]
+    assert started == [2]
+    f = _random_fraction_matrix(5)
+    started.clear()
+    serial = tau4_direct(f)
+    assert started == []
+    assert serial == charpoly_coeffs(f)[3]
+    assert any(isinstance(c, Fraction) and c.denominator > 1 for _, c in serial.terms())
+    monkeypatch.setattr(exterior, "_FORK_MIN_WORK", 1)
+    for cpus in (2, 3):
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: cpus)
+        started.clear()
+        assert tau4_direct(f) == serial
+        assert started == [cpus]
+
+
+def test_tau4_direct_serial_on_one_cpu_or_without_fork(monkeypatch):
+    """A 1-CPU affinity, or a platform without os.fork, runs the quads
+    serially, with the same form."""
+    want = spin9_taus()[3]
+
+    def no_fork(*args):
+        raise AssertionError("tau4_direct forked")
+
+    monkeypatch.setattr(fanout, "fan_out", no_fork)
+    monkeypatch.setattr(fanout.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert tau4_direct(spin9_psi()) == want
+    monkeypatch.setattr(fanout.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.delattr(fanout.os, "fork")
+    assert tau4_direct(spin9_psi()) == want
+
+
+def test_tau4_direct_fork_threshold_edge(monkeypatch, no_child_left):
+    """Workers are work // _FORK_MIN_WORK, capped at the CPUs: exactly twice
+    the threshold forks two, one unit less runs serially."""
+    f, want = spin9_psi(), spin9_taus()[3]
+    work = exterior._tau4_work(f, list(combinations(range(9), 4)))
+    assert work == 126 * (3 * 8 * 8) ** 2  # every spin9 entry has 8 blades
+    started = _fork_spy(monkeypatch)
+    monkeypatch.setattr(fanout, "usable_cpus", lambda: 4)
+    for threshold, workers in ((work // 2 + 1, []), (work // 2, [2]), (work // 3, [3]), (1, [4])):
+        monkeypatch.setattr(exterior, "_FORK_MIN_WORK", threshold)
+        started.clear()
+        assert tau4_direct(f) == want
+        assert started == workers, threshold
+
+
+def test_tau4_direct_failed_worker_names_its_share(monkeypatch, no_child_left):
+    """A worker that raises makes tau4_direct raise RuntimeError naming its
+    share, without hanging or starting a thread."""
+    real = exterior._sub_pfaffian
+
+    def failing(entry, *quad):
+        if quad == (0, 1, 2, 4):  # the second quad, so the second share
+            raise ValueError("this quad fails")
+        return real(entry, *quad)
+
+    monkeypatch.setattr(fanout, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(exterior, "_sub_pfaffian", failing)
+    threads = threading.active_count()
+    with deadline(30), pytest.raises(RuntimeError, match="quad share 1 exited"):
+        tau4_direct(spin9_psi())
+    assert threading.active_count() == threads
+
+
 def test_tau4_coefficient_needs_size_4():
     f = FormMatrix(3, 4, {(0, 1): Multivector.blade(4, [1, 2]), (1, 2): Multivector.blade(4, [3, 4])})
     with pytest.raises(ValueError, match="size >= 4"):
@@ -666,7 +786,7 @@ def bad_tensor(kind):
 
 
 ENGINES = {
-    "kernel": lambda pairs, tensor: _wedge_kernel(pairs, 2, tensor),
+    "kernel": lambda pairs, tensor: _wedge_kernel(_kernel_pairs(pairs, tensor.shape[0]), 2, tensor),
     "reference": _wedge_reference,
     "wedge_sum": lambda pairs, tensor: wedge_sum(pairs, 2, tensor),
 }
@@ -734,4 +854,4 @@ def test_engines_match_tensor_sum_on_asymmetric_tables(seed):
     want = tensor_sum_wedge(pairs, tensor)
     assert want
     assert _wedge_reference(pairs, tensor) == want
-    assert _sums_dicts(*_wedge_kernel(pairs, n, tensor)) == [want]
+    assert _sums_dicts(*_wedge_kernel(_kernel_pairs(pairs, d), n, tensor)) == [want]

@@ -33,7 +33,7 @@ def test_scalar_wedge_matches_cd_mul():
         b = tuple(rng.randint(-5, 5) for _ in range(8))
         want = OctForm(1, {0: tuple((CDElement(3, a) * CDElement(3, b)).coeffs)})
         assert OctForm(1, {0: a}).wedge(OctForm(1, {0: b})) == want
-        assert OctForm(1, _sums_dicts(*_wedge_kernel([({0: a}, {0: b})], 1, _OCT_TENSOR))[0]) == want
+        assert OctForm(1, _sums_dicts(*_wedge_kernel([(_terms({0: a}, 8), _terms({0: b}, 8))], 1, _OCT_TENSOR))[0]) == want
 
 
 def test_conjugation_involution():
@@ -60,7 +60,7 @@ def test_wedge_kernel_agrees_with_dict():
         a = rand_octform(16, 2, 40, rng)
         b = rand_octform(16, 2, 40, rng)
         pairs = [(dict(a.mask_items()), dict(b.mask_items()))]
-        (got,) = _sums_dicts(*_wedge_kernel(pairs, 16, _OCT_TENSOR))
+        (got,) = _sums_dicts(*_wedge_kernel([(_terms(a, 8), _terms(b, 8)) for a, b in pairs], 16, _OCT_TENSOR))
         assert got == _wedge_reference(pairs, _OCT_TENSOR)
         assert a.wedge(b) == OctForm(16, got)
 
@@ -195,7 +195,7 @@ def test_engines_match_cd_products(kind, level):
     for pairs, w in zip(entries, want):
         assert _wedge_reference(pairs, tensor) == w
         for a, b in pairs:
-            single = _wedge_kernel([(a, b)], n, tensor)
+            single = _wedge_kernel([(_terms(a, d), _terms(b, d))], n, tensor)
             if kind == "fraction":
                 assert single is None
             else:
