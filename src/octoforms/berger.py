@@ -38,7 +38,9 @@ rows.  Each product stage gathers its factor rows slab by slab into the
 buffers; the square monomials are never stored, and each slab of them is
 reduced against its weight columns while it is still in cache.  The groups
 return these monomial sums, and a call contracts their total to the 12870
-slot sums and sums of squares once.
+slot sums and sums of squares once, the squares 256 states at a time, so
+that the contraction never holds a level's pair moments for all of its
+states.  The plan keeps its index tables as int16 and its signs as int8.
 
 Workers: the samples are cut into 64 fixed block groups.  With more than one
 worker and enough groups, the call forks its workers through
@@ -86,6 +88,9 @@ _GROUPS = 64
 _MIN_GROUPS_PER_WORKER = 4
 _CHUNK = 128  # samples per monomial pass, so the monomial rows stay cache-sized
 _SLAB = 512  # product rows gathered and reduced at a time
+# states whose square moments _contract gathers at a time: the level-4 block
+# is 256 x 210 float64, 0.43 MB, and the whole level would be 4.1 MB
+_STATE_BLOCK = 256
 _DRAWS_PER_SAMPLE = 12  # multiple of 4: Philox counter units hold 4 doubles
 
 
@@ -103,12 +108,21 @@ def slot_masks() -> np.ndarray:
     return _subsets(16, 8)[1]
 
 
+def _narrow(a: np.ndarray) -> np.ndarray:
+    """The integer array `a` as int16, which must hold all of its values: a
+    table that outgrows the type raises ValueError instead of wrapping."""
+    info = np.iinfo(np.int16)
+    if a.size and (a.min() < info.min or a.max() > info.max):
+        raise ValueError(f"values {a.min()}..{a.max()} do not fit int16")
+    return a.astype(np.int16)
+
+
 @lru_cache(maxsize=1)
 def _slot_of_mask() -> np.ndarray:
     """The slot of each grade-8 blade mask, indexed by mask (-1 off grade 8)."""
-    out = np.full(1 << 16, -1, dtype=np.int64)
+    out = np.full(1 << 16, -1)
     out[slot_masks()] = np.arange(12870)
-    return out
+    return _narrow(out)
 
 
 def slot_blade(slot: int) -> tuple:
@@ -261,6 +275,12 @@ def _plan() -> dict:
     A reduction (c, lo, hi, at) sums weight column c against rows lo:hi, of
     x in `reductions` and of its slab in `sums`, into moments at:at + hi -
     lo; columns 0-4 are w |m|^(2e), 5-9 are w^2 |m|^(4e).
+
+    Every index table of a level (state, slot, col, sum_at, sq_at, the
+    monomial columns of poly, and support and at of square) is int16 and eps
+    is int8 (+-1); ``_narrow`` raises if a table outgrows int16.  The
+    block's gather indices in stages and squares stay intp, which np.take
+    would otherwise convert on every call.
     """
     subsets = [_subsets(8, k) for k in range(9)]
     rank = np.zeros(256, dtype=np.int64)
@@ -277,7 +297,7 @@ def _plan() -> dict:
         t_el, t_masks = subsets[k]
         comp = 255 ^ s_masks
         direct = _is_direct(k, comp)[:, None]
-        eps = np.array([_eps(s) for s in s_el.tolist()], dtype=np.float64)[:, None]
+        eps = np.array([_eps(s) for s in s_el.tolist()], dtype=np.int8)[:, None]
         flip = (28 - s_el.sum(axis=1))[:, None] + t_el.sum(axis=1)[None, :]
         eps = np.where(direct | (flip % 2 == 0), eps, -eps)
         state = np.where(direct, states(k, comp, t_masks), states(8 - k, s_masks, 255 ^ t_masks))
@@ -298,15 +318,15 @@ def _plan() -> dict:
     levels, sq_start, pairs = [], [start[5]], []
     for k, part in enumerate(parts):
         state, slot, eps, col = map(np.concatenate, zip(*part))
-        poly = _minor_polys(k)
-        square = _squares(k, *poly)
-        touched = square[3]
+        cols, vals = _minor_polys(k)
+        support, at, coef, touched = _squares(k, cols, vals)
         low, high = _split(touched, k)
         pairs.append((start[k] + np.searchsorted(keys[k], low),
                       start[k] + np.searchsorted(keys[k], high)))
         sq_start.append(sq_start[-1] + len(touched))
-        levels.append({"state": state, "slot": slot, "eps": eps, "col": col,
-                       "poly": poly, "square": square})
+        levels.append({"state": _narrow(state), "slot": _narrow(slot), "eps": eps,
+                       "col": _narrow(col), "poly": (_narrow(cols), vals),
+                       "square": (_narrow(support), _narrow(at), coef, touched)})
 
     # moment layout over the rows of x followed by the squares' rows
     spans = [(0, 0, start[5]), (5, start[5], sq_start[5])]
@@ -325,8 +345,8 @@ def _plan() -> dict:
         # moment indices of each level's monomials: col 0, then col 1
         sums = [offsets[0] + start[k]] + [offsets[2 + k]] * (k < 4)
         sq = [offsets[1] + sq_start[k] - start[5]] + [offsets[6 + k]] * (k < 4)
-        lv["sum_at"] = np.array(sums)[:, None, None] + lv["poly"][0]
-        lv["sq_at"] = np.array(sq)[:, None, None] + lv["square"][1]
+        lv["sum_at"] = _narrow(np.array(sums)[:, None, None] + lv["poly"][0])
+        lv["sq_at"] = _narrow(np.array(sq)[:, None, None] + lv["square"][1])
     return {"levels": levels, "rows": start[5], "stages": stages, "reductions": reductions,
             "squares": squares, "moments": offsets[-1]}
 
@@ -402,14 +422,26 @@ def _process_block(seed: int, block: int, count: int, moments: np.ndarray):
 
 
 def _contract(moments: np.ndarray) -> tuple:
-    """(sums, sumsq) over the 12870 slots from summed monomial moments."""
+    """(sums, sumsq) over the 12870 slots from summed monomial moments.
+
+    A level's square moments are gathered once, one row per support, and
+    its squares contracted _STATE_BLOCK states at a time: the level-4 squares
+    read 210 pair moments per state, which gathered for all 2450 states at
+    once are 4.1 MB.  Every (column, state) entry is still one einsum
+    reduction over the same pair products, so the block size does not change
+    its bits.
+    """
     sums = np.zeros(12870, dtype=np.float64)
     sumsq = np.zeros(12870, dtype=np.float64)
     # per level, slot positions are distinct, so fancy += is safe
     for lv in _plan()["levels"]:
         support, _, coef, _ = lv["square"]
         value = np.einsum("csw,sw->cs", moments[lv["sum_at"]], lv["poly"][1])
-        square = np.einsum("csp,sp->cs", moments[lv["sq_at"]][:, support], coef)
+        sq_m = moments[lv["sq_at"]]
+        square = np.empty(value.shape)
+        for lo in range(0, len(support), _STATE_BLOCK):
+            hi = lo + _STATE_BLOCK
+            np.einsum("csp,sp->cs", sq_m[:, support[lo:hi]], coef[lo:hi], out=square[:, lo:hi])
         sums[lv["slot"]] += lv["eps"] * value[lv["col"], lv["state"]]
         sumsq[lv["slot"]] += square[lv["col"], lv["state"]]
     return sums, sumsq
@@ -494,6 +526,8 @@ def berger_mc(samples: int, seed: int = 0, workers: int = 1):
         raise ValueError("samples must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if not 0 <= seed < 1 << 128:
+        raise ValueError("seed must be in [0, 2**128), the range of Philox keys")
     tasks = _group_tasks(samples, seed)
     # the task list and the reduction order are fixed, so the worker count is
     # pure execution detail: capped at the usable CPUs to avoid thrash, and

@@ -115,8 +115,9 @@ def _write_stdout(text: str) -> None:
         data = data[buffer.write(data) :]
 
 
-def _int_at_least(low: int):
-    """argparse type: an int >= low, so a smaller value is a usage error."""
+def _int_at_least(low: int, below: int | None = None):
+    """argparse type: an int >= low, and < below if that is given, so a value
+    out of range is a usage error."""
 
     def parse(text: str) -> int:
         try:
@@ -125,6 +126,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if below is not None and value >= below:
+            raise argparse.ArgumentTypeError(f"must be < {below}, got {value}")
         return value
 
     return parse
@@ -439,7 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("berger", help="Monte-Carlo line-integral reconstruction")
     p.add_argument("--samples", type=_int_at_least(1), required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0, below=1 << 128), default=0,
+                   help="Philox key, 0 <= seed < 2**128")
     p.add_argument("--workers", type=_int_at_least(1), default=None,
                    help="worker processes (default: OCTOFORMS_WORKERS, else 1)")
     p.add_argument("--json", action="store_true")

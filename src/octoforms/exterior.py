@@ -132,8 +132,8 @@ class Multivector:
 
     def terms(self):
         """Iterate (indices tuple, coefficient), blades sorted lexicographically."""
-        for m in sorted(self._t, key=_mask_to_indices):
-            yield _mask_to_indices(m), self._t[m]
+        for indices, m in sorted((_mask_to_indices(m), m) for m in self._t):
+            yield indices, self._t[m]
 
     def mask_items(self):
         return self._t.items()

@@ -17,6 +17,7 @@ from octoforms.berger import (
     _eps,
     _group_tasks,
     _group_worker,
+    _narrow,
     _plan,
     _process_block,
     _sample_sphere9,
@@ -356,6 +357,9 @@ def test_input_validation():
         berger_mc(0)
     with pytest.raises(ValueError):
         berger_mc(10, workers=0)
+    for seed in (-1, 1 << 128):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*128\)"):
+            berger_mc(10, seed=seed)
 
 
 def _exponents(keys):
@@ -492,6 +496,71 @@ def test_block_moments_match_reference_chunk_loop():
     for b in (1, 2, 3):
         _reference_block(4, b, min(_BLOCK, samples - b * _BLOCK), want)
     assert np.array_equal(_group_worker((4, range(1, 4), samples)), want)
+
+
+def _dense_contract(moments):
+    """(sums, sumsq) with each level's square moments gathered for all of its
+    states at once, in one einsum: the contraction before state blocks."""
+    sums = np.zeros(12870)
+    sumsq = np.zeros(12870)
+    for lv in _plan()["levels"]:
+        support, _, coef, _ = lv["square"]
+        value = np.einsum("csw,sw->cs", moments[lv["sum_at"]], lv["poly"][1])
+        square = np.einsum("csp,sp->cs", moments[lv["sq_at"]][:, support], coef)
+        sums[lv["slot"]] += lv["eps"].astype(np.float64) * value[lv["col"], lv["state"]]
+        sumsq[lv["slot"]] += square[lv["col"], lv["state"]]
+    return sums, sumsq
+
+
+@pytest.mark.parametrize("block", [berger._STATE_BLOCK, 97, 4096])
+def test_contract_matches_dense_reference(monkeypatch, block):
+    """Contracting the squares by state blocks gives the very bits of the
+    one-shot contraction, on block moments and on random moment vectors of
+    wide range.  Neither 256 nor 97 divides the 2450 level-4 or the 3136
+    level-3 states; 4096 takes each level in one block."""
+    monkeypatch.setattr(berger, "_STATE_BLOCK", block)
+    size = _plan()["moments"]
+    cases = []
+    for seed, blk, count in _BLOCK_CASES:
+        cases.append(np.zeros(size))
+        _process_block(seed, blk, count, cases[-1])
+    rng = np.random.default_rng(17)
+    cases += [rng.standard_normal(size) * 10.0 ** rng.integers(-6, 7, size) for _ in range(3)]
+    for i, moments in enumerate(cases):
+        (sums, sumsq), (want, want_sq) = _contract(moments), _dense_contract(moments)
+        assert np.array_equal(sums, want) and np.array_equal(sumsq, want_sq), i
+
+
+def test_contract_working_memory_is_bounded():
+    """One contraction allocates under 1.5 MB at its peak (1.1 MB measured):
+    gathering the level-4 square moments for all 2450 states at once took
+    4.6 MB."""
+    import tracemalloc
+
+    moments = np.random.default_rng(3).standard_normal(_plan()["moments"])
+    tracemalloc.start()
+    try:
+        _contract(moments)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6, peak
+
+
+def test_plan_index_types_are_narrow():
+    """The plan's index tables are int16 and its signs int8, and narrowing
+    raises where a value does not fit instead of wrapping it."""
+    edges = _narrow(np.array([-32768, 32767]))
+    assert edges.dtype == np.int16 and edges.tolist() == [-32768, 32767]
+    for bad in (32768, -32769):
+        with pytest.raises(ValueError, match="do not fit"):
+            _narrow(np.array([0, bad]))
+    assert _slot_of_mask().dtype == np.int16
+    for lv in _plan()["levels"]:
+        arrays = [lv[name] for name in ("state", "slot", "col", "sum_at", "sq_at")]
+        arrays += [lv["poly"][0], *lv["square"][:2]]
+        assert all(a.dtype == np.int16 for a in arrays)
+        assert lv["eps"].dtype == np.int8 and set(lv["eps"].tolist()) <= {-1, 1}
 
 
 def test_plan_gathers_are_checked():

@@ -282,13 +282,23 @@ def test_unknown_flag_exits_2():
         ("berger", "--samples", "many"),
         ("berger", "--samples", "10", "--full"),
         ("clifford-structure", "--deep"),
+        ("berger", "--samples", "10", "--seed", "-1"),
+        ("berger", "--samples", "10", "--seed", str(1 << 128)),
     ],
 )
 def test_bad_arguments_exit_2(argv):
     code, out, err = run_cli(*argv)
     assert code == 2 and out == ""
-    assert any(s in err for s in ("must be >= ", "out of scope", "invalid int value",
-                                  "--full needs --json", "--deep needs --census"))
+    assert any(s in err for s in ("must be >= ", "must be < ", "out of scope",
+                                  "invalid int value", "--full needs --json",
+                                  "--deep needs --census"))
+
+
+@pytest.mark.parametrize("seed", [0, (1 << 128) - 1])
+def test_berger_seed_range_edges_run(seed):
+    """The first and the last Philox key are both valid seeds."""
+    code, out, _ = run_cli("berger", "--samples", "10", "--seed", str(seed), "--json")
+    assert code == 0 and json.loads(out)["seed"] == seed
 
 
 def test_model_choices_are_the_model_names():
