@@ -42,6 +42,13 @@ slot sums and sums of squares once, the squares 256 states at a time, so
 that the contraction never holds a level's pair moments for all of its
 states.  The plan keeps its index tables as int16 and its signs as int8.
 
+Exact mean: on the chart, the weight and each Jacobi factor are polynomials
+in (u, r), so every monomial moment that the slot sums read has an exact mean
+over S^8, a rational over 16 * 9 * 11.  ``exact_mean`` puts these means
+through the slot-sum half of the contraction, the code the sampled moments
+go through, in int64; the result is Phi / 132 slot by slot, and
+``phi_dense``, the target the samples are fitted to, reads Phi off it.
+
 Workers: the samples are cut into 64 fixed block groups.  With more than one
 worker and enough groups, the call forks its workers through
 ``fanout.fan_out`` after the plan is built, so they inherit it.  Worker w
@@ -73,8 +80,8 @@ from itertools import chain, combinations, combinations_with_replacement, permut
 import numpy as np
 
 from . import fanout
-from .canonical import cgm_form
 from .cayley_dickson import unit_signs
+from .linalg import _INT64_SAFE
 
 _BLOCK = 1024
 _GROUPS = 64
@@ -92,6 +99,12 @@ _SLAB = 512  # product rows gathered and reduced at a time
 # is 256 x 210 float64, 0.43 MB, and the whole level would be 4.1 MB
 _STATE_BLOCK = 256
 _DRAWS_PER_SAMPLE = 12  # multiple of 4: Philox counter units hold 4 doubles
+# The slot sums read sphere moments of degree <= 4 in (u, r): their exact
+# means are integers over 16 (the weight's 2^-4) times 9 * 11.
+_MEAN_DEGREE = 4
+_MEAN_DEN = 16 * math.prod(range(9, 8 + _MEAN_DEGREE, 2))
+# (2j - 1)!! for j = 0, 1, 2: the factors of the even sphere moments
+_DOUBLE_FACTORIAL = [math.prod(range(1, 2 * j, 2)) for j in range(_MEAN_DEGREE // 2 + 1)]
 
 
 def _subsets(n: int, k: int) -> tuple:
@@ -421,6 +434,20 @@ def _process_block(seed: int, block: int, count: int, moments: np.ndarray):
                 moments[at : at + r1 - r0] += np.einsum("c,rc->r", weights[c], sq[r0:r1])
 
 
+def _slot_sums(moments: np.ndarray) -> np.ndarray:
+    """The 12870 slot sums from monomial moments, in the moments' dtype:
+    float64 sums of samples in ``_contract``, int64 exact means in
+    ``exact_mean``.  Each slot reads one (level, column, state) value, the
+    einsum of the state's polynomial coefficients against its moments, times
+    the slot's eps."""
+    sums = np.zeros(12870, dtype=moments.dtype)
+    # per level, slot positions are distinct, so fancy += is safe
+    for lv in _plan()["levels"]:
+        value = np.einsum("csw,sw->cs", moments[lv["sum_at"]], lv["poly"][1])
+        sums[lv["slot"]] += lv["eps"] * value[lv["col"], lv["state"]]
+    return sums
+
+
 def _contract(moments: np.ndarray) -> tuple:
     """(sums, sumsq) over the 12870 slots from summed monomial moments.
 
@@ -431,20 +458,71 @@ def _contract(moments: np.ndarray) -> tuple:
     reduction over the same pair products, so the block size does not change
     its bits.
     """
-    sums = np.zeros(12870, dtype=np.float64)
     sumsq = np.zeros(12870, dtype=np.float64)
-    # per level, slot positions are distinct, so fancy += is safe
     for lv in _plan()["levels"]:
         support, _, coef, _ = lv["square"]
-        value = np.einsum("csw,sw->cs", moments[lv["sum_at"]], lv["poly"][1])
         sq_m = moments[lv["sq_at"]]
-        square = np.empty(value.shape)
+        square = np.empty((len(sq_m), len(support)))
         for lo in range(0, len(support), _STATE_BLOCK):
             hi = lo + _STATE_BLOCK
             np.einsum("csp,sp->cs", sq_m[:, support[lo:hi]], coef[lo:hi], out=square[:, lo:hi])
-        sums[lv["slot"]] += lv["eps"] * value[lv["col"], lv["state"]]
         sumsq[lv["slot"]] += square[lv["col"], lv["state"]]
-    return sums, sumsq
+    return _slot_sums(moments), sumsq
+
+
+def _line_moments(k: int) -> np.ndarray:
+    """_MEAN_DEN times the exact means over S^8 of the level-k monomials
+    against weight columns 0 and 1, as Python ints: shape (2, C(k + 7, k)),
+    dtype object, monomials as in ``_monomials(k)``.
+
+    On the chart, 1 + |m|^2 = 2 / (1 + r) and |m|^2 = (1 - r) / (1 + r), so
+    the weight w = -(1 + |m|^2)^-4 of ``_process_block`` times a monomial
+    m^alpha of degree k is -(1 + r)^(4-k) u^alpha / 16 (column 0), and
+    w |m|^(2(4-k)) m^alpha is -(1 - r)^(4-k) u^alpha / 16 (column 1, the
+    Jacobi slots).  Expanded binomially, each term is a sphere moment: for
+    beta = (alpha, j) all even, E[u^alpha r^j] = prod (beta_i - 1)!! /
+    (9 * 11 * ... * (7 + |beta|)), and 0 otherwise (Folland, Amer. Math.
+    Monthly 108, 2001).  |beta| <= _MEAN_DEGREE, so _MEAN_DEN clears every
+    denominator.  The sign of r multiplies only odd powers, whose moments
+    vanish: r -> -r preserves the measure, so the two columns differ sample
+    by sample but have equal means.
+    """
+    alpha = _monomials(k)[:, None] // 9 ** np.arange(8) % 9
+    table = np.array(_DOUBLE_FACTORIAL, dtype=object)
+    out = np.zeros((2, len(alpha)), dtype=object)
+    for j in range(5 - k):
+        beta = np.c_[alpha, np.full(len(alpha), j)]
+        moment = table[beta // 2].prod(axis=1) * (beta % 2 == 0).all(axis=1)
+        # _MEAN_DEN / (16 * 9 * 11 * ... * (7 + |beta|)), with |beta| = k + j
+        scale = math.comb(4 - k, j) * _MEAN_DEN // (16 * math.prod(range(9, 8 + k + j, 2)))
+        out[0] -= scale * moment
+        out[1] -= (-1) ** j * scale * moment
+    return out
+
+
+def exact_mean() -> tuple:
+    """(numerators, denominator): the exact mean over uniform lines of every
+    slot's line value, int64 numerators of the 12870 slots over the int
+    _MEAN_DEN, in the orientation of ``berger_mc``'s estimator.
+
+    Each monomial moment the slot sums read is replaced by its exact mean
+    (``_line_moments``), and the moments go through ``_slot_sums`` in int64.
+    A state's value is at most its sum of |coefficients| (at most 20) times
+    the largest moment numerator (168, the 7/66 of column 0 at level 0), and
+    every slot reads one state, so no int64 sum wraps while that product is
+    below linalg._INT64_SAFE; past it, ValueError.
+    """
+    plan = _plan()
+    moments = np.zeros(plan["moments"], dtype=object)
+    coef_sum = 0
+    for k, lv in enumerate(plan["levels"]):
+        cols, vals = lv["poly"]
+        moments[lv["sum_at"]] = _line_moments(k)[: len(lv["sum_at"]), cols]
+        coef_sum = max(coef_sum, int(np.abs(vals).sum(axis=1, dtype=np.int64).max()))
+    top = coef_sum * max(abs(x) for x in moments.tolist())
+    if top >= _INT64_SAFE:
+        raise ValueError(f"exact slot sums reach {top}, past the int64 bound {_INT64_SAFE}")
+    return _slot_sums(moments.astype(np.int64)), _MEAN_DEN
 
 
 def _group_worker(args):
@@ -475,8 +553,9 @@ class FitReport:
     cosine_similarity: float
     # 1/33792, a guess read off the unnormalized round S^8 measure; not
     # derived.  The fit reads 1/132 = 256/33792 (each line pairs with Phi to
-    # 14, and |Phi|^2 = 1848); that the mean is Phi/132 slot by slot is the
-    # exact-Berger-mean item of ROADMAP.md
+    # 14, and |Phi|^2 = 1848), and exact_mean computes the mean as Phi/132
+    # slot by slot.  Deriving this field from it changes berger's output, so
+    # it is left for a deliberate output change.
     candidate_scale: float
     zero_slots: int
     zero_slots_within_3sigma: int
@@ -487,19 +566,13 @@ class FitReport:
 def phi_dense() -> np.ndarray:
     """The canonical 8-form as a dense, read-only 12870-slot integer vector.
 
-    Read from the CGM route: Omega_CGM = -4 tau_4, so Phi is -Omega_CGM
-    divided by its content (1440).  ``cgm_form`` squares its 45 inner sums
-    on the int64 wedge kernel and takes about 0.03 s cold on a 2-vCPU VM,
-    against about 0.12 s for the dict-engine sub-Pfaffian ``tau4_direct``
-    forked on both CPUs (about 0.18 s serially); the tests tie the result
-    to the charpoly route slot by slot.
+    Berger's line average, read off exactly: the numerators of
+    ``exact_mean`` divided by their content, in the mean's orientation.  The
+    tests and ``verify`` tie the result to the charpoly route slot by slot,
+    and the content to 1/132.
     """
-    cgm = cgm_form()
-    phi = cgm.exact_div(-cgm.coeff_gcd())
-    out = np.zeros(12870, dtype=np.int64)
-    slot_of = _slot_of_mask()
-    for m, c in phi.mask_items():
-        out[slot_of[m]] = c
+    num, _ = exact_mean()
+    out = num // np.gcd.reduce(num)
     out.flags.writeable = False
     return out
 

@@ -9,9 +9,13 @@ Multivector JSON: {"n": 16, "grade": 8, "terms": [{"blade": [1, ...],
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .exterior import Multivector, _indices_to_mask
-from .linalg import SignedPerm
+# exterior is imported only where a Multivector is built, so that float_str,
+# which the berger command uses, does not load the wedge engine
+if TYPE_CHECKING:
+    from .exterior import Multivector
+    from .linalg import SignedPerm
 
 
 def rational_str(x) -> str:
@@ -44,6 +48,8 @@ def multivector_from_json(obj: dict) -> Multivector:
     """Inverse of multivector_to_json; terms on a repeated blade are summed.
 
     An integral coefficient is stored as an int, as the forms are built."""
+    from .exterior import Multivector, _indices_to_mask
+
     terms: dict = {}
     for term in obj["terms"]:
         mask = _indices_to_mask(term["blade"])

@@ -8,8 +8,11 @@ otherwise; nothing depends on seeds beyond the documented defaults.
 
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
 
+from .berger import exact_mean, slot_masks
 from .canonical import (
     cgm_form,
     fpq_identity_check,
@@ -76,6 +79,14 @@ def _check_kotrbaty():
     _, psi8 = kotrbaty_psi8()
     ok = psi8.exact_div(-2880) == spin9_form()
     return ok, "Phi == -Psi8 / 2880, imaginary part zero"
+
+
+def _check_berger_exact():
+    num, den = exact_mean()
+    content = math.gcd(*num.tolist())
+    phi = {m: n // content for m, n in zip(slot_masks().tolist(), num.tolist()) if n}
+    ok = Fraction(content, den) == Fraction(1, 132) and phi == dict(spin9_form().mask_items())
+    return ok, f"exact line average == Phi * {Fraction(content, den)}"
 
 
 def _check_quaternionic():
@@ -173,6 +184,7 @@ CHECKS = [
     ("cgm", _check_cgm),
     ("tau4-dual-route", _check_tau4_direct),
     ("kotrbaty", _check_kotrbaty),
+    ("berger-exact", _check_berger_exact),
     ("quaternionic-tau2", _check_quaternionic),
     ("f-2p2-4q", _check_fpq),
     ("lambda-identity", _check_lambda_identity),

@@ -1,9 +1,11 @@
 """Monte-Carlo line integral: oracle checks, determinism, convergence."""
 
 import json
+import math
 import os
 import threading
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,11 +26,13 @@ from octoforms.berger import (
     _slabs,
     _slot_of_mask,
     berger_mc,
+    exact_mean,
     phi_dense,
     slot_blade,
     slot_masks,
 )
 from octoforms.canonical import spin9_form
+from octoforms.linalg import _INT64_SAFE
 from conftest import deadline, subprocess_env
 from tests_util_det import exact_det
 
@@ -286,14 +290,95 @@ def test_forked_workers_inherit_numpy_random():
 
 
 def test_phi_dense_is_the_charpoly_form():
-    """The Monte-Carlo target (CGM route) equals Phi from the charpoly route."""
+    """The Monte-Carlo target (the exact line average over its content)
+    equals Phi from the charpoly route."""
     phi = phi_dense()
     assert not phi.flags.writeable
+    assert phi.dtype == np.int64
     assert np.count_nonzero(phi) == 702
     want = np.zeros(12870, dtype=np.int64)
     for m, c in spin9_form().mask_items():
         want[_slot_of_mask()[m]] = c
     assert np.array_equal(phi, want)
+
+
+def test_exact_mean_is_phi_over_132():
+    """The exact line average is Phi / 132 slot by slot, with six values.
+    The all-plain and the all-primed blade have weights -((1 + r) / 2)^4 and
+    -((1 - r) / 2)^4, so both average to -(1 + 6/9 + 3/99) / 16 = -7/66."""
+    num, den = exact_mean()
+    assert num.dtype == np.int64 and type(den) is int
+    assert np.array_equal(num * 132, phi_dense() * den)
+    means = {Fraction(n, den) for n in num.tolist()}
+    assert means == {Fraction(n, 132) for n in (0, 1, -1, 2, -2, -14)}
+    assert Fraction(int(num[0]), den) == Fraction(int(num[12869]), den) == Fraction(-7, 66)
+
+
+def test_verify_berger_exact_check():
+    from octoforms.verifysuite import CHECKS, _check_berger_exact
+
+    ok, detail = _check_berger_exact()
+    assert ok, detail
+    assert detail.endswith("Phi * 1/132")
+    assert len(CHECKS) == 15 and dict(CHECKS)["berger-exact"] is _check_berger_exact
+
+
+def test_exact_mean_int64_bound_edge(monkeypatch):
+    """exact_mean refuses a moment table whose largest numerator times the
+    largest sum of |coefficients| of a state (20) reaches linalg._INT64_SAFE,
+    and is exact just below it.  The table gives every level-4 monomial the
+    sign of its coefficient in the state with that sum, so a slot reaches
+    20 times the table's largest value."""
+    cols, vals = _plan()["levels"][4]["poly"]
+    state = np.abs(vals).sum(axis=1).argmax()
+    coef_sum = int(np.abs(vals[state]).sum())
+    assert coef_sum == max(int(np.abs(lv["poly"][1]).sum(axis=1).max())
+                           for lv in _plan()["levels"]) == 20
+    sign = np.full(math.comb(11, 4), -1, dtype=object)
+    sign[cols[state][vals[state] > 0]] = 1
+
+    def table(scale):
+        def moments(k):
+            row = scale * sign if k == 4 else np.full(math.comb(k + 7, k), scale, dtype=object)
+            return np.tile(row, (2, 1))
+
+        return moments
+
+    top = (_INT64_SAFE - 1) // coef_sum
+    monkeypatch.setattr(berger, "_line_moments", table(1))
+    unit, _ = exact_mean()
+    assert np.abs(unit).max() == coef_sum
+    monkeypatch.setattr(berger, "_line_moments", table(top))
+    edge, _ = exact_mean()
+    assert edge.tolist() == [top * n for n in unit.tolist()]
+
+    def negative(k):  # the bound reads |moments|: the real ones are mostly negative
+        return np.full((2, math.comb(k + 7, k)), -(top + 1), dtype=object)
+
+    for moments in (table(top + 1), negative):
+        monkeypatch.setattr(berger, "_line_moments", moments)
+        with pytest.raises(ValueError, match="past the int64 bound"):
+            exact_mean()
+
+
+def test_berger_leaves_the_exact_form_stack_unloaded():
+    """berger_mc and the float writer the berger command uses load none of
+    the exact-form modules; multivector JSON still round-trips with
+    serialize's deferred import of exterior."""
+    import subprocess
+    import sys
+
+    code = ("import sys; from octoforms.berger import berger_mc; berger_mc(2048, seed=1); "
+            "from octoforms.serialize import float_str; "
+            "print([m for m in ('canonical', 'clifford', 'exterior', 'octform') "
+            "if 'octoforms.' + m in sys.modules]); "
+            "from octoforms.canonical import spin9_form; "
+            "from octoforms.serialize import multivector_from_json, multivector_to_json; "
+            "print(multivector_from_json(multivector_to_json(spin9_form())) == spin9_form())")
+    proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\nTrue\n"
 
 
 def test_cli_output_independent_of_blas_threads():

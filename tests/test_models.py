@@ -1,5 +1,6 @@
 """Even Clifford structures: models, census, Grassmannian machinery."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -104,14 +105,22 @@ def _pythagorean_unit_pair(rng):
 
 
 def test_m_uv_properties_on_random_orthonormal_pairs():
+    """m_vu = -m_uv and m_uv^2 = -I for 50 orthonormal rational pairs.
+
+    m_uv is bilinear, so both are checked over Python ints on the pair
+    scaled by its common denominator d: m_(dv)(du) = -m_(du)(dv) and
+    m_(du)(dv)^2 = -d^4 I.
+    """
     rng = random.Random(8)
     eye = np.eye(16, dtype=object)
     for _ in range(50):
         u, v = _pythagorean_unit_pair(rng)
         assert u.norm2() == 1 and v.norm2() == 1
-        muv = m_uv(u, v)
-        assert np.array_equal(m_uv(v, u), -muv)
-        assert np.array_equal(muv @ muv, -eye)
+        d = math.lcm(*(c.denominator for c in u.coeffs + v.coeffs))
+        du, dv = (CDElement(3, [int(c * d) for c in x.coeffs]) for x in (u, v))
+        muv = m_uv(du, dv)
+        assert np.array_equal(m_uv(dv, du), -muv)
+        assert np.array_equal(muv @ muv, -(d**4) * eye)
 
 
 def test_m_uv_basis_pair():
