@@ -11,16 +11,28 @@ giving the Pauli system (k=1), the quaternionic system (k=2) and the
 octonionic system I_1..I_9 (k=3).  Each one, and each extension, is the
 Kronecker product of a 2x2 sign pattern with a block.  The involutions are
 signed permutations and are held as ``linalg.SignedPerm``, so the axioms are
-checked in O(N) per product.
+checked in O(N) per product.  ``verify`` checks a system of m+1 involutions
+as one stack of (m+1, N) int64 perm and sign arrays, forming the pair
+products one row at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+
+import numpy as np
 
 from .cayley_dickson import unit_right_mults
-from .linalg import RowSpace, SignedPerm, _elements, _flat_row
+from .linalg import (
+    RowSpace,
+    SignedPerm,
+    _elements,
+    _flat_row,
+    _row_products,
+    _stack,
+    _stack_equal,
+    _stack_T,
+)
 
 STANDARD_KINDS = ("pauli_U2", "quaternionic_Sp2Sp1", "spin9")
 _KIND_LEVEL = {"pauli_U2": 1, "quaternionic_Sp2Sp1": 2, "spin9": 3}
@@ -64,20 +76,30 @@ class VerifyReport:
 
 
 def verify(c: CliffordSystem) -> VerifyReport:
-    """Check the three axioms, reporting the first violation of each kind."""
+    """Check the three axioms, reporting the first violation of each kind.
+
+    The involutions are one stack of (m+1, N) int64 perms and signs.  P is
+    symmetric when the stack of transposes equals the stack, and squares to
+    Id when perm[perm] is the identity with sign * sign[perm] = 1 (for a
+    signed permutation P^T = P^-1, so the two fail together).  The pairs are
+    formed one row i at a time, P_i P_j and P_j P_i for every j > i, and the
+    first pair in (i, j) order with P_i P_j != -P_j P_i is reported.
+    """
     failures = []
-    mats = c.mats
-    eye = SignedPerm.identity(c.n)
-    for i, p in enumerate(mats):
-        if p.T != p:
-            failures.append(f"P_{i} is not symmetric")
-            break
-    for i, p in enumerate(mats):
-        if p @ p != eye:
-            failures.append(f"P_{i}^2 != Id")
-            break
-    for i, j in combinations(range(len(mats)), 2):
-        if mats[i] @ mats[j] != -(mats[j] @ mats[i]):
+    stack = _stack(c.mats, c.n)
+    perm, sign = stack
+    symmetric = _stack_equal(_stack_T(stack), stack)
+    if not symmetric.all():
+        failures.append(f"P_{np.argmin(symmetric)} is not symmetric")
+    square = np.take_along_axis(perm, perm, 1), sign * np.take_along_axis(sign, perm, 1)
+    involution = _stack_equal(square, (np.arange(c.n), 1))
+    if not involution.all():
+        failures.append(f"P_{np.argmin(involution)}^2 != Id")
+    for i in range(len(perm) - 1):
+        ij, ji = _row_products(stack, stack, i)
+        anticommute = _stack_equal(ij, (ji[0], -ji[1]))
+        if not anticommute.all():
+            j = i + 1 + np.argmin(anticommute)
             failures.append(f"P_{i} P_{j} != -P_{j} P_{i}")
             break
     return VerifyReport(ok=not failures, failures=tuple(failures))

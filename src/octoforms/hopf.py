@@ -37,7 +37,14 @@ from .linalg import _clear_denominators, _dot
 
 @dataclass(frozen=True)
 class SpherePoint16:
-    """A point (x, y) of O^2 with rational coordinates on the unit sphere."""
+    """A point (x, y) of O^2 with rational coordinates on the unit sphere.
+
+    Membership is exact and checked over Z: with z = scale (x, y) integral
+    (``linalg._clear_denominators``), the point is on the sphere when
+    sum z^2 == scale^2.  A float coordinate is read as the dyadic rational it
+    stores, so a float point counts only when it lies on the sphere exactly:
+    (0.6, 0.8, 0, ...) is refused, (0.5, 0.5, 0.5, 0.5, 0, ...) is kept.
+    """
 
     x: CDElement
     y: CDElement
@@ -45,7 +52,8 @@ class SpherePoint16:
     def __post_init__(self):
         if self.x.level != 3 or self.y.level != 3:
             raise ValueError("coordinates must be octonions (level 3)")
-        if self.x.norm2() + self.y.norm2() != 1:
+        z, scale = _clear_denominators(self.coords())
+        if _dot(z, z) != scale * scale:
             raise ValueError("point is not on the unit sphere")
 
     def coords(self) -> tuple:

@@ -5,12 +5,13 @@ permutation, ``dtype=object`` holding Python ``int`` and
 ``fractions.Fraction`` for exact rationals (int64 products would wrap
 silently).  Signed permutation matrices, which make up the Clifford systems,
 the sphere fields and the Hopf involutions, are held as ``SignedPerm`` (a
-column and a sign per row).  Everything here is pure and safe to share
-across threads.  Rank and Lie-closure computations reduce integer rows
-fraction-free (cross-multiplied, gcd-normalized), so no rational blow-up
-occurs.  The Lie closure keeps signed permutations as ``SignedPerm`` and
-brackets them in O(n); other matrices are bracketed as sparse dicts of
-Python ints.
+column and a sign per row); a list of them that gets checked is one stack of
+(k, n) int64 perm and sign arrays (``_stack``).  Everything here is pure and
+safe to share across threads.  Rank and Lie-closure computations reduce
+integer rows fraction-free (cross-multiplied, gcd-normalized), so no
+rational blow-up occurs.  The Lie closure keeps signed permutations as
+``SignedPerm`` and brackets them in O(n); other matrices are bracketed as
+sparse dicts of Python ints.
 """
 
 from __future__ import annotations
@@ -135,6 +136,40 @@ class SignedPerm:
         out = np.zeros((self.n, self.n), dtype=np.int64 if dtype is None else dtype)
         out[np.arange(self.n), self.perm] = self.sign
         return out
+
+
+def _stack(mats, n: int) -> tuple:
+    """The signed permutations ``mats``, each of size n, as one stack: a
+    (k, n) int64 perm array and a (k, n) int64 sign array whose row i holds
+    mats[i]."""
+    perm = np.array([a.perm for a in mats], dtype=np.int64).reshape(len(mats), n)
+    sign = np.array([a.sign for a in mats], dtype=np.int64).reshape(len(mats), n)
+    return perm, sign
+
+
+def _stack_T(stack) -> tuple:
+    """The stack of the transposes of the rows of ``stack``."""
+    perm, sign = stack
+    inverse = np.argsort(perm, axis=1)
+    return inverse, np.take_along_axis(sign, inverse, axis=1)
+
+
+def _stack_equal(a, b) -> np.ndarray:
+    """Row by row, whether the signed permutations of stacks a and b are equal."""
+    return (a[0] == b[0]).all(axis=1) & (a[1] == b[1]).all(axis=1)
+
+
+def _row_products(left, right, i: int) -> tuple:
+    """(L_i R_j, L_j R_i) for every j > i, as two stacks of k - i - 1 rows.
+
+    L_r and R_r are row r of the k-row stacks ``left`` and ``right``.  Every
+    temporary is (k - i - 1) x n, so the pairs of a stack are formed one row
+    i at a time in O(k n) memory.
+    """
+    (lp, ls), (rp, rs) = left, right
+    ij = rp[i + 1:, lp[i]], ls[i] * rs[i + 1:, lp[i]]
+    ji = rp[i][lp[i + 1:]], ls[i + 1:] * rs[i][lp[i + 1:]]
+    return ij, ji
 
 
 def _strip_content(row: dict) -> dict:

@@ -4,9 +4,14 @@ For m = (2k+1) 2^p 16^q (0 <= p <= 3) the sphere S^{m-1} carries exactly
 sigma(m) = 2^p + 8q - 1 linearly independent tangent fields.  All fields here
 are linear, A_i x at x, with A_i a signed permutation held as
 ``linalg.SignedPerm`` and built by Kronecker products and products.  So
-tangency and orthonormality on the whole sphere reduce to exact O(m) checks:
+tangency and orthonormality on the whole sphere reduce to exact checks of
+O(m) each:
 
     A skew,   A^T A = Id (true of any signed permutation),   A^T B + B^T A = 0.
+
+``verify_system`` runs them on the k fields as one stack of (k, m) int64
+perm and sign arrays: the skew test on the whole stack, then the pairs one
+row i at a time, and the sampled-point checks as two int64 matrix products.
 
 Construction by q:
   q = 0: right multiplications by the imaginary units of C, H, O.
@@ -29,14 +34,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 from math import lcm
 
 import numpy as np
 
 from .cayley_dickson import unit_left_mults, unit_right_mults
 from .clifford import _FLIP, _TURN, standard_system
-from .linalg import SignedPerm, _dot
+from .linalg import _INT64_SAFE, SignedPerm, _dot, _row_products, _stack, _stack_equal, _stack_T
 
 # Formal left multiplication tables, printed form.  Row u, slot t holds the
 # signed source index: L_u(s^1..s^l) has sign * s^{|entry|} in slot t, slots
@@ -125,14 +129,26 @@ class FieldsReport:
 
 
 def _matrix_conditions(fields) -> list:
-    """Failures of A skew and A^T B + B^T A = 0, in O(m) per field pair;
-    A^T A = Id holds for every signed permutation."""
-    failures = [f"field {i} is not skew" for i, a in enumerate(fields) if a.T != -a]
-    transposes = [a.T for a in fields]
-    for i, j in combinations(range(len(fields)), 2):
-        g = transposes[i] @ fields[j]
-        if g.T != -g:
-            failures.append(f"fields {i},{j} break A^T B + B^T A = 0")
+    """Failures of A skew and A^T B + B^T A = 0; A^T A = Id holds for every
+    signed permutation.
+
+    The fields are one stack of (k, m) int64 perms and signs.  The skew test
+    compares the stack of transposes with the negated stack; then, one row i
+    at a time, A_i^T A_j is skew for every j > i exactly when it is the
+    negative of its transpose A_j^T A_i, formed from (k - i - 1) x m
+    temporaries.  Failures come in field order, then in pair order.
+    """
+    stack = _stack(fields, fields[0].n if fields else 0)
+    transposes = _stack_T(stack)
+    skew = _stack_equal(transposes, (stack[0], -stack[1]))
+    failures = [f"field {i} is not skew" for i in np.flatnonzero(~skew).tolist()]
+    for i in range(len(fields) - 1):
+        g, g_T = _row_products(transposes, stack, i)
+        g_skew = _stack_equal(g_T, (g[0], -g[1]))
+        failures.extend(
+            f"fields {i},{j} break A^T B + B^T A = 0"
+            for j in (i + 1 + np.flatnonzero(~g_skew)).tolist()
+        )
     return failures
 
 
@@ -153,24 +169,34 @@ def verify_system(v: VectorFieldSystem, samples: int = 2, seed: int = 0) -> Fiel
     Tangency and orthonormality at x are homogeneous of degree 2 in x, so
     they are checked at an integer point x on the ray of a rational unit
     point: every dot product is an integer one, compared with the integer
-    norm^2 of x.
+    norm^2 of x.  The images A_i x are one (k, m) int64 array, sign * x[perm]
+    over the stack of fields, so tangency is images @ x and orthonormality
+    is images @ images.T == |x|^2 Id.  Each image is a signed permutation of
+    x, so every such dot product, and each of its partial sums, is at most
+    |x|^2 in absolute value (Cauchy-Schwarz).  A sample point with
+    |x|^2 >= linalg._INT64_SAFE raises ValueError.
     """
-    failures = list(_matrix_conditions(list(v.fields)))
+    failures = _matrix_conditions(list(v.fields))
+    perm, sign = _stack(v.fields, v.m)
+    eye = np.eye(len(perm), dtype=np.int64)
     rng = random.Random(seed)
     for _ in range(samples):
         x = _integer_sample_point(v.m, rng)
         norm2 = _dot(x, x)
-        images = []
-        for idx, a in enumerate(v.fields):
-            ax = a.apply(x)
-            images.append(ax)
-            if _dot(ax, x) != 0:
-                failures.append(f"field {idx} not tangent at sample point")
-        for i in range(len(images)):
-            for j in range(i, len(images)):
-                want = norm2 if i == j else 0
-                if _dot(images[i], images[j]) != want:
-                    failures.append(f"fields {i},{j} not orthonormal at sample point")
+        if norm2 >= _INT64_SAFE:
+            raise ValueError(
+                f"sample point has |x|^2 = {norm2}, past the int64 bound {_INT64_SAFE}"
+            )
+        x = np.array(x, dtype=np.int64)
+        images = sign * x[perm]
+        failures.extend(
+            f"field {i} not tangent at sample point" for i in np.flatnonzero(images @ x).tolist()
+        )
+        wrong = np.triu(images @ images.T != norm2 * eye)
+        failures.extend(
+            f"fields {i},{j} not orthonormal at sample point"
+            for i, j in np.argwhere(wrong).tolist()
+        )
     return FieldsReport(ok=not failures, failures=tuple(failures), notes=v.notes)
 
 

@@ -1,12 +1,16 @@
 """Clifford systems: axioms, extensions, invariants, dimension table."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from octoforms.clifford import (
+    STANDARD_KINDS,
     CliffordSystem,
+    VerifyReport,
     all_J_pairs,
     all_J_triples,
     compose_J,
@@ -197,3 +201,89 @@ def test_standard_system_matches_cd_mul_reference(kind):
         ref.append(np.block([[zero, -r], [r, zero]]))
     ref.append(np.block([[eye, zero], [zero, -eye]]))
     assert standard_system(kind).mats == tuple(SignedPerm.of(m) for m in ref)
+
+
+def _verify_reference(c):
+    """verify with one SignedPerm product per axiom and pair: the oracle for
+    the stacked checks."""
+    failures = []
+    mats = c.mats
+    eye = SignedPerm.identity(c.n)
+    for i, p in enumerate(mats):
+        if p.T != p:
+            failures.append(f"P_{i} is not symmetric")
+            break
+    for i, p in enumerate(mats):
+        if p @ p != eye:
+            failures.append(f"P_{i}^2 != Id")
+            break
+    for i, j in combinations(range(len(mats)), 2):
+        if mats[i] @ mats[j] != -(mats[j] @ mats[i]):
+            failures.append(f"P_{i} P_{j} != -P_{j} P_{i}")
+            break
+    return VerifyReport(ok=not failures, failures=tuple(failures))
+
+
+def _oracle_systems():
+    """The standard systems and their extensions up to C_11, and broken
+    systems: a non-symmetric matrix (which, being a signed permutation, is
+    no involution either), a diagonal sign flip that stays an involution, a
+    duplicated involution and one commuting pair."""
+    systems = []
+    for kind in STANDARD_KINDS:
+        c = standard_system(kind)
+        systems.append(c)
+        while c.m < 11:
+            c = extend(c)
+            systems.append(c)
+    spin9 = standard_system("spin9").mats
+    cycle = SignedPerm(np.roll(np.arange(16), 1), np.ones(16, dtype=np.int64))
+    flip = spin9[8].sign.copy()
+    flip[3] = -flip[3]
+    broken = [
+        spin9[:2] + (cycle,) + spin9[3:],
+        spin9[:4] + (cycle,) + spin9[5:] + (cycle,),
+        spin9[:8] + (SignedPerm(spin9[8].perm, flip),),
+        spin9[:5] + (spin9[2],),
+        spin9 + (-spin9[3],),
+    ]
+    return systems + [CliffordSystem(n=16, mats=mats) for mats in broken]
+
+
+def test_stacked_verify_gives_the_per_pair_reports():
+    """verify reports the same first violation of each kind as the per-pair
+    reference, on valid and broken systems."""
+    systems = _oracle_systems()
+    reports = [verify(c) for c in systems]
+    assert reports == [_verify_reference(c) for c in systems]
+    assert sum(not r.ok for r in reports) == 5
+    assert reports[-1].failures == ("P_3 P_9 != -P_9 P_3",)
+
+
+def test_symmetry_and_involution_fail_together():
+    """For a signed permutation P^T = P^-1, so P is symmetric exactly when
+    it squares to Id: both checks name the same first matrix.  Checked on
+    random systems of symmetric signed permutations (two transpositions,
+    equal signs on each), where a matrix is broken by flipping one sign of
+    a transposition with probability 1/5."""
+    rng = random.Random(3)
+    first = set()
+    for _ in range(60):
+        mats = []
+        for _ in range(4):
+            perm, sign = list(range(6)), [rng.choice((1, -1)) for _ in range(6)]
+            for a, b in zip(*[iter(rng.sample(range(6), 4))] * 2):
+                perm[a], perm[b] = b, a
+                sign[b] = sign[a]
+            if rng.random() < 0.2:
+                sign[a] = -sign[a]
+            mats.append(SignedPerm(perm, sign))
+        c = CliffordSystem(n=6, mats=tuple(mats))
+        rep = verify(c)
+        assert rep == _verify_reference(c)
+        kinds = [f for f in rep.failures if "symmetric" in f or "Id" in f]
+        assert len(kinds) in (0, 2)
+        first.add(kinds[0].split()[0] if kinds else None)
+        if kinds:
+            assert kinds[1] == f"{kinds[0].split()[0]}^2 != Id"
+    assert first == {None, "P_0", "P_1", "P_2", "P_3"}

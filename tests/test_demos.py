@@ -1,4 +1,4 @@
-"""Smoke test: demos 01-05 run to completion and print their key result.
+"""Smoke test: demos 01-05 run to completion and print their key results.
 
 Demo 06 is left out: it repeats the Monte-Carlo acceptance run.
 """
@@ -13,13 +13,18 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 EXPECTED = {
-    "01_octonions_and_sedenions.py":
+    "01_octonions_and_sedenions.py": [
         "Right multiplication by i is skew: True and squares to -Id: True",
-    "02_spin9_and_the_8_form.py":
+    ],
+    "02_spin9_and_the_8_form.py": [
         "Normalizations: gcd(tau4) = 360, 702 monomials, tau8 top coefficient -19958400",
-    "03_vector_fields_on_spheres.py": "  the D(D2(L_i N)) field instead: ok",
-    "04_hopf_fibration.py": "  at (0, 1) with tangent (0, f): True",
-    "05_clifford_systems_and_structures.py": "  c6_triples: 35",
+    ],
+    "03_vector_fields_on_spheres.py": [
+        "  against the level-2 fields: fails (fields 0,8 break A^T B + B^T A = 0)",
+        "  the D(D2(L_i N)) field instead: ok",
+    ],
+    "04_hopf_fibration.py": ["  at (0, 1) with tangent (0, f): True"],
+    "05_clifford_systems_and_structures.py": ["  c6_triples: 35"],
 }
 
 
@@ -35,4 +40,6 @@ def test_demo_runs(demo):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert EXPECTED[demo] in proc.stdout.splitlines()
+    lines = proc.stdout.splitlines()
+    for line in EXPECTED[demo]:
+        assert line in lines

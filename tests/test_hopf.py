@@ -198,3 +198,21 @@ def test_rational_sphere_point_matches_fraction_construction():
     for _ in range(200):
         assert rational_sphere_point(got).coords() == _fraction_sphere_point(want)
     assert got.getstate() == want.getstate()
+
+
+def test_membership_reads_floats_as_dyadic_rationals():
+    """Membership is exact: a float is the dyadic rational it stores.
+    0.36 + 0.64 rounds to 1.0 in floats, but 0.6^2 + 0.8^2 != 1 for the
+    stored dyadics, so (0.6, 0.8, 0, ...) is refused; (0.5, 0.5, 0.5, 0.5,
+    0, ...) lies on the sphere exactly, and reconstruct returns it."""
+    zero = CDElement.zero(3)
+    assert 0.6 * 0.6 + 0.8 * 0.8 == 1.0
+    with pytest.raises(ValueError, match="not on the unit sphere"):
+        SpherePoint16(x=CDElement(3, [0.6, 0.8, 0, 0, 0, 0, 0, 0]), y=zero)
+    p = SpherePoint16(x=CDElement(3, [0.5, 0.5, 0.5, 0.5, 0, 0, 0, 0]), y=zero)
+    assert reconstruct(p) == [0.5] * 4 + [0] * 12
+    q = SpherePoint16(x=zero, y=CDElement(3, [0, 0.5, 0, Fraction(1, 2), 0, 0.5, 0, -0.5]))
+    assert reconstruct(q) == list(q.coords())
+    with pytest.raises(ValueError, match="not on the unit sphere"):
+        near = [Fraction(3, 5), Fraction(4, 5) + Fraction(1, 10**30)]
+        SpherePoint16(x=CDElement(3, near + [0] * 6), y=zero)

@@ -123,6 +123,27 @@ def test_m_uv_properties_on_random_orthonormal_pairs():
         assert np.array_equal(muv @ muv, -(d**4) * eye)
 
 
+def test_m_uv_blocks_are_the_octonion_products():
+    """m_uv = diag(-R_u R_conj(v), -R_conj(u) R_v) entry by entry, each block
+    built from CDElement products on the basis vectors: column t holds
+    -((e_t conj(v)) u) and -((e_t v) conj(u)).  On an orthonormal pair
+    (x u) conj(v) + (x v) conj(u) = 2 <u, v> x = 0, so -R_conj(v) R_u gives
+    the same lower-right block there; the non-orthonormal pair tells the two
+    apart."""
+    rng = random.Random(11)
+    pairs = [_pythagorean_unit_pair(rng) for _ in range(10)]
+    pairs.append(
+        (CDElement(3, [1, 2, 0, -1, 0, 3, 0, 0]), CDElement(3, [2, 1, 1, 0, -2, 0, 0, 1]))
+    )
+    basis = [CDElement.unit(3, t) for t in range(8)]
+    zero = np.zeros((8, 8), dtype=object)
+    for u, v in pairs:
+        uc, vc = u.conjugate(), v.conjugate()
+        upper = np.array([((e * vc) * u).coeffs for e in basis], dtype=object).T
+        lower = np.array([((e * v) * uc).coeffs for e in basis], dtype=object).T
+        assert np.array_equal(m_uv(u, v), np.block([[-upper, zero], [zero, -lower]]))
+
+
 def test_m_uv_basis_pair():
     one, i = CDElement.unit(3, 0), CDElement.unit(3, 1)
     muv = m_uv(one, i)

@@ -2,12 +2,15 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 import numpy as np
 import pytest
 
+import octoforms.spheres as spheres
 from octoforms.cayley_dickson import CDElement, left_mult_matrix
+from octoforms.linalg import _INT64_SAFE, SignedPerm
 from octoforms.spheres import (
     FieldsReport,
     VectorFieldSystem,
@@ -221,3 +224,101 @@ def test_integer_sample_points_give_the_fraction_reports():
             assert verify_system(v, samples=2, seed=seed) == _fraction_point_report(v, 2, seed), v.m
     rep = verify_system(naive, samples=1)
     assert not rep.ok and any("sample point" in f for f in rep.failures)
+
+
+def _matrix_conditions_reference(fields):
+    """The per-pair matrix conditions, one SignedPerm product and transpose
+    per pair: the oracle for the stacked _matrix_conditions."""
+    failures = [f"field {i} is not skew" for i, a in enumerate(fields) if a.T != -a]
+    transposes = [a.T for a in fields]
+    for i, j in combinations(range(len(fields)), 2):
+        g = transposes[i] @ fields[j]
+        if g.T != -g:
+            failures.append(f"fields {i},{j} break A^T B + B^T A = 0")
+    return failures
+
+
+def _verify_system_reference(v, samples, seed):
+    """verify_system with the matrix conditions and the sample points checked
+    pair by pair in Python ints: the oracle for the stacked checks."""
+    failures = _matrix_conditions_reference(list(v.fields))
+    rng = random.Random(seed)
+    for _ in range(samples):
+        x = spheres._integer_sample_point(v.m, rng)
+        norm2 = sum(c * c for c in x)
+        images = []
+        for idx, a in enumerate(v.fields):
+            ax = a.apply(x)
+            images.append(ax)
+            if sum(p * q for p, q in zip(ax, x)) != 0:
+                failures.append(f"field {idx} not tangent at sample point")
+        for i in range(len(images)):
+            for j in range(i, len(images)):
+                want = norm2 if i == j else 0
+                if sum(p * q for p, q in zip(images[i], images[j])) != want:
+                    failures.append(f"fields {i},{j} not orthonormal at sample point")
+    return FieldsReport(ok=not failures, failures=tuple(failures), notes=v.notes)
+
+
+def _flip_one_sign(a, row):
+    sign = a.sign.copy()
+    sign[row] = -sign[row]
+    return SignedPerm(a.perm, sign)
+
+
+def _oracle_systems():
+    """The ten acceptance systems, the naive S^511 mixes, and broken systems:
+    a duplicated field, the identity field, one flipped sign."""
+    systems = [build_fields(m) for m in (2, 4, 8, 16, 32, 48, 64, 128, 256, 512)]
+    v16, v32, v512 = systems[3], systems[4], systems[-1]
+    naive = naive_s511_extra()
+    eye = SignedPerm.identity(16)
+    flipped = list(v32.fields)
+    flipped[4] = _flip_one_sign(flipped[4], 7)
+    return systems + [
+        VectorFieldSystem(m=512, fields=v512.fields[8:16] + (naive,)),
+        VectorFieldSystem(m=512, fields=v512.fields[:16] + (naive,)),
+        VectorFieldSystem(m=16, fields=(v16.fields[0], v16.fields[0])),
+        VectorFieldSystem(m=16, fields=v16.fields[:3] + (v16.fields[1],) + v16.fields[3:]),
+        VectorFieldSystem(m=16, fields=(eye,)),
+        VectorFieldSystem(m=16, fields=v16.fields[:5] + (eye,) + v16.fields[5:]),
+        VectorFieldSystem(m=32, fields=tuple(flipped)),
+        VectorFieldSystem(m=16, fields=(_flip_one_sign(v16.fields[2], 0),)),
+        VectorFieldSystem(m=3, fields=()),
+    ]
+
+
+def test_stacked_checks_give_the_per_pair_reports():
+    """The stacked matrix conditions and sample-point checks report the same
+    failures, in the same order, as the per-pair reference."""
+    broken = 0
+    for v in _oracle_systems():
+        fields = list(v.fields)
+        assert _matrix_conditions(fields) == _matrix_conditions_reference(fields), v.m
+        for seed in (0, 1):
+            rep = verify_system(v, samples=2, seed=seed)
+            assert rep == _verify_system_reference(v, 2, seed), (v.m, seed)
+        broken += not rep.ok
+    assert broken == 8
+
+
+def test_sample_point_int64_bound_edge(monkeypatch):
+    """A sample point with |x|^2 = _INT64_SAFE - 1 is checked exactly; one
+    with |x|^2 = _INT64_SAFE raises.  The points are patched in for
+    _integer_sample_point; on the sphere S^3 the quaternion fields pass, and
+    a duplicated field fails with Gram entries of |x|^2 itself."""
+    below = [2**31 - 1, 65535, 362, 5]
+    assert sum(c * c for c in below) == _INT64_SAFE - 1
+    v4 = build_fields(4)
+    dup = VectorFieldSystem(m=4, fields=(v4.fields[0], v4.fields[1], v4.fields[1]))
+    monkeypatch.setattr(spheres, "_integer_sample_point", lambda m, rng: list(below))
+    assert verify_system(v4, samples=1).ok
+    rep = verify_system(dup, samples=1)
+    assert rep == _verify_system_reference(dup, 1, 0)
+    assert "fields 1,2 not orthonormal at sample point" in rep.failures
+    at = [2**31, 0, 0, 0]
+    assert sum(c * c for c in at) == _INT64_SAFE
+    monkeypatch.setattr(spheres, "_integer_sample_point", lambda m, rng: list(at))
+    with pytest.raises(ValueError, match="int64 bound"):
+        verify_system(v4, samples=1)
+    assert verify_system(v4, samples=0).ok
