@@ -551,11 +551,9 @@ class FitReport:
     workers: int
     fitted_scale: float
     cosine_similarity: float
-    # 1/33792, a guess read off the unnormalized round S^8 measure; not
-    # derived.  The fit reads 1/132 = 256/33792 (each line pairs with Phi to
-    # 14, and |Phi|^2 = 1848), and exact_mean computes the mean as Phi/132
-    # slot by slot.  Deriving this field from it changes berger's output, so
-    # it is left for a deliberate output change.
+    # the exact line average over Phi, slot by slot: the content of
+    # exact_mean's numerators over its denominator, 1/132 (each line pairs
+    # with Phi to 14, and |Phi|^2 = 1848); fitted_scale estimates it
     candidate_scale: float
     zero_slots: int
     zero_slots_within_3sigma: int
@@ -563,6 +561,17 @@ class FitReport:
 
 
 @lru_cache(maxsize=1)
+def _line_average() -> tuple:
+    """(Phi, scale): ``exact_mean`` is scale * Phi slot by slot, with Phi
+    its numerators divided by their content (read-only int64) and scale
+    that content over the denominator, as a float."""
+    num, den = exact_mean()
+    content = int(np.gcd.reduce(num))
+    phi = num // content
+    phi.flags.writeable = False
+    return phi, content / den
+
+
 def phi_dense() -> np.ndarray:
     """The canonical 8-form as a dense, read-only 12870-slot integer vector.
 
@@ -571,10 +580,7 @@ def phi_dense() -> np.ndarray:
     tests and ``verify`` tie the result to the charpoly route slot by slot,
     and the content to 1/132.
     """
-    num, _ = exact_mean()
-    out = num // np.gcd.reduce(num)
-    out.flags.writeable = False
-    return out
+    return _line_average()[0]
 
 
 def _group_tasks(samples: int, seed: int) -> list:
@@ -629,7 +635,7 @@ def berger_mc(samples: int, seed: int = 0, workers: int = 1):
     sigma_mean = np.sqrt(var / samples)
 
     # correctly rounded sums, so the fit does not depend on BLAS threads
-    phi = phi_dense()
+    phi, scale = _line_average()
     phi_sq = int(phi @ phi)  # exact: int64
     dot = math.fsum(mean * phi)
     fitted = dot / phi_sq
@@ -642,7 +648,7 @@ def berger_mc(samples: int, seed: int = 0, workers: int = 1):
         workers=workers,
         fitted_scale=fitted,
         cosine_similarity=cos,
-        candidate_scale=1.0 / 33792.0,
+        candidate_scale=scale,
         zero_slots=int(zero.sum()),
         zero_slots_within_3sigma=int((ratios <= 3.0).sum()),
         max_zero_sigma_ratio=float(ratios.max()),

@@ -226,6 +226,27 @@ def _cmd_fields(args) -> int:
     return code
 
 
+def _rational(token: str):
+    """Fraction(token), refusing a decimal token whose numerator or
+    denominator, written out in full, has more digits than int() accepts.
+    int() bounds every digit string, but Fraction multiplies an exponent out
+    (1e3000000, or 0e3000000, builds 10**3000000), so the digits the exponent
+    adds are counted first, a zero mantissa as one digit."""
+    import re
+    from fractions import Fraction
+
+    limit = sys.get_int_max_str_digits()
+    m = re.fullmatch(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?\s*", token)
+    if m and limit:
+        whole, frac, exp = (g.replace("_", "") if g else "" for g in m.groups())
+        shift = int(exp or 0) - len(frac)  # value = int(whole + frac) * 10**shift
+        num_digits = len((whole + frac).lstrip("0") or "0") + max(shift, 0)
+        if max(num_digits, 1 - shift) > limit:
+            raise ValueError(f"--point coordinate {token[:20]!r}... has more than "
+                             f"{limit} digits written out")
+    return Fraction(token)
+
+
 def _parse_point(tokens):
     from fractions import Fraction
 
@@ -236,7 +257,7 @@ def _parse_point(tokens):
         raise ValueError("--point needs 16 rationals (or 32 numerator/denominator integers)")
     try:
         if len(tokens) == 16:
-            vals = [Fraction(t) for t in tokens]
+            vals = [_rational(t) for t in tokens]
         else:
             vals = [Fraction(int(tokens[2 * i]), int(tokens[2 * i + 1])) for i in range(16)]
     except ZeroDivisionError:

@@ -66,10 +66,16 @@ def spin9_involutions() -> tuple:
 
 
 def hopf_action(u: CDElement, r) -> np.ndarray:
-    """The symmetric involution of the unit vector (u, r) in S^8 = O x R."""
+    """The symmetric involution of the unit vector (u, r) in S^8 = O x R.
+
+    Unit length is checked over Z, as in ``SpherePoint16``: a float
+    coordinate is read as the dyadic rational it stores, so (0.6, 0.8, 0, ...)
+    with r = 0 is refused, and a non-finite one is a ValueError.
+    """
     if u.level != 3:
         raise ValueError("u must be an octonion")
-    if u.norm2() + r * r != 1:
+    z, scale = _clear_denominators(u.coeffs + (r,))
+    if _dot(z, z) != scale * scale:
         raise ValueError("(u, r) must be a unit vector")
     eye = np.eye(8, dtype=object)
     return np.block(

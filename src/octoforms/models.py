@@ -12,6 +12,14 @@ them as dense arrays, the Lie closures bracket them as signed permutations.
 The Grassmannian families use the Spin(8) generators m_u on O + O and the
 m_{u,v} = m_u m_v compositions, applied diagonally to tangent vectors listed
 as octonion pairs.
+
+``exterior`` loads only inside the four E III form functions
+(``eiii_kahler``, ``eiii_form_matrix``, ``eiii_tau2``,
+``eiii_tau4_nonzero``), the only ones here that wedge forms.  Building a
+model, its lambda^2 family and the census run on signed permutations alone,
+so ``clifford-structure`` and the field, Clifford and Hopf work that imports
+this module do not compile the wedge engine in every fresh process;
+``tests/test_imports.py`` pins this.
 """
 
 from __future__ import annotations
@@ -19,13 +27,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .cayley_dickson import CDElement, right_mult_matrix, unit_right_mults
 from .clifford import independence_count, standard_system
-from .exterior import FormMatrix, Multivector, kahler_form, tau2_direct, tau4_coefficient
 from .linalg import SignedPerm, lie_closure_dim
+
+if TYPE_CHECKING:
+    from .exterior import FormMatrix, Multivector
 
 MODEL_NAMES = ("eiii", "evi", "eviii", "gr8r", "gr4c", "gr2h")
 
@@ -93,18 +104,24 @@ def spin_generators(model: EvenCliffordModel) -> list:
 
 def eiii_kahler() -> Multivector:
     """Kahler 2-form of the complex structure of the E III model space."""
+    from .exterior import kahler_form
+
     model = build_model("eiii")
     return kahler_form(model.generators[0])
 
 
 @lru_cache(maxsize=1)
 def eiii_form_matrix() -> FormMatrix:
+    from .exterior import FormMatrix
+
     model = build_model("eiii")
     return FormMatrix.from_endomorphisms(list(model.generators))
 
 
 def eiii_tau2() -> Multivector:
     """tau_2 of the 10x10 matrix of Kahler forms; equals -3 omega^2."""
+    from .exterior import tau2_direct
+
     tau2 = tau2_direct(eiii_form_matrix())
     omega = eiii_kahler()
     if tau2 != -3 * omega.wedge(omega):
@@ -118,6 +135,8 @@ def eiii_tau4_nonzero() -> bool:
     Witnessed by one coefficient: the full 8-form on R^32 is expensive, and a
     single nonzero blade already settles non-vanishing.
     """
+    from .exterior import tau4_coefficient
+
     return tau4_coefficient(eiii_form_matrix(), (1, 2, 3, 4, 5, 6, 7, 8)) != 0
 
 

@@ -361,26 +361,6 @@ def test_exact_mean_int64_bound_edge(monkeypatch):
             exact_mean()
 
 
-def test_berger_leaves_the_exact_form_stack_unloaded():
-    """berger_mc and the float writer the berger command uses load none of
-    the exact-form modules; multivector JSON still round-trips with
-    serialize's deferred import of exterior."""
-    import subprocess
-    import sys
-
-    code = ("import sys; from octoforms.berger import berger_mc; berger_mc(2048, seed=1); "
-            "from octoforms.serialize import float_str; "
-            "print([m for m in ('canonical', 'clifford', 'exterior', 'octform') "
-            "if 'octoforms.' + m in sys.modules]); "
-            "from octoforms.canonical import spin9_form; "
-            "from octoforms.serialize import multivector_from_json, multivector_to_json; "
-            "print(multivector_from_json(multivector_to_json(spin9_form())) == spin9_form())")
-    proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\nTrue\n"
-
-
 def test_cli_output_independent_of_blas_threads():
     """`berger --json --full` stdout is byte-identical under one BLAS thread
     and under the default thread count."""
@@ -503,11 +483,28 @@ def test_every_line_pairs_with_phi_to_fourteen():
     """Phi calibrates the octonionic lines: the pullback of each line's
     volume form pairs with Phi to Phi(e_1..8) = 14 (in the estimator's
     orientation), and |Phi|^2 = 1848, so the fitted scale is 14/1848 = 1/132
-    to float64 rounding from any number of samples."""
+    to float64 rounding from any number of samples; candidate_scale, the
+    exact line average's scale, is 1/132 exactly."""
     assert int(phi_dense() @ phi_dense()) == 1848
     for samples, seed in ((1, 0), (1, 1), (7, 2), (3000, 3)):
         _, rep = berger_mc(samples, seed=seed)
         assert abs(rep.fitted_scale * 132 - 1) < 1e-12, (samples, seed)
+        assert rep.candidate_scale == 1 / 132
+        assert abs(rep.fitted_scale / rep.candidate_scale - 1) < 1e-12, (samples, seed)
+
+
+def test_candidate_scale_is_the_content_of_the_exact_mean(monkeypatch):
+    """candidate_scale is gcd(exact_mean numerators) / _MEAN_DEN, read off
+    the computation phi_dense caches: a cold berger_mc and phi_dense share
+    one exact_mean."""
+    num, den = exact_mean()
+    calls = []
+    monkeypatch.setattr(berger, "exact_mean", lambda: calls.append(1) or (num, den))
+    berger._line_average.cache_clear()
+    _, rep = berger_mc(1, seed=0)
+    phi_dense()
+    assert len(calls) == 1
+    assert rep.candidate_scale == int(np.gcd.reduce(num)) / den == 1 / 132
 
 
 def _reference_layout():

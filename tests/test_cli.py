@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import subprocess_env
+from conftest import deadline, subprocess_env
 from octoforms import cli, clifford
 from octoforms.canonical import spin9_form
 from octoforms.cli import main
@@ -157,6 +157,36 @@ def test_hopf_zero_denominator_exits_2(form):
     point = ["1/0"] + ["0"] * 15 if form == 16 else ["1", "0"] + ["0", "1"] * 15
     code, out, err = run_cli("hopf", "--point", *point)
     assert code == 2 and out == "" and "zero denominator" in err
+
+
+def test_hopf_point_exponents_bounded_at_the_int_digit_limit():
+    """A decimal token may spell out as many digits as int() accepts, and no
+    more: 1e(limit - 1) has limit digits and parses (off the sphere, exit 1),
+    1e(limit) exits 2 with nothing on stdout.  The same holds for the
+    denominator of a negative exponent."""
+    import sys
+
+    limit = sys.get_int_max_str_digits()
+    rest = ["0"] * 15
+    for sign in ("", "-"):
+        code, out, err = run_cli("hopf", "--point", f"1e{sign}{limit - 1}", *rest)
+        assert code == 1 and out == "" and "unit sphere" in err
+        code, out, err = run_cli("hopf", "--point", f"1e{sign}{limit}", *rest)
+        assert code == 2 and out == "" and "digits" in err
+
+
+@pytest.mark.parametrize("token", ["1e3000000", "1e-3000000", "0e3000000"])
+def test_hopf_point_huge_exponent_exits_2_at_once(token):
+    with deadline(0.5):
+        code, out, err = run_cli("hopf", "--point", token, *["0"] * 15)
+    assert code == 2 and out == "" and "digits" in err
+
+
+def test_hopf_point_decimals_still_parse():
+    code, out, _ = run_cli("hopf", "--point", "0.6", "0.8", *["0"] * 14)
+    assert code == 0 and out.split()[-1] == "1"
+    code, out, _ = run_cli("hopf", "--json", "--point", "6e-1", "0.08e1", *["0"] * 14)
+    assert code == 0 and json.loads(out)["lambda"][8] == "1"
 
 
 def test_clifford_subcommand():

@@ -49,6 +49,20 @@ def test_action_rejects_non_unit():
         hopf_action(CDElement.unit(3, 0), 1)
 
 
+def test_action_checks_unit_length_over_z():
+    """Floats are read as the dyadics they store: 0.36 + 0.64 rounds to 1.0,
+    but 0.6 and 0.8 as stored are off S^8; halves and exact fifths are on."""
+    with pytest.raises(ValueError, match="unit vector"):
+        hopf_action(CDElement(3, [0.6, 0.8, 0, 0, 0, 0, 0, 0]), 0)
+    eye = np.eye(16, dtype=object)
+    for u in ([0.5, 0.5, 0.5, 0.5, 0, 0, 0, 0], [Fraction(3, 5), Fraction(4, 5)] + [0] * 6):
+        g = hopf_action(CDElement(3, u), 0)
+        assert np.array_equal(g @ g, eye)
+    for u, r in (([float("nan")] + [0] * 7, 0), ([0] * 8, float("inf"))):
+        with pytest.raises(ValueError):
+            hopf_action(CDElement(3, u), r)
+
+
 def test_lambda_polar_points():
     one = CDElement.unit(3, 0)
     zero = CDElement.zero(3)
