@@ -49,14 +49,12 @@ through the slot-sum half of the contraction, the code the sampled moments
 go through, in int64; the result is Phi / 132 slot by slot, and
 ``phi_dense``, the target the samples are fitted to, reads Phi off it.
 
-Workers: the samples are cut into 64 fixed block groups.  With more than one
-worker and enough groups, the call forks its workers through
-``fanout.fan_out`` after the plan is built, so they inherit it.  Worker w
-runs groups w, w + P, w + 2P, ... (P workers) and pickles each group's
-moments into its own pipe; the parent reads group g from pipe g % P, which
-gives the groups in index order, and folds each as it arrives.  The parent
-starts no thread and sends the workers nothing.  Without os.fork, or with
-too few groups to pay for it, the groups run serially.
+Workers: the samples are cut into 64 fixed block groups, and a call forks
+one worker per _MIN_GROUPS_PER_WORKER groups, up to the usable CPUs
+(``fanout.worker_count``) and to the caller's cap.  The workers are forked
+through ``fanout.fan_out`` after the plan is built, so they inherit it, and
+the parent folds each group's moments in group order as they arrive.  With
+one worker, the groups run serially in the caller.
 
 Determinism: samples are generated by the counter-based Philox generator, 12
 uniforms per sample (so every fixed-size block starts on a counter boundary),
@@ -548,7 +546,7 @@ class SampledForm:
 class FitReport:
     samples: int
     seed: int
-    workers: int
+    workers: int  # the worker processes that ran; 1 on the serial path
     fitted_scale: float
     cosine_similarity: float
     # the exact line average over Phi, slot by slot: the content of
@@ -594,8 +592,9 @@ def _group_tasks(samples: int, seed: int) -> list:
     ]
 
 
-def berger_mc(samples: int, seed: int = 0, workers: int = 1):
-    """Average the line-volume pullbacks over `samples` uniform lines.
+def berger_mc(samples: int, seed: int = 0, workers: int | None = None):
+    """Average the line-volume pullbacks over `samples` uniform lines, with
+    as many workers as the work pays for, at most `workers` if given.
 
     Returns (SampledForm, FitReport).  Bit-reproducible for fixed seed and
     sample count, independent of the worker count and of BLAS threads, for a
@@ -603,7 +602,7 @@ def berger_mc(samples: int, seed: int = 0, workers: int = 1):
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if workers < 1:
+    if workers is not None and workers < 1:
         raise ValueError("workers must be >= 1")
     if not 0 <= seed < 1 << 128:
         raise ValueError("seed must be in [0, 2**128), the range of Philox keys")
@@ -611,7 +610,8 @@ def berger_mc(samples: int, seed: int = 0, workers: int = 1):
     # the task list and the reduction order are fixed, so the worker count is
     # pure execution detail: capped at the usable CPUs to avoid thrash, and
     # at the workers that the groups keep busy long enough to pay the fork
-    procs = fanout.worker_count(min(workers, len(tasks) // _MIN_GROUPS_PER_WORKER))
+    limit = len(tasks) // _MIN_GROUPS_PER_WORKER
+    procs = fanout.worker_count(limit if workers is None else min(workers, limit))
     # built before any fork, so that the workers inherit the plan
     moments = np.zeros(_plan()["moments"], dtype=np.float64)
     # group results are folded in group order as they arrive: a fixed,
@@ -645,7 +645,7 @@ def berger_mc(samples: int, seed: int = 0, workers: int = 1):
     report = FitReport(
         samples=samples,
         seed=seed,
-        workers=workers,
+        workers=procs,
         fitted_scale=fitted,
         cosine_similarity=cos,
         candidate_scale=scale,

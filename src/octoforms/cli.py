@@ -4,7 +4,10 @@ Exit codes: 0 success, 1 invariant/verification failure, 2 usage error, and
 141 (128 + SIGPIPE, what a shell reports for a writer whose reader left)
 when stdout is closed before all output is written; that exit prints
 nothing.  Rationals are printed as "p/q" strings; Monte-Carlo floats carry
-17 significant digits.  Output is deterministic for fixed flags and seed.
+17 significant digits.  Output is deterministic for fixed flags and seed,
+except the `workers` field of `berger`, the count of worker processes that
+ran: it depends on the usable CPUs unless `--workers 1` is given.  The
+`berger` coefficients do not.
 
 Each command imports what it runs inside its own function, so a process
 loads only its command's modules; with bytecode writing off, every process
@@ -133,27 +136,16 @@ def _int_at_least(low: int, below: int | None = None):
     return parse
 
 
-def _default_workers() -> int:
-    """OCTOFORMS_WORKERS, or 1 when it is unset or empty.  Any other value
-    that is not an int >= 1 is a ValueError naming the variable."""
-    env = os.environ.get("OCTOFORMS_WORKERS")
-    if not env:
-        return 1
-    try:
-        return _int_at_least(1)(env)
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"OCTOFORMS_WORKERS: {exc}") from None
-
-
 def _sphere_dim(text: str) -> int:
-    """argparse type: an m whose field system is in scope (m >= 1, q < 3)."""
-    from .spheres import hr_decompose
+    """argparse type: an m >= 1 whose field system is in scope
+    (``spheres.check_scope``)."""
+    from .spheres import check_scope
 
     m = _int_at_least(1)(text)
-    if hr_decompose(m).q >= 3:
-        raise argparse.ArgumentTypeError(
-            f"m = {m} has q >= 3, out of scope; the paper defers the general recursion"
-        )
+    try:
+        check_scope(m)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return m
 
 
@@ -348,16 +340,10 @@ def _cmd_clifford_structure(args) -> int:
 def _cmd_berger(args) -> int:
     if args.full and not args.json:
         return _error(2, "--full needs --json")
-    workers = args.workers
-    if workers is None:  # an explicit --workers wins over the environment
-        try:
-            workers = _default_workers()
-        except ValueError as exc:
-            return _error(2, exc)
     from .berger import berger_mc
     from .serialize import float_str
 
-    form, report = berger_mc(args.samples, seed=args.seed, workers=workers)
+    form, report = berger_mc(args.samples, seed=args.seed, workers=args.workers)
     payload = {
         "samples": report.samples,
         "seed": report.seed,
@@ -466,7 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_int_at_least(0, below=1 << 128), default=0,
                    help="Philox key, 0 <= seed < 2**128")
     p.add_argument("--workers", type=_int_at_least(1), default=None,
-                   help="worker processes (default: OCTOFORMS_WORKERS, else 1)")
+                   help="at most this many worker processes (default: as many as "
+                        "the samples pay for, up to the usable CPUs)")
     p.add_argument("--json", action="store_true")
     p.add_argument("--full", action="store_true",
                    help="include all 12870 coefficients (needs --json)")

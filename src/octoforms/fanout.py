@@ -28,8 +28,8 @@ def usable_cpus() -> int:
 
 def worker_count(limit: int) -> int:
     """How many workers to fork for at most `limit`: capped at the usable
-    CPUs, and 1 (run serially) where there is no os.fork."""
-    return min(limit, usable_cpus()) if hasattr(os, "fork") else 1
+    CPUs, and 1 (run serially) where there is no os.fork or limit < 1."""
+    return max(1, min(limit, usable_cpus())) if hasattr(os, "fork") else 1
 
 
 def _read(fd: int, size: int) -> bytearray | None:

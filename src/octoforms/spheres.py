@@ -249,11 +249,6 @@ def _base_16(p: int, printed: bool) -> list:
 
 def _base_256(p: int) -> list:
     """The 2^p * 256 system (q = 2, p <= 1)."""
-    if p > 1:
-        raise ValueError(
-            "q = 2 constructions are given for p <= 1 (up to S^511); "
-            "higher p defers to the general linear-algebra formalism"
-        )
     j16 = _spin9_j_fields()
     slots = SignedPerm.identity(16 << p)  # sedenion slots
     d = slots.kron(_D16)
@@ -283,6 +278,16 @@ def naive_s511_extra() -> SignedPerm:
     return SignedPerm.identity(32).kron(_D16) @ _li_512()
 
 
+def check_scope(m: int) -> HRDecomposition:
+    """hr_decompose(m) if the system on S^{m-1} is built, else ValueError:
+    the paper defers q >= 3 and gives q = 2 constructions for p <= 1 only."""
+    dec = hr_decompose(m)
+    if dec.q > 2 or dec.q == 2 and dec.p > 1:
+        raise ValueError(f"m = {m} (q = {dec.q}, p = {dec.p}) is out of scope: "
+                         "q <= 2, and p <= 1 when q = 2")
+    return dec
+
+
 def build_fields(m: int) -> VectorFieldSystem:
     """Maximal system of sigma(m) orthonormal tangent fields on S^{m-1}.
 
@@ -290,9 +295,7 @@ def build_fields(m: int) -> VectorFieldSystem:
     variant replaces it, with a note, when the printed table is not made of
     signed permutations.
     """
-    dec = hr_decompose(m)
-    if dec.q >= 3:
-        raise ValueError("q >= 3 is out of scope; the paper defers the general recursion")
+    dec = check_scope(m)
     notes = ()
     if dec.q == 0:
         fields = list(unit_right_mults(dec.p)[1:])

@@ -196,7 +196,8 @@ def test_groups_fold_in_index_order(monkeypatch, no_child_left):
 
 def test_pool_capped_by_cpu_affinity(monkeypatch):
     """A process allowed one CPU runs the serial path, with the same bits, at
-    a size where two CPUs would fork workers."""
+    a size where two CPUs would fork workers, and reports the one worker
+    that ran."""
     samples = 2 * _MIN_GROUPS_PER_WORKER * _BLOCK
     want, _ = berger_mc(samples, seed=42, workers=1)
 
@@ -206,14 +207,16 @@ def test_pool_capped_by_cpu_affinity(monkeypatch):
     monkeypatch.setattr(fanout.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(fanout, "fan_out", no_pool)
     got, rep = berger_mc(samples, seed=42, workers=2)
-    assert rep.workers == 2
+    assert rep.workers == 1
     assert np.array_equal(got.coeffs, want.coeffs)
     assert np.array_equal(got.sigma, want.sigma)
 
 
 def test_pool_started_only_for_enough_groups(monkeypatch, no_child_left):
     """Workers are forked only when each gets _MIN_GROUPS_PER_WORKER
-    groups, and the bits do not depend on whether they were."""
+    groups, up to the usable CPUs, by default as under a cap; the report
+    counts the workers that ran, and the bits do not depend on whether they
+    were forked."""
     real_fan_out = fanout.fan_out
     started = []
 
@@ -226,12 +229,14 @@ def test_pool_started_only_for_enough_groups(monkeypatch, no_child_left):
     edge = 2 * _MIN_GROUPS_PER_WORKER * _BLOCK
     for samples, pools in ((2048, []), (edge - _BLOCK, []), (edge, [2]), (65536, [2])):
         started.clear()
-        got, _ = berger_mc(samples, seed=2, workers=2)
-        assert started == pools, samples
-        want, _ = berger_mc(samples, seed=2, workers=1)
-        assert started == pools, samples
-        assert np.array_equal(got.coeffs, want.coeffs), samples
-        assert np.array_equal(got.sigma, want.sigma), samples
+        want, rep = berger_mc(samples, seed=2, workers=1)
+        assert (started, rep.workers) == ([], 1), samples
+        for cap in ({}, {"workers": 2}, {"workers": 3}):
+            got, rep = berger_mc(samples, seed=2, **cap)
+            assert started == pools and rep.workers == (pools or [1])[0], (samples, cap)
+            assert np.array_equal(got.coeffs, want.coeffs), (samples, cap)
+            assert np.array_equal(got.sigma, want.sigma), (samples, cap)
+            started.clear()
 
 
 def test_serial_without_fork(monkeypatch):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import deadline, subprocess_env
-from octoforms import cli, clifford
+from octoforms import cli, clifford, fanout
 from octoforms.canonical import spin9_form
 from octoforms.cli import main
 from octoforms.exterior import Multivector
@@ -305,6 +305,8 @@ def test_unknown_flag_exits_2():
     "argv",
     [
         ("fields", "--m", "4096"),
+        ("fields", "--m", "1024"),
+        ("fields", "--m", "3072"),
         ("fields", "--m", "0"),
         ("berger", "--samples", "0"),
         ("berger", "--samples", "10", "--workers", "0"),
@@ -324,6 +326,23 @@ def test_bad_arguments_exit_2(argv):
                                   "--deep needs --census"))
 
 
+@pytest.mark.parametrize("m, count", [(768, 16), (1536, 17), (3584, 17)])
+def test_fields_in_scope_at_q2_exit_0(m, count):
+    """q = 2 systems with p <= 1 are built, odd multiples of 512 included."""
+    code, out, _ = run_cli("fields", "--m", str(m), "--json")
+    obj = json.loads(out)
+    assert code == 0 and obj["count"] == obj["sigma"] == count
+
+
+@pytest.mark.parametrize("cpus, forked", [({0, 1}, 2), ({0}, 1)])
+def test_berger_reports_the_workers_that_ran(monkeypatch, no_child_left, cpus, forked):
+    """Without --workers, berger forks as many workers as the samples pay
+    for, up to the usable CPUs, and reports how many ran."""
+    monkeypatch.setattr(fanout.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    code, out, _ = run_cli("berger", "--samples", "8192", "--json")
+    assert code == 0 and json.loads(out)["workers"] == forked
+
+
 @pytest.mark.parametrize("seed", [0, (1 << 128) - 1])
 def test_berger_seed_range_edges_run(seed):
     """The first and the last Philox key are both valid seeds."""
@@ -340,32 +359,6 @@ def test_model_choices_are_the_model_names():
     assert code == 2 and out == "" and "invalid choice: 'e9'" in err
     code, out, _ = run_cli("clifford-structure", "--model", MODEL_NAMES[-1], "--json")
     assert code == 0 and json.loads(out)["model"]["name"] == MODEL_NAMES[-1]
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
-def test_bad_workers_environment_exits_2(monkeypatch, value):
-    monkeypatch.setenv("OCTOFORMS_WORKERS", value)
-    code, out, err = run_cli("berger", "--samples", "10", "--json")
-    assert code == 2 and out == ""
-    assert err.startswith("error: OCTOFORMS_WORKERS: ") and value in err
-
-
-def test_workers_environment_sets_the_default(monkeypatch):
-    monkeypatch.setenv("OCTOFORMS_WORKERS", "2")
-    code, out, _ = run_cli("berger", "--samples", "10", "--json")
-    assert code == 0 and json.loads(out)["workers"] == 2
-
-
-def test_workers_flag_wins_over_a_bad_environment(monkeypatch):
-    monkeypatch.setenv("OCTOFORMS_WORKERS", "abc")
-    code, out, _ = run_cli("berger", "--samples", "10", "--workers", "3", "--json")
-    assert code == 0 and json.loads(out)["workers"] == 3
-
-
-def test_bad_workers_environment_is_read_only_by_berger(monkeypatch):
-    monkeypatch.setenv("OCTOFORMS_WORKERS", "0")
-    code, out, _ = run_cli("pontrjagin", "--json")
-    assert code == 0 and json.loads(out)["manifold_classes"]
 
 
 def test_pontrjagin_subcommand():

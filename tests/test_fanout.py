@@ -74,16 +74,16 @@ def test_closed_fan_out_leaves_no_child():
 
 
 def test_worker_count(monkeypatch):
-    """Capped at the usable CPUs, which come from the affinity set; 1 where
-    there is no os.fork."""
+    """Capped at the usable CPUs, which come from the affinity set; at least
+    1, and 1 where there is no os.fork."""
     monkeypatch.setattr(fanout.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     assert fanout.usable_cpus() == 3
-    assert [fanout.worker_count(k) for k in (0, 1, 2, 3, 4)] == [0, 1, 2, 3, 3]
+    assert [fanout.worker_count(k) for k in (-1, 0, 1, 2, 3, 4)] == [1, 1, 1, 2, 3, 3]
     monkeypatch.setattr(fanout.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert fanout.worker_count(4) == 1
+    assert [fanout.worker_count(k) for k in (0, 1, 2)] == [1, 1, 1]
     monkeypatch.setattr(fanout.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.delattr(fanout.os, "fork")
-    assert fanout.worker_count(4) == 1
+    assert [fanout.worker_count(k) for k in (0, 1, 3)] == [1, 1, 1]
 
 
 def test_child_check_fails_on_a_child_left_behind():

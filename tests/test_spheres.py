@@ -47,6 +47,13 @@ def test_hr_decomposition_unique_and_recomposes():
         hr_decompose(0)
 
 
+@pytest.mark.parametrize("m", [1024, 2048, 3072, 4096, 8192])
+def test_out_of_scope_systems_are_refused(m):
+    """q >= 3, and q = 2 with p >= 2, are refused before anything is built."""
+    with pytest.raises(ValueError, match="out of scope"):
+        build_fields(m)
+
+
 def test_build_fields_counts_and_validity():
     for m in (2, 4, 8, 16, 32, 48, 64):
         v = build_fields(m)
