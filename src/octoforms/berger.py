@@ -27,27 +27,26 @@ complementary minor, its sign folded into the slot's eps and its power of
 
 Monomial moments: every entry of A is +-m_j, so each of these minors is an
 integer polynomial of degree <= 4 in the eight coordinates of m (at most 20
-monomials, coefficients at most 2 in size) and its square one of degree <= 8.
-The plan expands the minors and their squares into monomials once, over the
-integers.  A block then sums only monomials against the weight columns, in
-float64: the 495 of degree <= 4 for the slot sums and the 1126 the squares
-touch for the sums of squares, each monomial the product of two lower ones.
-It works through its samples in chunks of 128 with three arrays allocated
-once per block: the 495 rows of degree <= 4 and two gather buffers of 512
-rows.  Each product stage gathers its factor rows slab by slab into the
-buffers; the square monomials are never stored, and each slab of them is
-reduced against its weight columns while it is still in cache.  The groups
-return these monomial sums, and a call contracts their total to the 12870
-slot sums and sums of squares once, the squares 256 states at a time, so
-that the contraction never holds a level's pair moments for all of its
-states.  The plan keeps its index tables as int16 and its signs as int8.
+monomials, coefficients at most 2 in size).  The plan expands the minors into
+monomials once, over the integers.  A block then sums only monomials against
+the weight columns, in float64: the 495 of degree <= 4, each the product of
+two lower ones.  It works through its samples in chunks of 128 with three
+arrays allocated once per block: the 495 rows and two buffers into which
+each product stage gathers its factor rows.  The groups return these
+monomial sums, and a call contracts their total to the 12870 slot sums once.
+The plan keeps its index tables as int16 and its signs as int8.
 
-Exact mean: on the chart, the weight and each Jacobi factor are polynomials
-in (u, r), so every monomial moment that the slot sums read has an exact mean
-over S^8, a rational over 16 * 9 * 11.  ``exact_mean`` puts these means
-through the slot-sum half of the contraction, the code the sampled moments
-go through, in int64; the result is Phi / 132 slot by slot, and
-``phi_dense``, the target the samples are fitted to, reads Phi off it.
+Exact moments: on the chart, the weight and each Jacobi factor are
+polynomials in (u, r), so every moment of a slot value and of its square has
+an exact mean over S^8: a rational over 16 * 9 * 11 for the slot values,
+whose monomials have degree <= 4, and over 256 * 9 * 11 * 13 * 15 for their
+squares, of degree <= 8.  ``exact_mean`` puts the first through the slot-sum
+contraction, the code the sampled moments go through, in int64; the result is
+Phi / 132 slot by slot, and ``phi_dense``, the target the samples are fitted
+to, reads Phi off it.  ``exact_second_moment`` puts the second through the
+squares of the state polynomials (``_squares``), also in int64, so the
+standard deviation a call reports is exact, and the samples are never
+squared.
 
 Workers: the samples are cut into 64 fixed block groups, and a call forks
 one worker per _MIN_GROUPS_PER_WORKER groups, up to the usable CPUs
@@ -62,10 +61,9 @@ converted by Box-Muller; blocks and their chunks have a fixed size, block
 groups are fixed in number, per-chunk sums go through einsum's fixed-order
 loops rather than BLAS, the fit uses correctly rounded sums, and reduction
 folds group results in index order.  Each moment is one monomial row's sum
-over one chunk, added chunk by chunk, however the rows are split into slabs
-and whether or not workers are forked.  The output is therefore bit-identical
-per seed, independent of the worker count and of the BLAS thread count, for a
-given numpy build and CPU.
+over one chunk, added chunk by chunk, whether or not workers are forked.  The
+output is therefore bit-identical per seed, independent of the worker count
+and of the BLAS thread count, for a given numpy build and CPU.
 """
 
 from __future__ import annotations
@@ -92,17 +90,18 @@ _GROUPS = 64
 # would lose 4 ms.
 _MIN_GROUPS_PER_WORKER = 4
 _CHUNK = 128  # samples per monomial pass, so the monomial rows stay cache-sized
-_SLAB = 512  # product rows gathered and reduced at a time
-# states whose square moments _contract gathers at a time: the level-4 block
-# is 256 x 210 float64, 0.43 MB, and the whole level would be 4.1 MB
+# states whose squares exact_second_moment contracts at a time: the level-4
+# block is 256 x 210 int64, 0.43 MB, and the whole level would be 4.1 MB
 _STATE_BLOCK = 256
 _DRAWS_PER_SAMPLE = 12  # multiple of 4: Philox counter units hold 4 doubles
-# The slot sums read sphere moments of degree <= 4 in (u, r): their exact
-# means are integers over 16 (the weight's 2^-4) times 9 * 11.
-_MEAN_DEGREE = 4
-_MEAN_DEN = 16 * math.prod(range(9, 8 + _MEAN_DEGREE, 2))
-# (2j - 1)!! for j = 0, 1, 2: the factors of the even sphere moments
-_DOUBLE_FACTORIAL = [math.prod(range(1, 2 * j, 2)) for j in range(_MEAN_DEGREE // 2 + 1)]
+# The exact means of w^p m^alpha read sphere moments of degree <= 4p in (u, r):
+# integers over 16^p (the weight's 2^-4, to the p) times 9 * 11 * ... * (7 + 4p).
+_MEAN_DEN = 16 * 9 * 11  # p = 1, the slot values: 1584
+_SECOND_DEN = 16**2 * 9 * 11 * 13 * 15  # p = 2, their squares: 4942080
+# the variance E[c^2] - E[c]^2 over lcm(_SECOND_DEN, _MEAN_DEN^2) = 33 * 4942080
+_VAR_DEN = math.lcm(_SECOND_DEN, _MEAN_DEN**2)
+# (2j - 1)!! for j = 0..4: the factors of the even sphere moments of degree <= 8
+_DOUBLE_FACTORIAL = [math.prod(range(1, 2 * j, 2)) for j in range(5)]
 
 
 def _subsets(n: int, k: int) -> tuple:
@@ -252,20 +251,19 @@ def _squares(k: int, cols: np.ndarray, vals: np.ndarray) -> tuple:
     return support, at, coef, touched
 
 
-def _slabs(first: int, a: np.ndarray, b: np.ndarray) -> list:
-    """A product stage x[first + i] = x[a[i]] x[b[i]] as (first, a, b) slabs
-    of at most _SLAB rows.  Every factor row must precede the stage: the
-    block gathers with np.take(mode="clip"), which would clamp a bad index
-    where x[a] raised."""
+def _stage(first: int, a: np.ndarray, b: np.ndarray) -> tuple:
+    """A product stage x[first + i] = x[a[i]] x[b[i]] as (first, a, b).
+    Every factor row must precede the stage: the block gathers with
+    np.take(mode="clip"), which would clamp a bad index where x[a] raised."""
     if min(a.min(), b.min()) < 0 or max(a.max(), b.max()) >= first:
         raise ValueError(f"a factor row of the stage at row {first} is not below it")
-    return [(first + i, a[i : i + _SLAB], b[i : i + _SLAB]) for i in range(0, len(a), _SLAB)]
+    return first, a, b
 
 
 @lru_cache(maxsize=1)
 def _plan() -> dict:
-    """Static plan: per level 0-4 the exact state polynomials, their squares
-    and the slot hooks; the per-sample monomial rows; the moment layout.
+    """Static plan: per level 0-4 the exact state polynomials and the slot
+    hooks; the per-sample monomial rows; the moment layout.
 
     Level k holds det A[R, T] for pairs of k-subsets, R and T sorted (at
     level 4, only R holding row 0); level 0 is the empty minor 1.  States are
@@ -280,18 +278,14 @@ def _plan() -> dict:
 
     A block fills the `rows` rows x of its monomials: x[0] = 1, x[1:9] = m,
     then the monomials of degrees 2, 3 and 4, each the product x[a] x[b] of
-    two earlier rows; `stages` holds these products as (first, a, b) slabs.
-    The squares' monomials of levels 0-4 are products of two rows of x too,
-    numbered on after x's rows; `squares` holds them as (a, b, sums) slabs.
-    A reduction (c, lo, hi, at) sums weight column c against rows lo:hi, of
-    x in `reductions` and of its slab in `sums`, into moments at:at + hi -
-    lo; columns 0-4 are w |m|^(2e), 5-9 are w^2 |m|^(4e).
+    two earlier rows; `stages` holds these products as (first, a, b), one
+    per degree.  A reduction (c, lo, hi, at) sums weight column c, w
+    |m|^(2c), against rows lo:hi of x into moments at:at + hi - lo.
 
-    Every index table of a level (state, slot, col, sum_at, sq_at, the
-    monomial columns of poly, and support and at of square) is int16 and eps
-    is int8 (+-1); ``_narrow`` raises if a table outgrows int16.  The
-    block's gather indices in stages and squares stay intp, which np.take
-    would otherwise convert on every call.
+    Every index table of a level (state, slot, col, sum_at and the monomial
+    columns of poly) is int16 and eps is int8 (+-1); ``_narrow`` raises if a
+    table outgrows int16.  The block's gather indices in stages stay intp,
+    which np.take would otherwise convert on every call.
     """
     subsets = [_subsets(8, k) for k in range(9)]
     rank = np.zeros(256, dtype=np.int64)
@@ -324,42 +318,24 @@ def _plan() -> dict:
     stages = []
     for d in (2, 3, 4):
         low, high = _split(keys[d], d - 1)
-        stages += _slabs(start[d], start[d - 1] + np.searchsorted(keys[d - 1], low),
-                         1 + np.searchsorted(keys[1], high))
-    levels, sq_start, pairs = [], [start[5]], []
+        stages.append(_stage(start[d], start[d - 1] + np.searchsorted(keys[d - 1], low),
+                             1 + np.searchsorted(keys[1], high)))
+    # moment layout: column 0 against every row, then column 4 - k against
+    # the degree-k rows, k = 0..3 (level 4's Jacobi slots are its own states)
+    spans = [(0, 0, start[5])] + [(4 - k, start[k], start[k + 1]) for k in range(4)]
+    offsets = np.cumsum([0] + [hi - lo for _, lo, hi in spans])
+    levels = []
     for k, part in enumerate(parts):
         state, slot, eps, col = map(np.concatenate, zip(*part))
         cols, vals = _minor_polys(k)
-        support, at, coef, touched = _squares(k, cols, vals)
-        low, high = _split(touched, k)
-        pairs.append((start[k] + np.searchsorted(keys[k], low),
-                      start[k] + np.searchsorted(keys[k], high)))
-        sq_start.append(sq_start[-1] + len(touched))
+        # moment indices of the level's monomials: col 0, then col 1
+        sum_at = np.array([offsets[0] + start[k]] + [offsets[1 + k]] * (k < 4))
         levels.append({"state": _narrow(state), "slot": _narrow(slot), "eps": eps,
                        "col": _narrow(col), "poly": (_narrow(cols), vals),
-                       "square": (_narrow(support), _narrow(at), coef, touched)})
-
-    # moment layout over the rows of x followed by the squares' rows
-    spans = [(0, 0, start[5]), (5, start[5], sq_start[5])]
-    spans += [(4 - k, start[k], start[k + 1]) for k in range(4)]
-    spans += [(9 - k, sq_start[k], sq_start[k + 1]) for k in range(4)]
-    offsets = np.cumsum([0] + [hi - lo for _, lo, hi in spans])
-    reductions = [(c, lo, hi, at) for (c, lo, hi), at in zip(spans, offsets) if hi <= start[5]]
-    squares = []
-    for first, a, b in _slabs(start[5], *map(np.concatenate, zip(*pairs))):
-        end = first + len(a)
-        sums = [(c, max(lo, first) - first, min(hi, end) - first, at + max(lo, first) - lo)
-                for (c, lo, hi), at in zip(spans, offsets)
-                if lo >= start[5] and lo < end and hi > first]
-        squares.append((a, b, sums))
-    for k, lv in enumerate(levels):
-        # moment indices of each level's monomials: col 0, then col 1
-        sums = [offsets[0] + start[k]] + [offsets[2 + k]] * (k < 4)
-        sq = [offsets[1] + sq_start[k] - start[5]] + [offsets[6 + k]] * (k < 4)
-        lv["sum_at"] = _narrow(np.array(sums)[:, None, None] + lv["poly"][0])
-        lv["sq_at"] = _narrow(np.array(sq)[:, None, None] + lv["square"][1])
+                       "sum_at": _narrow(sum_at[:, None, None] + cols)})
+    reductions = [(c, lo, hi, at) for (c, lo, hi), at in zip(spans, offsets)]
     return {"levels": levels, "rows": start[5], "stages": stages, "reductions": reductions,
-            "squares": squares, "moments": offsets[-1]}
+            "moments": offsets[-1]}
 
 
 def _block_uniforms(seed: int, block: int, count: int) -> np.ndarray:
@@ -398,23 +374,23 @@ def _process_block(seed: int, block: int, count: int, moments: np.ndarray):
     mm = np.sum(m8 * m8, axis=1)
     # orientation of every line basis chosen so the estimator aligns with +Phi
     w = np.where(valid, -((1.0 + mm) ** -4), 0.0)
-    # weight columns w |m|^(2e) and w^2 |m|^(4e), e = 0..4: the Jacobi factors
-    mm_pow = mm[None, :] ** np.arange(5)[:, None]
-    cols = np.concatenate([w * mm_pow, (w * mm_pow) ** 2])
+    # weight columns w |m|^(2e), e = 0..4: the Jacobi factors
+    cols = w * mm[None, :] ** np.arange(5)[:, None]
 
     plan = _plan()
     # reused for every chunk: fresh arrays of this size would be page-faulted
     # in chunk by chunk
     x = np.empty((plan["rows"], _CHUNK))
-    fa = np.empty((_SLAB, _CHUNK))
-    fb = np.empty((_SLAB, _CHUNK))
+    width = max(len(a) for _, a, _ in plan["stages"])
+    fa = np.empty((width, _CHUNK))
+    fb = np.empty((width, _CHUNK))
     for lo in range(0, count, _CHUNK):
         n = min(_CHUNK, count - lo)
         xs, ga, gb = x[:, :n], fa[:, :n], fb[:, :n]
         weights = cols[:, lo : lo + n]
         xs[0] = 1.0
         xs[1:9] = m8[lo : lo + n].T
-        # "clip" lets take write straight into out; _slabs checked the indices
+        # "clip" lets take write straight into out; _stage checked the indices
         for first, a, b in plan["stages"]:
             np.take(xs, a, axis=0, out=ga[: len(a)], mode="clip")
             np.take(xs, b, axis=0, out=gb[: len(b)], mode="clip")
@@ -422,19 +398,11 @@ def _process_block(seed: int, block: int, count: int, moments: np.ndarray):
         # reductions run through einsum's fixed summation order, not BLAS
         for c, r0, r1, at in plan["reductions"]:
             moments[at : at + r1 - r0] += np.einsum("c,rc->r", weights[c], xs[r0:r1])
-        # the squares are never stored: each slab is reduced while in cache
-        for a, b, sums in plan["squares"]:
-            sq = ga[: len(a)]
-            np.take(xs, a, axis=0, out=sq, mode="clip")
-            np.take(xs, b, axis=0, out=gb[: len(b)], mode="clip")
-            np.multiply(sq, gb[: len(b)], out=sq)
-            for c, r0, r1, at in sums:
-                moments[at : at + r1 - r0] += np.einsum("c,rc->r", weights[c], sq[r0:r1])
 
 
 def _slot_sums(moments: np.ndarray) -> np.ndarray:
     """The 12870 slot sums from monomial moments, in the moments' dtype:
-    float64 sums of samples in ``_contract``, int64 exact means in
+    float64 sums of samples in ``berger_mc``, int64 exact means in
     ``exact_mean``.  Each slot reads one (level, column, state) value, the
     einsum of the state's polynomial coefficients against its moments, times
     the slot's eps."""
@@ -446,56 +414,43 @@ def _slot_sums(moments: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _contract(moments: np.ndarray) -> tuple:
-    """(sums, sumsq) over the 12870 slots from summed monomial moments.
+def _line_moments(keys: np.ndarray, p: int = 1) -> np.ndarray:
+    """_MEAN_DEN (p = 1) or _SECOND_DEN (p = 2) times the exact means over
+    S^8 of w^p m^alpha, for the monomials with the given keys (as in
+    ``_monomials``), all of one degree d, as Python ints (dtype object).
 
-    A level's square moments are gathered once, one row per support, and
-    its squares contracted _STATE_BLOCK states at a time: the level-4 squares
-    read 210 pair moments per state, which gathered for all 2450 states at
-    once are 4.1 MB.  Every (column, state) entry is still one einsum
-    reduction over the same pair products, so the block size does not change
-    its bits.
+    On the chart, 1 + |m|^2 = 2 / (1 + r), so the weight w = -(1 + |m|^2)^-4
+    of ``_process_block`` gives w^p m^alpha = (-1)^p (1 + r)^(4p - d) u^alpha
+    / 16^p.  Expanded binomially, each term is a sphere moment: for beta =
+    (alpha, j) all even, E[u^alpha r^j] = prod (beta_i - 1)!! / (9 * 11 * ...
+    * (7 + |beta|)), and 0 otherwise (Folland, Amer. Math. Monthly 108,
+    2001).  |beta| <= 4p, so the denominator for p clears every one.
+
+    One row serves both weight columns: with |m|^2 = (1 - r) / (1 + r), the
+    Jacobi column's w^p |m|^(2p(4 - k)) m^alpha, d = pk, is the same
+    expression with 1 - r for 1 + r.  r -> -r preserves the measure and
+    changes only the odd powers of r, whose moments vanish.
     """
-    sumsq = np.zeros(12870, dtype=np.float64)
-    for lv in _plan()["levels"]:
-        support, _, coef, _ = lv["square"]
-        sq_m = moments[lv["sq_at"]]
-        square = np.empty((len(sq_m), len(support)))
-        for lo in range(0, len(support), _STATE_BLOCK):
-            hi = lo + _STATE_BLOCK
-            np.einsum("csp,sp->cs", sq_m[:, support[lo:hi]], coef[lo:hi], out=square[:, lo:hi])
-        sumsq[lv["slot"]] += square[lv["col"], lv["state"]]
-    return _slot_sums(moments), sumsq
-
-
-def _line_moments(k: int) -> np.ndarray:
-    """_MEAN_DEN times the exact means over S^8 of the level-k monomials
-    against weight columns 0 and 1, as Python ints: shape (2, C(k + 7, k)),
-    dtype object, monomials as in ``_monomials(k)``.
-
-    On the chart, 1 + |m|^2 = 2 / (1 + r) and |m|^2 = (1 - r) / (1 + r), so
-    the weight w = -(1 + |m|^2)^-4 of ``_process_block`` times a monomial
-    m^alpha of degree k is -(1 + r)^(4-k) u^alpha / 16 (column 0), and
-    w |m|^(2(4-k)) m^alpha is -(1 - r)^(4-k) u^alpha / 16 (column 1, the
-    Jacobi slots).  Expanded binomially, each term is a sphere moment: for
-    beta = (alpha, j) all even, E[u^alpha r^j] = prod (beta_i - 1)!! /
-    (9 * 11 * ... * (7 + |beta|)), and 0 otherwise (Folland, Amer. Math.
-    Monthly 108, 2001).  |beta| <= _MEAN_DEGREE, so _MEAN_DEN clears every
-    denominator.  The sign of r multiplies only odd powers, whose moments
-    vanish: r -> -r preserves the measure, so the two columns differ sample
-    by sample but have equal means.
-    """
-    alpha = _monomials(k)[:, None] // 9 ** np.arange(8) % 9
+    alpha = keys[:, None] // 9 ** np.arange(8) % 9
+    d = int(alpha[0].sum())
     table = np.array(_DOUBLE_FACTORIAL, dtype=object)
-    out = np.zeros((2, len(alpha)), dtype=object)
-    for j in range(5 - k):
+    den = (_MEAN_DEN, _SECOND_DEN)[p - 1]
+    out = np.zeros(len(alpha), dtype=object)
+    for j in range(4 * p - d + 1):
         beta = np.c_[alpha, np.full(len(alpha), j)]
         moment = table[beta // 2].prod(axis=1) * (beta % 2 == 0).all(axis=1)
-        # _MEAN_DEN / (16 * 9 * 11 * ... * (7 + |beta|)), with |beta| = k + j
-        scale = math.comb(4 - k, j) * _MEAN_DEN // (16 * math.prod(range(9, 8 + k + j, 2)))
-        out[0] -= scale * moment
-        out[1] -= (-1) ** j * scale * moment
-    return out
+        # den / (16^p * 9 * 11 * ... * (7 + |beta|)), with |beta| = d + j
+        out += math.comb(4 * p - d, j) * den // (16**p * math.prod(range(9, 8 + d + j, 2))) * moment
+    return (-1) ** p * out
+
+
+def _int64_bound(coef_sum: int, moments: np.ndarray) -> None:
+    """Refuse an int64 contraction whose terms could wrap: a state's value
+    is at most its sum of |coefficients| times the largest |moment|, and
+    every slot reads one state."""
+    top = coef_sum * max(abs(x) for x in moments.tolist())
+    if top >= _INT64_SAFE:
+        raise ValueError(f"exact slot sums reach {top}, past the int64 bound {_INT64_SAFE}")
 
 
 def exact_mean() -> tuple:
@@ -505,22 +460,49 @@ def exact_mean() -> tuple:
 
     Each monomial moment the slot sums read is replaced by its exact mean
     (``_line_moments``), and the moments go through ``_slot_sums`` in int64.
-    A state's value is at most its sum of |coefficients| (at most 20) times
-    the largest moment numerator (168, the 7/66 of column 0 at level 0), and
-    every slot reads one state, so no int64 sum wraps while that product is
-    below linalg._INT64_SAFE; past it, ValueError.
+    The largest sum of |coefficients| of a state is 20 and the largest
+    moment numerator 168 (the 7/66 of level 0), so no int64 sum wraps while
+    their product is below linalg._INT64_SAFE; past it, ValueError.
     """
     plan = _plan()
     moments = np.zeros(plan["moments"], dtype=object)
     coef_sum = 0
     for k, lv in enumerate(plan["levels"]):
         cols, vals = lv["poly"]
-        moments[lv["sum_at"]] = _line_moments(k)[: len(lv["sum_at"]), cols]
+        moments[lv["sum_at"]] = _line_moments(_monomials(k))[cols]
         coef_sum = max(coef_sum, int(np.abs(vals).sum(axis=1, dtype=np.int64).max()))
-    top = coef_sum * max(abs(x) for x in moments.tolist())
-    if top >= _INT64_SAFE:
-        raise ValueError(f"exact slot sums reach {top}, past the int64 bound {_INT64_SAFE}")
+    _int64_bound(coef_sum, moments)
     return _slot_sums(moments.astype(np.int64)), _MEAN_DEN
+
+
+def exact_second_moment() -> tuple:
+    """(numerators, denominator): the exact mean over uniform lines of the
+    square of every slot's line value, int64 numerators of the 12870 slots
+    over the int _SECOND_DEN.
+
+    A slot's square is w^2 P^2 times its Jacobi factor squared, for the
+    state polynomial P it reads; ``_squares`` expands P^2 into pair products
+    on degree-2k monomials, whose exact means ``_line_moments`` gives.
+    The pair products of _STATE_BLOCK states are cast to int64 and
+    contracted at a time, so the level-4 table is never held in int64 whole.
+    Each level is bounded on its own: no int64 sum wraps while the level's
+    largest sum of |pair coefficients| of a state times its largest |moment|
+    is below linalg._INT64_SAFE; past it, ValueError.
+    """
+    out = np.zeros(12870, dtype=np.int64)
+    for k, lv in enumerate(_plan()["levels"]):
+        support, at, coef, touched = _squares(k, *lv["poly"])
+        moments = _line_moments(touched, 2)
+        _int64_bound(int(np.abs(coef).sum(axis=1, dtype=np.int64).max()), moments)
+        moments = moments.astype(np.int64)
+        value = np.empty(len(support), dtype=np.int64)
+        for lo in range(0, len(support), _STATE_BLOCK):
+            hi = lo + _STATE_BLOCK
+            value[lo:hi] = np.einsum("sp,sp->s", moments[at[support[lo:hi]]],
+                                     coef[lo:hi].astype(np.int64))
+        # both columns of a state have equal moments, and eps^2 = 1
+        out[lv["slot"]] = value[lv["state"]]
+    return out, _SECOND_DEN
 
 
 def _group_worker(args):
@@ -537,7 +519,7 @@ class SampledForm:
     n: int
     grade: int
     coeffs: np.ndarray  # per-slot Monte-Carlo means, lexicographic blades
-    sigma: np.ndarray  # per-slot standard deviation of the mean
+    sigma: np.ndarray  # per-slot standard deviation of the mean, exact up to rounding
     samples: int
     seed: int
 
@@ -560,14 +542,23 @@ class FitReport:
 
 @lru_cache(maxsize=1)
 def _line_average() -> tuple:
-    """(Phi, scale): ``exact_mean`` is scale * Phi slot by slot, with Phi
-    its numerators divided by their content (read-only int64) and scale
-    that content over the denominator, as a float."""
-    num, den = exact_mean()
+    """(Phi, content): ``exact_mean`` is content * Phi / _MEAN_DEN slot by
+    slot, with Phi its numerators divided by their content (read-only
+    int64)."""
+    num, _ = exact_mean()
     content = int(np.gcd.reduce(num))
     phi = num // content
     phi.flags.writeable = False
-    return phi, content / den
+    return phi, content
+
+
+@lru_cache(maxsize=1)
+def _line_variance() -> np.ndarray:
+    """The exact variance E[c^2] - E[c]^2 of every slot's line value c, as
+    int64 numerators over _VAR_DEN (all positive, at most 2347200)."""
+    phi, content = _line_average()
+    second, _ = exact_second_moment()
+    return _VAR_DEN // _SECOND_DEN * second - _VAR_DEN // _MEAN_DEN**2 * (content * phi) ** 2
 
 
 def phi_dense() -> np.ndarray:
@@ -626,29 +617,25 @@ def berger_mc(samples: int, seed: int = 0, workers: int | None = None):
         parts = map(_group_worker, tasks)
     for part in parts:
         moments += part
-    sums, sumsq = _contract(moments)
-
-    mean = sums / samples
-    var = np.maximum(sumsq / samples - mean * mean, 0.0)
-    if samples > 1:
-        var *= samples / (samples - 1)
-    sigma_mean = np.sqrt(var / samples)
+    mean = _slot_sums(moments) / samples
+    # the standard deviation of the mean from the exact variance of one line
+    sigma_mean = np.sqrt(_line_variance() / _VAR_DEN / samples)
 
     # correctly rounded sums, so the fit does not depend on BLAS threads
-    phi, scale = _line_average()
+    phi, content = _line_average()
     phi_sq = int(phi @ phi)  # exact: int64
     dot = math.fsum(mean * phi)
     fitted = dot / phi_sq
     cos = dot / (math.sqrt(math.fsum(mean * mean)) * math.sqrt(phi_sq))
     zero = phi == 0
-    ratios = np.abs(mean[zero]) / np.where(sigma_mean[zero] > 0, sigma_mean[zero], np.inf)
+    ratios = np.abs(mean[zero]) / sigma_mean[zero]
     report = FitReport(
         samples=samples,
         seed=seed,
         workers=procs,
         fitted_scale=fitted,
         cosine_similarity=cos,
-        candidate_scale=scale,
+        candidate_scale=content / _MEAN_DEN,
         zero_slots=int(zero.sum()),
         zero_slots_within_3sigma=int((ratios <= 3.0).sum()),
         max_zero_sigma_ratio=float(ratios.max()),

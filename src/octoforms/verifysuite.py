@@ -12,7 +12,7 @@ import math
 import random
 from fractions import Fraction
 
-from .berger import exact_mean, slot_masks
+from .berger import exact_mean, exact_second_moment, slot_masks
 from .canonical import (
     cgm_form,
     fpq_identity_check,
@@ -86,7 +86,16 @@ def _check_berger_exact():
     content = math.gcd(*num.tolist())
     phi = {m: n // content for m, n in zip(slot_masks().tolist(), num.tolist()) if n}
     ok = Fraction(content, den) == Fraction(1, 132) and phi == dict(spin9_form().mask_items())
-    return ok, f"exact line average == Phi * {Fraction(content, den)}"
+    # each line's 8-form is a unit simple 8-vector, so its squared
+    # coordinates sum to 1 (Cauchy-Binet); |Phi / 132|^2 = 1848 / 132^2
+    second, sden = exact_second_moment()
+    pairs = list(zip(second.tolist(), num.tolist()))
+    total = Fraction(sum(s for s, _ in pairs), sden)
+    mean_sq = Fraction(sum(n * n for _, n in pairs), den * den)
+    least = Fraction(min(s * den * den - n * n * sden for s, n in pairs), sden * den * den)
+    ok = ok and total == 1 and mean_sq == Fraction(7, 66) and least > 0
+    return ok, (f"exact line average == Phi * {Fraction(content, den)}; second moments sum to "
+                f"{total}, squared means to {mean_sq}; least variance {least}")
 
 
 def _check_quaternionic():

@@ -15,7 +15,6 @@ from octoforms.berger import (
     _BLOCK,
     _CHUNK,
     _MIN_GROUPS_PER_WORKER,
-    _contract,
     _eps,
     _group_tasks,
     _group_worker,
@@ -23,10 +22,13 @@ from octoforms.berger import (
     _plan,
     _process_block,
     _sample_sphere9,
-    _slabs,
     _slot_of_mask,
+    _slot_sums,
+    _squares,
+    _stage,
     berger_mc,
     exact_mean,
+    exact_second_moment,
     phi_dense,
     slot_blade,
     slot_masks,
@@ -69,17 +71,16 @@ def test_eps_signs_against_exact_determinants():
 
 
 def _block_slot_sums(seed, block, count):
-    """(sums, sumsq) over the slots for one block: its monomial moments,
-    contracted."""
+    """The slot sums of one block: its monomial moments, contracted."""
     moments = np.zeros(_plan()["moments"])
     _process_block(seed, block, count, moments)
-    return _contract(moments)
+    return _slot_sums(moments)
 
 
 def test_block_slot_values_against_determinant_oracle():
     """Recompute a handful of slot values of one tiny block directly."""
     count = 8
-    sums, sumsq = _block_slot_sums(123, 0, count)
+    sums = _block_slot_sums(123, 0, count)
 
     v = _sample_sphere9(123, 0, count)
     from octoforms.cayley_dickson import CDElement
@@ -117,15 +118,13 @@ def test_every_slot_against_float64_determinants():
     from octoforms.cayley_dickson import CDElement
 
     count = 16
-    sums, sumsq = _block_slot_sums(123, 0, count)
+    sums = _block_slot_sums(123, 0, count)
 
     masks = slot_masks()
     cols = np.array([[i for i in range(16) if int(m) >> i & 1] for m in masks])
     n_primed = (cols >= 8).sum(axis=1)
     want = np.zeros(12870)
-    want_sq = np.zeros(12870)
     scale = np.zeros(12870)
-    scale_sq = np.zeros(12870)
     for v in _sample_sphere9(123, 0, count):
         m = v[:8] / (1.0 + v[8])
         mm = float(m @ m)
@@ -134,18 +133,13 @@ def test_every_slot_against_float64_determinants():
             [[float(c) for c in (CDElement.unit(3, i) * m_oct).coeffs] for i in range(8)]
         )
         basis = np.hstack([np.eye(8), a]) / np.sqrt(1.0 + mm)
-        det = np.linalg.det(np.transpose(basis[:, cols], (1, 0, 2)))
-        want -= det  # estimator orientation flip
-        want_sq += det * det
-        bound = np.sqrt(mm) ** n_primed / (1.0 + mm) ** 4
-        scale += bound
-        scale_sq += bound * bound
+        want -= np.linalg.det(np.transpose(basis[:, cols], (1, 0, 2)))  # orientation flip
+        scale += np.sqrt(mm) ** n_primed / (1.0 + mm) ** 4
 
     tol = 8 * np.finfo(np.float32).eps
     # every slot is far from zero at this tolerance, so no sign can slip
     assert np.all(np.abs(want) > 2 * tol * scale)
     assert np.all(np.abs(sums - want) <= tol * scale)
-    assert np.all(np.abs(sumsq - want_sq) <= tol * scale_sq)
 
 
 def test_bit_reproducibility_across_workers():
@@ -183,7 +177,7 @@ def test_groups_fold_in_index_order(monkeypatch, no_child_left):
         return total
 
     def coeffs(total):
-        return _contract(np.full(_plan()["moments"], total))[0] / samples
+        return _slot_sums(np.full(_plan()["moments"], total)) / samples
 
     in_order = fold(values)
     assert in_order != fold(values[::-1])
@@ -324,7 +318,8 @@ def test_verify_berger_exact_check():
 
     ok, detail = _check_berger_exact()
     assert ok, detail
-    assert detail.endswith("Phi * 1/132")
+    assert detail == ("exact line average == Phi * 1/132; second moments sum to 1, squared "
+                      "means to 7/66; least variance 1/51480")
     assert len(CHECKS) == 15 and dict(CHECKS)["berger-exact"] is _check_berger_exact
 
 
@@ -343,9 +338,8 @@ def test_exact_mean_int64_bound_edge(monkeypatch):
     sign[cols[state][vals[state] > 0]] = 1
 
     def table(scale):
-        def moments(k):
-            row = scale * sign if k == 4 else np.full(math.comb(k + 7, k), scale, dtype=object)
-            return np.tile(row, (2, 1))
+        def moments(keys, p=1):
+            return scale * sign if len(keys) == len(sign) else np.full(len(keys), scale, object)
 
         return moments
 
@@ -357,13 +351,183 @@ def test_exact_mean_int64_bound_edge(monkeypatch):
     edge, _ = exact_mean()
     assert edge.tolist() == [top * n for n in unit.tolist()]
 
-    def negative(k):  # the bound reads |moments|: the real ones are mostly negative
-        return np.full((2, math.comb(k + 7, k)), -(top + 1), dtype=object)
+    def negative(keys, p=1):  # the bound reads |moments|: the real ones are mostly negative
+        return np.full(len(keys), -(top + 1), dtype=object)
 
     for moments in (table(top + 1), negative):
         monkeypatch.setattr(berger, "_line_moments", moments)
         with pytest.raises(ValueError, match="past the int64 bound"):
             exact_mean()
+
+
+def _gram_second_moment():
+    """E[c_slot^2] numerators over _SECOND_DEN without ``_squares``: per
+    level k, the Gram matrix of exact moments E[w^2 m^(alpha + beta)] over
+    the pairs of ``_monomials(k)``, read by each state's coefficient vector
+    on both sides."""
+    out = np.zeros(12870, dtype=np.int64)
+    for k, lv in enumerate(_plan()["levels"]):
+        keys = berger._monomials(k)
+        pair_keys, inverse = np.unique(keys[:, None] + keys[None, :], return_inverse=True)
+        gram = berger._line_moments(pair_keys, 2)[inverse.reshape(len(keys), len(keys))]
+        cols, vals = lv["poly"]
+        vals = vals.astype(np.int64)
+        block = gram.astype(np.int64)[cols[:, :, None], cols[:, None, :]]
+        value = np.einsum("sa,sab,sb->s", vals, block, vals)
+        out[lv["slot"]] = value[lv["state"]]
+    return out
+
+
+def test_exact_second_moment_matches_gram_oracle():
+    """The square contraction equals the Gram-matrix route slot by slot."""
+    num, den = exact_second_moment()
+    assert num.dtype == np.int64 and den == berger._SECOND_DEN == 4942080
+    assert np.array_equal(num, _gram_second_moment())
+
+
+def test_exact_variance_facts():
+    """The second moments sum to exactly 1: each line's 8-form is a unit
+    simple 8-vector, so its squared coordinates sum to 1 at every sample
+    (Cauchy-Binet).  The squared means sum to |Phi / 132|^2 = 1848 / 132^2
+    = 7/66.  Ten distinct variances occur, all positive, over the one
+    denominator 163088640 = 33 * 4942080 = 65 * 1584^2."""
+    second, sden = exact_second_moment()
+    mean, mden = exact_mean()
+    assert Fraction(int(second.sum()), sden) == 1
+    assert Fraction(sum(n * n for n in mean.tolist()), mden * mden) == Fraction(7, 66)
+    var = berger._line_variance()
+    assert berger._VAR_DEN == 163088640 == 33 * sden == 65 * mden**2
+    assert var.tolist() == [33 * s - 65 * n * n for s, n in zip(second.tolist(), mean.tolist())]
+    classes = sorted({Fraction(v, berger._VAR_DEN) for v in var.tolist()})
+    assert len(classes) == 10 and var.min() > 0 and var.max() == 2347200
+    assert (classes[0], classes[-1]) == (Fraction(1, 51480), Fraction(815, 56628))
+
+
+def test_sigma_is_the_exact_standard_deviation_of_the_mean():
+    """sigma is sqrt(exact variance / samples), the same for every seed."""
+    for samples, seed in ((1, 0), (3000, 42)):
+        form, _ = berger_mc(samples, seed=seed, workers=1)
+        want = np.sqrt(berger._line_variance() / berger._VAR_DEN / samples)
+        assert np.array_equal(form.sigma, want), samples
+
+
+def test_sigma_does_not_collapse_at_tiny_sample_counts():
+    """With one or two samples, the sampled variance was rounding noise,
+    and the zero-slot ratios read 9.49e7 and 4.51e4; the exact sigma keeps
+    them at the size of a few standard deviations (4.68 and 4.40)."""
+    for samples in (1, 2):
+        _, rep = berger_mc(samples, seed=0)
+        assert rep.max_zero_sigma_ratio < 10, samples
+
+
+def test_exact_second_moment_int64_bound_edge(monkeypatch):
+    """exact_second_moment refuses a level whose largest sum of |pair
+    coefficients| of a state (400 = 20^2, at level 4) times its largest
+    |moment| reaches linalg._INT64_SAFE, and is exact just below it.  The
+    table gives every degree-8 monomial the sign of its merged coefficient
+    in one state with that sum.  Pairs of opposite sign meet on a few of its
+    monomials, so the state reaches 384 times the table's value, not 400:
+    the bound is the partial sums', which the contraction meets pair by
+    pair."""
+    lv = _plan()["levels"][4]
+    support, at, coef, touched = _squares(4, *lv["poly"])
+    sums = np.abs(coef).sum(axis=1, dtype=np.int64)
+    state = sums.argmax()
+    coef_sum = int(sums[state])
+    assert coef_sum == 400
+    merged = np.zeros(len(touched), dtype=np.int64)
+    np.add.at(merged, at[support[state]], coef[state])
+    sign = np.where(merged < 0, -1, 1).astype(object)
+
+    def table(scale):
+        def moments(keys, p=1):
+            return scale * sign if len(keys) == len(touched) else np.full(len(keys), scale, object)
+
+        return moments
+
+    top = (_INT64_SAFE - 1) // coef_sum
+    monkeypatch.setattr(berger, "_line_moments", table(1))
+    unit, _ = exact_second_moment()
+    slot = lv["slot"][lv["state"] == state]
+    assert np.abs(unit[slot]).tolist() == [int(np.abs(merged).sum())] * len(slot) == [384] * 2
+    monkeypatch.setattr(berger, "_line_moments", table(top))
+    edge, _ = exact_second_moment()
+    assert edge.tolist() == [top * n for n in unit.tolist()]
+
+    def negative(keys, p=1):
+        return np.full(len(keys), -(top + 1), dtype=object)
+
+    for moments in (table(top + 1), negative):
+        monkeypatch.setattr(berger, "_line_moments", moments)
+        with pytest.raises(ValueError, match="past the int64 bound"):
+            exact_second_moment()
+
+
+def test_exact_second_moment_working_memory_is_bounded():
+    """exact_second_moment allocates no more at its peak than building the
+    plan does (about 2.3 against 4.2 MB measured): it casts the level-4 pair
+    coefficients to int64 _STATE_BLOCK states at a time, where the whole
+    table would be 4.1 MB."""
+    import tracemalloc
+
+    _plan.cache_clear()
+    tracemalloc.start()
+    try:
+        _plan()
+        plan_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        exact_second_moment()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= plan_peak, (peak, plan_peak)
+
+
+def test_slot_z_scores_against_exact_targets():
+    """At a pinned seed every slot lies within 5 exact sigmas of its exact
+    mean.  By the union bound, which holds for correlated slots too, 12870
+    slots of a normal mean exceed 5 sigmas with probability at most
+    12870 * 5.7e-7 = 0.007; the largest |z| here is about 3.5."""
+    form, _ = berger_mc(65536, seed=7, workers=2)
+    num, den = exact_mean()
+    z = (form.coeffs - num / den) / form.sigma
+    assert np.abs(z).max() < 5.0, np.abs(z).max()
+
+
+def test_sample_variance_against_exact_variance():
+    """Per-sample line values, from float64 determinants of the line basis
+    [I | A] / sqrt(1 + |m|^2) at 16384 sampled points, have a sample
+    variance within 10 % of the exact variance, for three slots of each of
+    the ten variance classes.  The standard error of that ratio is
+    sqrt((kurtosis - 1) / 16384); the kurtosis of these slots is below 8, so
+    the error is below 0.021 and 10 % is about five of them."""
+    from octoforms.cayley_dickson import unit_signs
+
+    var = berger._line_variance()
+    classes = {}
+    for slot, v in enumerate(var.tolist()):
+        classes.setdefault(v, []).append(slot)
+    assert len(classes) == 10
+    slots = [c[i] for c in classes.values() for i in (0, len(c) // 2, -1)]
+    blades = np.array([[i - 1 for i in slot_blade(s)] for s in slots])
+    signs = unit_signs(3).astype(np.float64)
+    # A[i, c] = S[i, i xor c] m_(i xor c), the coordinates of e_i m
+    row, col = np.arange(8)[:, None], np.arange(8)[:, None] ^ np.arange(8)[None, :]
+    values = []
+    for block in range(16):
+        v = _sample_sphere9(11, block, _BLOCK)
+        m = v[:, :8] / (1.0 + v[:, 8:])
+        a = signs[row, col] * m[:, col]
+        basis = np.concatenate([np.broadcast_to(np.eye(8), a.shape), a], axis=2)
+        basis /= np.sqrt(1.0 + (m * m).sum(axis=1))[:, None, None]
+        minors = np.moveaxis(basis[:, :, blades], 2, 1)  # (sample, slot, 8, 8)
+        values.append(-np.linalg.det(minors))  # estimator orientation flip
+    values = np.concatenate(values)
+    sample_var = values.var(axis=0, ddof=1)
+    kurtosis = ((values - values.mean(axis=0)) ** 4).mean(axis=0) / sample_var**2
+    assert kurtosis.max() < 8
+    ratio = sample_var / (var[slots] / berger._VAR_DEN)
+    assert np.abs(ratio - 1).max() < 0.1, ratio
 
 
 def test_cli_output_independent_of_blas_threads():
@@ -454,7 +618,8 @@ def test_state_polynomials_and_squares_are_exact():
     rng = np.random.default_rng(7)
     points = [np.arange(1, 9), rng.choice([-3, -2, -1, 1, 2, 3], size=8)]
     for k, lv in enumerate(_plan()["levels"]):
-        (cols, vals), (support, at, coef, touched) = lv["poly"], lv["square"]
+        cols, vals = lv["poly"]
+        support, at, coef, touched = _squares(k, cols, vals)
         rows = [r for r in combinations(range(8), k) if k < 4 or 0 in r]
         t_sets = list(combinations(range(8), k))
         assert cols.shape[0] == len(rows) * len(t_sets)
@@ -513,11 +678,10 @@ def test_candidate_scale_is_the_content_of_the_exact_mean(monkeypatch):
 
 
 def _reference_layout():
-    """The monomial rows of a block as one array: x[0] = 1, x[1:9] = m, the
-    monomials of degrees 2-4, then every square monomial of levels 0-4, each
-    row the product of two earlier ones; and the reductions (weight column,
-    rows) with the offset of their moments.  Built from the plan's monomials
-    and squares alone, not from its stages."""
+    """The monomial rows of a block as one array: x[0] = 1, x[1:9] = m and
+    the monomials of degrees 2-4, each row the product of two earlier ones;
+    and the reductions (weight column, rows) with the offset of their
+    moments.  Built from the plan's monomials alone, not from its stages."""
     keys = [berger._monomials(d) for d in range(5)]
     start = np.cumsum([0] + [len(x) for x in keys])
     stages = []
@@ -525,24 +689,13 @@ def _reference_layout():
         low, high = berger._split(keys[d], d - 1)
         stages.append((start[d], start[d - 1] + np.searchsorted(keys[d - 1], low),
                        1 + np.searchsorted(keys[1], high)))
-    sq_start, pairs = [start[5]], []
-    for k, lv in enumerate(_plan()["levels"]):
-        touched = lv["square"][3]
-        low, high = berger._split(touched, k)
-        pairs.append((start[k] + np.searchsorted(keys[k], low),
-                      start[k] + np.searchsorted(keys[k], high)))
-        sq_start.append(sq_start[-1] + len(touched))
-    stages.append((start[5], *map(np.concatenate, zip(*pairs))))
-    reductions = [(0, 0, start[5]), (5, start[5], sq_start[5])]
-    reductions += [(4 - k, start[k], start[k + 1]) for k in range(4)]
-    reductions += [(9 - k, sq_start[k], sq_start[k + 1]) for k in range(4)]
+    reductions = [(0, 0, start[5])] + [(4 - k, start[k], start[k + 1]) for k in range(4)]
     offsets = np.cumsum([0] + [hi - lo for _, lo, hi in reductions])
-    return sq_start[5], stages, list(zip(reductions, offsets))
+    return start[5], stages, list(zip(reductions, offsets))
 
 
 def _reference_block(seed, block, count, moments):
-    """One block through a fresh all-rows array per chunk, every square
-    monomial stored before the reductions."""
+    """One block through a fresh all-rows array per chunk."""
     rows, stages, reductions = _reference_layout()
     v = _sample_sphere9(seed, block, count)
     u8, r = v[:, :8], v[:, 8]
@@ -550,8 +703,7 @@ def _reference_block(seed, block, count, moments):
     m8 = u8 / np.where(valid, 1.0 + r, 1.0)[:, None]
     mm = np.sum(m8 * m8, axis=1)
     w = np.where(valid, -((1.0 + mm) ** -4), 0.0)
-    mm_pow = mm[None, :] ** np.arange(5)[:, None]
-    cols = np.concatenate([w * mm_pow, (w * mm_pow) ** 2])
+    cols = w * mm[None, :] ** np.arange(5)[:, None]
     for lo in range(0, count, _CHUNK):
         n = min(_CHUNK, count - lo)
         x = np.empty((rows, n))
@@ -585,55 +737,6 @@ def test_block_moments_match_reference_chunk_loop():
     assert np.array_equal(_group_worker((4, range(1, 4), samples)), want)
 
 
-def _dense_contract(moments):
-    """(sums, sumsq) with each level's square moments gathered for all of its
-    states at once, in one einsum: the contraction before state blocks."""
-    sums = np.zeros(12870)
-    sumsq = np.zeros(12870)
-    for lv in _plan()["levels"]:
-        support, _, coef, _ = lv["square"]
-        value = np.einsum("csw,sw->cs", moments[lv["sum_at"]], lv["poly"][1])
-        square = np.einsum("csp,sp->cs", moments[lv["sq_at"]][:, support], coef)
-        sums[lv["slot"]] += lv["eps"].astype(np.float64) * value[lv["col"], lv["state"]]
-        sumsq[lv["slot"]] += square[lv["col"], lv["state"]]
-    return sums, sumsq
-
-
-@pytest.mark.parametrize("block", [berger._STATE_BLOCK, 97, 4096])
-def test_contract_matches_dense_reference(monkeypatch, block):
-    """Contracting the squares by state blocks gives the very bits of the
-    one-shot contraction, on block moments and on random moment vectors of
-    wide range.  Neither 256 nor 97 divides the 2450 level-4 or the 3136
-    level-3 states; 4096 takes each level in one block."""
-    monkeypatch.setattr(berger, "_STATE_BLOCK", block)
-    size = _plan()["moments"]
-    cases = []
-    for seed, blk, count in _BLOCK_CASES:
-        cases.append(np.zeros(size))
-        _process_block(seed, blk, count, cases[-1])
-    rng = np.random.default_rng(17)
-    cases += [rng.standard_normal(size) * 10.0 ** rng.integers(-6, 7, size) for _ in range(3)]
-    for i, moments in enumerate(cases):
-        (sums, sumsq), (want, want_sq) = _contract(moments), _dense_contract(moments)
-        assert np.array_equal(sums, want) and np.array_equal(sumsq, want_sq), i
-
-
-def test_contract_working_memory_is_bounded():
-    """One contraction allocates under 1.5 MB at its peak (1.1 MB measured):
-    gathering the level-4 square moments for all 2450 states at once took
-    4.6 MB."""
-    import tracemalloc
-
-    moments = np.random.default_rng(3).standard_normal(_plan()["moments"])
-    tracemalloc.start()
-    try:
-        _contract(moments)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5e6, peak
-
-
 def test_plan_index_types_are_narrow():
     """The plan's index tables are int16 and its signs int8, and narrowing
     raises where a value does not fit instead of wrapping it."""
@@ -644,8 +747,7 @@ def test_plan_index_types_are_narrow():
             _narrow(np.array([0, bad]))
     assert _slot_of_mask().dtype == np.int16
     for lv in _plan()["levels"]:
-        arrays = [lv[name] for name in ("state", "slot", "col", "sum_at", "sq_at")]
-        arrays += [lv["poly"][0], *lv["square"][:2]]
+        arrays = [lv[name] for name in ("state", "slot", "col", "sum_at")] + [lv["poly"][0]]
         assert all(a.dtype == np.int16 for a in arrays)
         assert lv["eps"].dtype == np.int8 and set(lv["eps"].tolist()) <= {-1, 1}
 
@@ -653,16 +755,13 @@ def test_plan_index_types_are_narrow():
 def test_plan_gathers_are_checked():
     """Every factor row of a product stage precedes it: the block gathers
     with np.take(mode="clip"), which would clamp a bad index silently."""
-    plan = _plan()
-    for first, a, b in plan["stages"]:
+    for first, a, b in _plan()["stages"]:
         assert a.max() < first and b.max() < first
-    for a, b, _ in plan["squares"]:
-        assert a.max() < plan["rows"] and b.max() < plan["rows"]
-    ok = _slabs(9, np.array([0, 8]), np.array([1, 2]))
-    assert [(f, a.tolist(), b.tolist()) for f, a, b in ok] == [(9, [0, 8], [1, 2])]
+    first, a, b = _stage(9, np.array([0, 8]), np.array([1, 2]))
+    assert (first, a.tolist(), b.tolist()) == (9, [0, 8], [1, 2])
     for a, b in (([0, 9], [1, 2]), ([0, 1], [9, 2]), ([-1, 1], [1, 2])):
         with pytest.raises(ValueError):
-            _slabs(9, np.array(a), np.array(b))
+            _stage(9, np.array(a), np.array(b))
 
 
 def _twelve_normal_sphere9(seed, block, count):
