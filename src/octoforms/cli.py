@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 invariant/verification failure, 2 usage error, and
 141 (128 + SIGPIPE, what a shell reports for a writer whose reader left)
 when stdout is closed before all output is written; that exit prints
 nothing.  Rationals are printed as "p/q" strings; Monte-Carlo floats carry
-17 significant digits.  Output is deterministic for fixed flags and seed,
+17 significant digits; a signed permutation is a list of [row, column, sign]
+triplets (``serialize.signed_perm_to_json``), and JSON output is one
+json.dumps per command.  Output is deterministic for fixed flags and seed,
 except the `workers` field of `berger`, the count of worker processes that
 ran: it depends on the usable CPUs unless `--workers 1` is given.  The
 `berger` coefficients do not.
@@ -29,13 +31,14 @@ _FORMS = {
 }
 
 
-# Each --extend doubles n.  The extensions themselves stay cheap, but --json
-# writes every matrix densely, n^2 entries each: 63 MB of text on R^1024, and
-# four times as much per further doubling.
+# Each --extend doubles n and adds an involution, so the extensions' memory and
+# the --json text more than double per step, and an unbounded --extend asks for
+# vectors of 2^extend entries.  On R^1024 (spin9 --extend 6) the command peaks
+# at 35 MB and --json writes 189 KB; on R^16384, past the bound, the same work
+# peaks at 87 MB and writes 4.7 MB.
 _MAX_CLIFFORD_DIM = 1024
 
 _EXIT_STDOUT_CLOSED = 141
-_WRITE_CHUNK = 1 << 16  # _dump_json hands _write_stdout at least this many characters
 
 
 class _ModelNames:
@@ -55,49 +58,12 @@ def _error(code: int, message: object) -> int:
 
 
 def _dump_json(obj: dict, compact: bool = False) -> None:
-    """Write the dict obj to stdout as JSON and end the line: indented by 2,
-    or with no whitespace when compact.  The bytes are those of one
-    json.dumps of obj.
-
-    Each top-level value is one json.dumps, which is the C encoder when
-    compact, except that a top-level list of lists or dicts is encoded one
-    element at a time, so that the text of a long list of matrices is never
-    held whole.  The text goes out through _write_stdout in pieces of at
-    least _WRITE_CHUNK characters, not one write per token.
-    """
+    """Write json.dumps of obj to stdout and end the line: indented by 2, or
+    with no whitespace when compact."""
     import json
 
-    if compact:
-        options, newline, step, colon = {"separators": (",", ":")}, "", "", ":"
-    else:
-        options, newline, step, colon = {"indent": 2}, "\n", "  ", ": "
-    pieces, size = [], 0
-
-    def put(text: str) -> None:
-        nonlocal size
-        pieces.append(text)
-        size += len(text)
-        if size >= _WRITE_CHUNK:
-            _write_stdout("".join(pieces))
-            pieces.clear()
-            size = 0
-
-    def encode(value, depth: int) -> str:
-        # JSON strings escape newlines, so each one here starts an indented line
-        return json.dumps(value, **options).replace("\n", "\n" + step * depth)
-
-    put("{")
-    for i, (key, value) in enumerate(obj.items()):
-        put(("," if i else "") + newline + step + json.dumps(key) + colon)
-        if isinstance(value, list) and value and isinstance(value[0], (list, dict)):
-            put("[")
-            for j, item in enumerate(value):
-                put(("," if j else "") + newline + step * 2 + encode(item, 2))
-            put(newline + step + "]")
-        else:
-            put(encode(value, 1))
-    put((newline if obj else "") + "}\n")
-    _write_stdout("".join(pieces))
+    options = {"separators": (",", ":")} if compact else {"indent": 2}
+    _write_stdout(json.dumps(obj, **options) + "\n")
 
 
 def _write_stdout(text: str) -> None:
@@ -185,6 +151,7 @@ def _cmd_charpoly(args) -> int:
 
 
 def _cmd_fields(args) -> int:
+    from .serialize import signed_perm_to_json
     from .spheres import build_fields, sigma, verify_system
 
     system = build_fields(args.m)
@@ -199,9 +166,7 @@ def _cmd_fields(args) -> int:
             "sigma": sigma(args.m),
             "count": len(system.fields),
             "notes": list(system.notes),
-            # [row, column, sign] triplets, 0-based, in row order
-            "fields": [list(zip(range(args.m), a.perm.tolist(), a.sign.tolist()))
-                       for a in system.fields],
+            "fields": [signed_perm_to_json(a) for a in system.fields],
         }
         if report is not None:
             payload["verified"] = report.ok
@@ -239,11 +204,10 @@ def _rational(token: str):
     return Fraction(token)
 
 
-def _parse_point(tokens):
+def _parse_point(tokens) -> list:
+    """The 16 coordinates of --point as Fractions; a ValueError means the
+    tokens are malformed, not that the point is off the sphere."""
     from fractions import Fraction
-
-    from .cayley_dickson import CDElement
-    from .hopf import SpherePoint16
 
     if len(tokens) not in (16, 32):
         raise ValueError("--point needs 16 rationals (or 32 numerator/denominator integers)")
@@ -254,17 +218,20 @@ def _parse_point(tokens):
             vals = [Fraction(int(tokens[2 * i]), int(tokens[2 * i + 1])) for i in range(16)]
     except ZeroDivisionError:
         raise ValueError("--point has a zero denominator") from None
-    return SpherePoint16(x=CDElement(3, vals[:8]), y=CDElement(3, vals[8:]))
+    return vals
 
 
 def _cmd_hopf(args) -> int:
-    from .hopf import lambda_coeffs, spin9_sections
+    from .cayley_dickson import CDElement
+    from .hopf import SpherePoint16, lambda_coeffs, spin9_sections
     from .serialize import rational_str
 
     try:
-        point = _parse_point(args.point)
+        vals = _parse_point(args.point)
     except ValueError as exc:
-        return _error(1 if "unit sphere" in str(exc) else 2, exc)
+        return _error(2, exc)
+    # a point off the unit sphere raises here, and _run exits 1
+    point = SpherePoint16(x=CDElement(3, vals[:8]), y=CDElement(3, vals[8:]))
     lam = lambda_coeffs(point)
     coords = point.coords()
     inner = [
@@ -294,7 +261,7 @@ def _cmd_clifford(args) -> int:
         system = extend(system)
     report = verify(system)
     if args.json:
-        from .serialize import matrix_to_json
+        from .serialize import signed_perm_to_json
 
         _dump_json({
             "kind": args.kind,
@@ -302,7 +269,7 @@ def _cmd_clifford(args) -> int:
             "n": system.n,
             "m": system.m,
             "verified": report.ok,
-            "matrices": [matrix_to_json(p) for p in system.mats],
+            "matrices": [signed_perm_to_json(p) for p in system.mats],
         }, compact=True)
     else:
         print(f"{args.kind} extended {args.extend}x: C_{system.m} on R^{system.n}, "

@@ -2,8 +2,9 @@
 
 Multivector JSON: {"n": 16, "grade": 8, "terms": [{"blade": [1, ...],
 "coeff": "2"}, ...]} with blades sorted lexicographically.  CSV rows are
-"blade;coeff" with dash-joined indices.  Monte-Carlo floats are emitted with
-17 significant digits.
+"blade;coeff" with dash-joined indices.  A signed permutation is the list of
+its nonzero entries as [row, column, sign] triplets, 0-based, in row order.
+Monte-Carlo floats are emitted with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -65,11 +66,6 @@ def multivector_to_csv(mv: Multivector) -> str:
     return "\n".join(lines) + "\n"
 
 
-def matrix_to_json(m: SignedPerm) -> list:
-    """Dense rows of entry strings: row i is "0" but for "1" or "-1" at perm[i]."""
-    rows = []
-    for j, s in zip(m.perm.tolist(), m.sign.tolist()):
-        row = ["0"] * m.n
-        row[j] = "1" if s > 0 else "-1"
-        rows.append(row)
-    return rows
+def signed_perm_to_json(p: SignedPerm) -> list:
+    """[row, column, sign] for each row of p, as tuples, which json writes as arrays."""
+    return list(zip(range(p.n), p.perm.tolist(), p.sign.tolist()))

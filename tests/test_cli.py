@@ -14,12 +14,13 @@ from octoforms import cli, clifford, fanout
 from octoforms.canonical import spin9_form
 from octoforms.cli import main
 from octoforms.exterior import Multivector
+from octoforms.linalg import SignedPerm
 from octoforms.serialize import (
-    matrix_to_json,
     multivector_from_json,
     multivector_to_csv,
     multivector_to_json,
     rational_str,
+    signed_perm_to_json,
 )
 
 
@@ -193,19 +194,39 @@ def test_clifford_subcommand():
     code, out, _ = run_cli("clifford", "--kind", "spin9", "--extend", "1", "--json")
     obj = json.loads(out)
     assert code == 0 and obj["n"] == 32 and obj["m"] == 9 and obj["verified"]
-    assert obj["matrices"][0][0][16] == "1"  # Q_0 = antidiag(Id, Id)
+    assert obj["matrices"][0][0] == [0, 16, 1]  # Q_0 = antidiag(Id, Id)
 
 
 @pytest.mark.parametrize("kind", clifford.STANDARD_KINDS)
-def test_matrix_to_json_matches_dense_rational_strings(kind):
-    """The row writer against the formula it replaced, rational_str of every
-    dense entry, for the systems of `clifford --extend 0..2 --json`."""
+def test_signed_perm_json_rebuilds_the_matrices(kind):
+    """The triplets of `clifford --extend 0..2 --json`, through JSON text,
+    give each dense matrix exactly, and read back as signed permutations they
+    form a Clifford system again."""
     system = clifford.standard_system(kind)
     for _ in range(3):
+        mats = []
         for p in system.mats:
-            want = [[rational_str(x) for x in row] for row in np.asarray(p).tolist()]
-            assert matrix_to_json(p) == want
+            triplets = json.loads(json.dumps(signed_perm_to_json(p)))
+            dense = np.zeros((system.n, system.n), dtype=np.int64)
+            for row, col, sign in triplets:
+                dense[row, col] += sign
+            assert np.array_equal(dense, np.asarray(p))
+            rows, cols, signs = zip(*triplets)
+            assert rows == tuple(range(system.n))
+            mats.append(SignedPerm(cols, signs))
+        assert clifford.verify(clifford.CliffordSystem(system.n, tuple(mats))).ok
         system = clifford.extend(system)
+
+
+def test_clifford_json_size_at_the_bound():
+    """n triplets per matrix: `--extend 6` of spin9 writes 189,013 bytes, where
+    dense rows of entry strings took 63 MB."""
+    code, out, _ = run_cli("clifford", "--kind", "spin9", "--extend", "6", "--json")
+    obj = json.loads(out)
+    matrices = obj["matrices"]
+    assert code == 0 and obj["m"] == 14 and len(matrices) == 15  # P_0 .. P_14
+    assert all(len(m) == 1024 for m in matrices)
+    assert len(out.encode()) < 200_000
 
 
 @pytest.mark.parametrize("compact", [False, True])
@@ -240,9 +261,7 @@ class _CountingStdout(io.TextIOWrapper):
 
 @pytest.mark.parametrize("compact", [False, True])
 def test_dump_json_bytes_are_one_json_dumps(compact):
-    """Values are encoded one at a time, and a top-level list of lists or
-    dicts one element at a time, with the bytes of one json.dumps; a large
-    payload goes out in a few writes, not one per token."""
+    """The bytes of one json.dumps and a newline, in at most two writes."""
     objs = [
         {},
         {"empty": [], "dict": {}, "s": "line\nbreak \u00e9", "n": None, "f": 0.1},
@@ -256,7 +275,7 @@ def test_dump_json_bytes_are_one_json_dumps(compact):
             cli._dump_json(obj, compact=compact)
         want = json.dumps(obj, **want_kw) + "\n"
         assert stdout.value() == want
-        assert stdout.writes <= len(want) // cli._WRITE_CHUNK + 1
+        assert stdout.writes <= 2
 
 
 def test_clifford_extend_bound_exits_2_before_building(monkeypatch):
@@ -316,6 +335,9 @@ def test_unknown_flag_exits_2():
         ("clifford-structure", "--deep"),
         ("berger", "--samples", "10", "--seed", "-1"),
         ("berger", "--samples", "10", "--seed", str(1 << 128)),
+        # a parse error exits 2 whatever its message says, even "unit sphere"
+        ("hopf", "--point", "unit sphere", *["0"] * 15),
+        ("hopf", "--point", "1", "1", "unit sphere", "1", *["0", "1"] * 14),
     ],
 )
 def test_bad_arguments_exit_2(argv):
@@ -323,7 +345,7 @@ def test_bad_arguments_exit_2(argv):
     assert code == 2 and out == ""
     assert any(s in err for s in ("must be >= ", "must be < ", "out of scope",
                                   "invalid int value", "--full needs --json",
-                                  "--deep needs --census"))
+                                  "--deep needs --census", "nvalid literal for"))
 
 
 @pytest.mark.parametrize("m, count", [(768, 16), (1536, 17), (3584, 17)])
@@ -461,7 +483,7 @@ def test_berger_json_complete_when_signals_cut_pipe_writes():
 
 
 def test_clifford_json_complete_when_signals_cut_pipe_writes():
-    _complete_when_signals_cut_pipe_writes(["clifford", "--extend", "2", "--json"])
+    _complete_when_signals_cut_pipe_writes(["clifford", "--extend", "5", "--json"])
 
 
 @pytest.mark.parametrize("argv, unbuffered", [
@@ -515,7 +537,9 @@ def test_cli_import_leaves_other_commands_unloaded():
 
 
 # sha256 of each command's stdout, recorded before the CLI's imports moved
-# into the commands and its JSON writer became _dump_json on json.dumps
+# into the commands and its JSON writer became _dump_json on json.dumps; the
+# two `clifford --json` digests were recorded again when its matrices became
+# [row, column, sign] triplets
 _POINT = ("3/5", "0", "0", "0", "0", "0", "0", "0", "4/5", "0", "0", "0", "0", "0", "0", "0")
 _EXACT_OUTPUTS = {
     ("form", "--which", "spin9"):
@@ -545,9 +569,9 @@ _EXACT_OUTPUTS = {
     ("hopf", "--point", *_POINT, "--json"):
         "36cbc5cd4b2aabd85250d11af3e9d3a3c314065298810ab8520c248acac39bfa",
     ("clifford", "--kind", "spin9", "--extend", "2", "--json"):
-        "fa376b6f23cdff4ac850f691765567aef1477fc909417c88192dea6b188d3db7",
+        "87a863dd7369bc9f6388a537947aadd6d78bc86c57bd6e24a6a06c105ec2b3e3",
     ("clifford", "--kind", "pauli_U2", "--extend", "2", "--json"):
-        "461f45303af5abccc1ddad7a078582d16720d0821efcaa24f9f7655789071678",
+        "b2699d927389ef2b3e5bd0bdcc5546a51dda327c42df7d2377fb9da1d9122f60",
     ("clifford-structure", "--census", "--json"):
         "b1d7485e10c5963fc71117bb87b9aeba1e41e8670122994a4e4e301c93c5b92c",
     ("pontrjagin", "--json"):
