@@ -308,20 +308,16 @@ def pontrjagin_report() -> dict:
 
 
 def render_pontrjagin_text(report: dict) -> str:
-    lines = ["Pontrjagin classes (compact Spin(9)-holonomy M^16):"]
-    for row in report["manifold_classes"]:
-        c = row["coefficient"]
-        if c == 0:
-            lines.append(f"  {row['class']} = 0")
-        else:
-            lines.append(f"  {row['class']} = ({c}) * pi^{row['pi_power']} * {row['of']}")
-    lines.append("E-bundle classes:")
-    for row in report["bundle_classes"]:
-        c = row["coefficient"]
-        if c == 0:
-            lines.append(f"  {row['class']} = 0")
-        else:
-            lines.append(f"  {row['class']} = ({c}) * pi^{row['pi_power']} * {row['of']}")
+    lines = []
+    for title, key in (("Pontrjagin classes (compact Spin(9)-holonomy M^16):", "manifold_classes"),
+                       ("E-bundle classes:", "bundle_classes")):
+        lines.append(title)
+        for row in report[key]:
+            c = row["coefficient"]
+            if c == 0:
+                lines.append(f"  {row['class']} = 0")
+            else:
+                lines.append(f"  {row['class']} = ({c}) * pi^{row['pi_power']} * {row['of']}")
     lines.append("Relations:")
     for r in report["relations"]:
         lines.append(f"  {r}")

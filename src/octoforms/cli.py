@@ -278,13 +278,11 @@ def _cmd_clifford(args) -> int:
 
 
 def _cmd_clifford_structure(args) -> int:
-    if args.deep and not args.census:
-        return _error(2, "--deep needs --census")
     from .models import build_model, lambda2_generators, structure_census
 
     payload = {}
     if args.census:
-        payload["census"] = structure_census(deep=args.deep)
+        payload["census"] = structure_census()
     model = build_model(args.model)
     payload["model"] = {
         "name": model.name,
@@ -339,18 +337,10 @@ def _cmd_pontrjagin(args) -> int:
     if args.json:
         from .serialize import rational_str
 
-        out = {
-            "manifold_classes": [
-                {**row, "coefficient": rational_str(row["coefficient"])}
-                for row in report["manifold_classes"]
-            ],
-            "bundle_classes": [
-                {**row, "coefficient": rational_str(row["coefficient"])}
-                for row in report["bundle_classes"]
-            ],
-            "relations": report["relations"],
-            "normalizations": report["normalizations"],
-        }
+        out = dict(report)
+        for key in ("manifold_classes", "bundle_classes"):
+            out[key] = [{**row, "coefficient": rational_str(row["coefficient"])}
+                        for row in report[key]]
         _dump_json(out)
     else:
         print(render_pontrjagin_text(report))
@@ -409,8 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=_ModelNames(), default="eiii", metavar="MODEL",
                    help="one of %(choices)s (default: %(default)s)")
     p.add_argument("--census", action="store_true")
-    p.add_argument("--deep", action="store_true", help="add the evi and eviii closures "
-                                                       "to the census (needs --census)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_clifford_structure)
 

@@ -472,7 +472,7 @@ def wedge_sum(pairs, n: int, tensor=_REAL) -> dict:
     return _wedge_reference(pairs, tensor)
 
 
-def kahler_form(j, n: int | None = None) -> Multivector:
+def kahler_form(j) -> Multivector:
     """Kahler 2-form of a skew endomorphism: psi(X, Y) = <X, JY>.
 
     Accepts any square array: a SignedPerm, an int64 array, or exact
@@ -484,11 +484,9 @@ def kahler_form(j, n: int | None = None) -> Multivector:
         raise ValueError("square matrix required")
     if not np.array_equal(arr, -arr.T):
         raise ValueError("kahler_form needs a skew endomorphism")
-    size = arr.shape[0]
+    n = arr.shape[0]
     rows = arr.tolist()
-    if n is None:
-        n = size
-    return Multivector(n, {(1 << p) | (1 << q): rows[p][q] for p, q in combinations(range(size), 2)})
+    return Multivector(n, {(1 << p) | (1 << q): rows[p][q] for p, q in combinations(range(n), 2)})
 
 
 class FormMatrix:
@@ -512,7 +510,7 @@ class FormMatrix:
                 self._upper[(a, b)] = mv
 
     @classmethod
-    def from_endomorphisms(cls, mats, n: int | None = None) -> "FormMatrix":
+    def from_endomorphisms(cls, mats) -> "FormMatrix":
         """Kahler-form matrix psi_ab of the compositions J_ab = M_a M_b.
 
         Signed permutations compose as SignedPerm products, exactly and in
@@ -521,16 +519,14 @@ class FormMatrix:
         """
         mats = list(mats)
         if all(isinstance(m, SignedPerm) for m in mats):
-            size = mats[0].n
+            n = mats[0].n
         else:
             mats = [np.asarray(m, dtype=object) for m in mats]
-            size = mats[0].shape[0]
-        if n is None:
-            n = size
+            n = mats[0].shape[0]
         upper = {}
         for a in range(len(mats)):
             for b in range(a + 1, len(mats)):
-                upper[(a, b)] = kahler_form(mats[a] @ mats[b], n)
+                upper[(a, b)] = kahler_form(mats[a] @ mats[b])
         return cls(len(mats), n, upper)
 
     def entry(self, a: int, b: int) -> Multivector:

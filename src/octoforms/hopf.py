@@ -100,11 +100,6 @@ def lambda_coeffs(p: SpherePoint16) -> tuple:
     return lam
 
 
-def hopf_map(p: SpherePoint16) -> tuple:
-    """The fiberwise-constant lambda vector: the Hopf map in coordinates."""
-    return lambda_coeffs(p)
-
-
 def spin9_sections(p: SpherePoint16) -> list:
     """The nine vectors I_a N at N = p, as exact coordinate lists."""
     coords = p.coords()

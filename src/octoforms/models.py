@@ -25,8 +25,9 @@ this module do not compile the wedge engine in every fresh process;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import matmul
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -167,46 +168,33 @@ def grassmann_phi_apply(u: CDElement, v: CDElement, tangent) -> list:
     return out
 
 
-def structure_census(deep: bool = False) -> dict:
+def _products(mats, k: int) -> list:
+    """The products M_a M_b ... of every k of mats, indices increasing."""
+    return [reduce(matmul, combo) for combo in combinations(mats, k)]
+
+
+def structure_census() -> dict:
     """Independence counts and Lie-closure dimensions of the model families.
 
     A Clifford system C_6 cannot exist on R^8 (it needs N = 2 delta(6) = 16),
     so the 35 triple products witnessing the Spin(7) obstruction are computed
     from a C_6 inside the standard spin9 system on R^16; 35 still exceeds the
-    21-dimensional component of the Spin(7) 2-form decomposition.
-
-    ``deep`` adds the lambda^2 closures of evi (66) and eviii (120).  They
-    stay out of the default, which every ``clifford-structure --census`` call
-    pays for.
+    21-dimensional component of the Spin(7) 2-form decomposition.  The
+    lambda^2 closures of evi (66) and eviii (120) are ``verify``'s
+    ``model-closures`` check.
     """
     spin9 = standard_system("spin9").mats
-    j_pairs = [
-        spin9[a] @ spin9[b] for a, b in combinations(range(9), 2)
-    ]
-    j_triples = [
-        spin9[a] @ spin9[b] @ spin9[c] for a, b, c in combinations(range(9), 3)
-    ]
-    c6 = spin9[:7]
-    c6_triples = [
-        c6[a] @ c6[b] @ c6[c] for a, b, c in combinations(range(7), 3)
-    ]
+    j_pairs = _products(spin9, 2)
+    j_triples = _products(spin9, 3)
     quat = standard_system("quaternionic_Sp2Sp1").mats
-    quat_pairs = [quat[a] @ quat[b] for a, b in combinations(range(5), 2)]
-
     eiii = build_model("eiii")
-    census = {
+    return {
         "spin9_pairs": independence_count(j_pairs),
         "spin9_triples": independence_count(j_triples),
-        "c6_triples": independence_count(c6_triples),
-        "quaternionic_pairs": independence_count(quat_pairs),
+        "c6_triples": independence_count(_products(spin9[:7], 3)),
+        "quaternionic_pairs": independence_count(_products(quat, 2)),
         "so16_dim": independence_count(j_pairs + j_triples),
         "spin7_bound": 21,
         "lie_spin9": lie_closure_dim(j_pairs),
         "lie_eiii": lie_closure_dim(spin_generators(eiii), max_dim=200),
     }
-    if deep:
-        evi = build_model("evi")
-        eviii = build_model("eviii")
-        census["lie_evi"] = lie_closure_dim(lambda2_generators(evi), max_dim=300)
-        census["lie_eviii"] = lie_closure_dim(lambda2_generators(eviii), max_dim=300)
-    return census

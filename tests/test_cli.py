@@ -320,6 +320,35 @@ def test_unknown_flag_exits_2():
     assert code == 2
 
 
+# every subcommand's option strings, in the order build_parser adds them
+_OPTIONS = {
+    "form": ["--which", "--format"],
+    "charpoly": ["--which", "--json"],
+    "fields": ["--m", "--verify", "--json", "--seed"],
+    "hopf": ["--point", "--json"],
+    "clifford": ["--kind", "--extend", "--json"],
+    "clifford-structure": ["--model", "--census", "--json"],
+    "berger": ["--samples", "--seed", "--workers", "--json", "--full"],
+    "pontrjagin": ["--json"],
+    "verify": [],
+}
+
+
+def test_option_ledger():
+    """The parser defines exactly the options listed above, besides --help,
+    so adding or removing a flag is a change to this table."""
+    import argparse
+
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: [s for a in p._actions if not isinstance(a, argparse._HelpAction)
+               for s in a.option_strings]
+        for name, p in sub.choices.items()
+    }
+    assert options == _OPTIONS
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -332,7 +361,8 @@ def test_unknown_flag_exits_2():
         ("clifford", "--extend", "-1"),
         ("berger", "--samples", "many"),
         ("berger", "--samples", "10", "--full"),
-        ("clifford-structure", "--deep"),
+        # no such flag: argparse refuses it
+        ("clifford-structure", "--census", "--deep"),
         ("berger", "--samples", "10", "--seed", "-1"),
         ("berger", "--samples", "10", "--seed", str(1 << 128)),
         # a parse error exits 2 whatever its message says, even "unit sphere"
@@ -345,7 +375,7 @@ def test_bad_arguments_exit_2(argv):
     assert code == 2 and out == ""
     assert any(s in err for s in ("must be >= ", "must be < ", "out of scope",
                                   "invalid int value", "--full needs --json",
-                                  "--deep needs --census", "nvalid literal for"))
+                                  "unrecognized arguments: --deep", "nvalid literal for"))
 
 
 @pytest.mark.parametrize("m, count", [(768, 16), (1536, 17), (3584, 17)])
@@ -392,8 +422,9 @@ def test_pontrjagin_subcommand():
     assert rows["p1(M)"] == "0" and rows["p3(M)"] == "0"
 
 
-def test_clifford_structure_deep_census_subprocess():
-    """`clifford-structure --census --deep` runs the evi and eviii closures."""
+def test_clifford_structure_eviii_census_subprocess():
+    """`clifford-structure --model eviii --census --json` runs in a fresh
+    process and reports the default census beside the eviii model."""
     import os
     import subprocess
     import sys
@@ -405,12 +436,11 @@ def test_clifford_structure_deep_census_subprocess():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     argv = [sys.executable, "-m", "octoforms.cli", "clifford-structure", "--model", "eviii",
-            "--census", "--deep", "--json"]
+            "--census", "--json"]
     proc = subprocess.run(argv, env=env, capture_output=True, timeout=300)
     assert proc.returncode == 0, proc.stderr.decode()
     payload = json.loads(proc.stdout)
-    assert payload["census"]["lie_eviii"] == 120
-    assert payload["census"]["lie_evi"] == 66
+    assert payload["census"]["lie_eiii"] == 45
     assert payload["model"] == {"name": "eviii", "ambient_dim": 128, "rank": 16,
                                 "lambda2_count": 120}
 

@@ -817,7 +817,7 @@ def test_from_endomorphisms_composes_signed_perms(monkeypatch):
     """The Spin(9) system's 36 products stay SignedPerm products."""
     want, seen = spin9_psi(), []
     real = exterior.kahler_form
-    monkeypatch.setattr(exterior, "kahler_form", lambda j, n=None: seen.append(type(j)) or real(j, n))
+    monkeypatch.setattr(exterior, "kahler_form", lambda j: seen.append(type(j)) or real(j))
     f = FormMatrix.from_endomorphisms(standard_system("spin9").mats)
     assert seen == [SignedPerm] * 36
     assert all(f.entry_dict(a, b) == want.entry_dict(a, b) for a in range(9) for b in range(9))

@@ -12,7 +12,6 @@ from octoforms.hopf import (
     SpherePoint16,
     fiber_orthogonality_check,
     hopf_action,
-    hopf_map,
     lambda_coeffs,
     lambda_coeffs_raw,
     rational_sphere_point,
@@ -77,7 +76,6 @@ def test_lambda_identity_at_random_points():
         lam = lambda_coeffs(p)
         assert sum(v * v for v in lam) == 1
         assert reconstruct(p) == list(p.coords())
-        assert hopf_map(p) == lam
 
 
 def test_lambda_homogeneity():
