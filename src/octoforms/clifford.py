@@ -19,6 +19,7 @@ products one row at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -184,18 +185,11 @@ def compose_J(c: CliffordSystem, indices) -> SignedPerm:
 
 
 def all_J_pairs(c: CliffordSystem) -> list:
-    k = len(c.mats)
-    return [compose_J(c, (a, b)) for a in range(1, k + 1) for b in range(a + 1, k + 1)]
+    return [compose_J(c, ab) for ab in combinations(range(1, len(c.mats) + 1), 2)]
 
 
 def all_J_triples(c: CliffordSystem) -> list:
-    k = len(c.mats)
-    return [
-        compose_J(c, (a, b, g))
-        for a in range(1, k + 1)
-        for b in range(a + 1, k + 1)
-        for g in range(b + 1, k + 1)
-    ]
+    return [compose_J(c, abg) for abg in combinations(range(1, len(c.mats) + 1), 3)]
 
 
 def independence_count(mats) -> int:

@@ -39,15 +39,19 @@ from .linalg import SignedPerm, lie_closure_dim
 if TYPE_CHECKING:
     from .exterior import FormMatrix, Multivector
 
-MODEL_NAMES = ("eiii", "evi", "eviii", "gr8r", "gr4c", "gr2h")
-
 
 @dataclass(frozen=True)
 class EvenCliffordModel:
     name: str
-    ambient_dim: int
     generators: tuple  # SignedPerm
-    rank: int
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.generators[0].n
+
+    @property
+    def rank(self) -> int:
+        return len(self.generators)
 
 
 def _rosenfeld_generators(level: int) -> list:
@@ -63,27 +67,22 @@ def _m_u(t: int) -> SignedPerm:
     return SignedPerm([1, 0], [1, -1 if t == 0 else 1]).kron(unit_right_mults(3)[t])
 
 
+_GENERATORS = {
+    "eiii": lambda: _rosenfeld_generators(1),
+    "evi": lambda: _rosenfeld_generators(2),
+    "eviii": lambda: _rosenfeld_generators(3),
+    "gr8r": lambda: [_m_u(t) for t in range(8)],
+    # units spanning F = <1, i, j, k, e, f> inside O
+    "gr4c": lambda: [_m_u(t) for t in range(6)],
+    "gr2h": lambda: standard_system("quaternionic_Sp2Sp1").mats,
+}
+MODEL_NAMES = tuple(_GENERATORS)
+
+
 def build_model(name: str) -> EvenCliffordModel:
     if name not in MODEL_NAMES:
         raise ValueError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
-    if name == "eiii":
-        gens = _rosenfeld_generators(1)
-        return EvenCliffordModel(name, 32, tuple(gens), 10)
-    if name == "evi":
-        gens = _rosenfeld_generators(2)
-        return EvenCliffordModel(name, 64, tuple(gens), 12)
-    if name == "eviii":
-        gens = _rosenfeld_generators(3)
-        return EvenCliffordModel(name, 128, tuple(gens), 16)
-    if name == "gr8r":
-        gens = [_m_u(t) for t in range(8)]
-        return EvenCliffordModel(name, 16, tuple(gens), 8)
-    if name == "gr4c":
-        # units spanning F = <1, i, j, k, e, f> inside O
-        gens = [_m_u(t) for t in range(6)]
-        return EvenCliffordModel(name, 16, tuple(gens), 6)
-    gens = standard_system("quaternionic_Sp2Sp1").mats
-    return EvenCliffordModel("gr2h", 8, tuple(gens), 5)
+    return EvenCliffordModel(name, tuple(_GENERATORS[name]()))
 
 
 def lambda2_generators(model: EvenCliffordModel) -> list:

@@ -39,7 +39,7 @@ from math import lcm
 import numpy as np
 
 from .cayley_dickson import unit_left_mults, unit_right_mults
-from .clifford import _FLIP, _TURN, standard_system
+from .clifford import _FLIP, _TURN, VerifyReport, standard_system
 from .linalg import _INT64_SAFE, SignedPerm, _dot, _row_products, _stack, _stack_equal, _stack_T
 
 # Formal left multiplication tables, printed form.  Row u, slot t holds the
@@ -64,6 +64,10 @@ _PRINTED_L = {
 }
 
 _UNIT_ORDER = ("i", "j", "k", "e", "f", "g", "h")
+
+# Memory grows linearly with m (fields, sample point, --json triplets): on
+# S^65023 (m = 65024, 17 fields) `fields --verify --json` peaks at 245 MB RSS.
+_MAX_FIELDS_DIM = 65536
 
 
 def hr_decompose(m: int) -> "HRDecomposition":
@@ -118,16 +122,6 @@ class VectorFieldSystem:
         object.__setattr__(self, "fields", fields)
 
 
-@dataclass(frozen=True)
-class FieldsReport:
-    ok: bool
-    failures: tuple = ()
-    notes: tuple = ()
-
-    def __bool__(self):
-        return self.ok
-
-
 def _matrix_conditions(fields) -> list:
     """Failures of A skew and A^T B + B^T A = 0; A^T A = Id holds for every
     signed permutation.
@@ -163,7 +157,7 @@ def _integer_sample_point(m: int, rng) -> list:
     return [2 * q * v for v in u] + [q * q - _dot(u, u)]
 
 
-def verify_system(v: VectorFieldSystem, samples: int = 2, seed: int = 0) -> FieldsReport:
+def verify_system(v: VectorFieldSystem, samples: int = 2, seed: int = 0) -> VerifyReport:
     """Exact matrix conditions plus sampled-point tangency/orthonormality.
 
     Tangency and orthonormality at x are homogeneous of degree 2 in x, so
@@ -197,7 +191,7 @@ def verify_system(v: VectorFieldSystem, samples: int = 2, seed: int = 0) -> Fiel
             f"fields {i},{j} not orthonormal at sample point"
             for i, j in np.argwhere(wrong).tolist()
         )
-    return FieldsReport(ok=not failures, failures=tuple(failures), notes=v.notes)
+    return VerifyReport(ok=not failures, failures=tuple(failures))
 
 
 def _left_mult_from_table(row: str, l: int) -> np.ndarray:
@@ -226,11 +220,6 @@ def formal_left_mults(l: int, printed: bool = True) -> list:
     return [np.asarray(a) for a in unit_left_mults(l.bit_length() - 1)[1:]]
 
 
-def _spin9_j_fields() -> list:
-    mats = standard_system("spin9").mats
-    return [mats[a] @ mats[8] for a in range(8)]
-
-
 _D16 = SignedPerm(range(16), [1] * 8 + [-1] * 8)
 _EYE16 = SignedPerm.identity(16)
 
@@ -239,7 +228,7 @@ def _base_16(p: int, printed: bool) -> list:
     """The 2^p * 16 system (q = 1); raises ValueError when the formal left
     multiplication table is not made of signed permutations (printed, p = 3)."""
     slots = SignedPerm.identity(1 << p)
-    fields = [slots.kron(j) for j in _spin9_j_fields()]
+    fields = [slots.kron(j) for j in fixed_beta_variant(9).fields]
     if p >= 1:
         d = slots.kron(_D16)
         for lu in formal_left_mults(1 << p, printed=printed):
@@ -249,7 +238,7 @@ def _base_16(p: int, printed: bool) -> list:
 
 def _base_256(p: int) -> list:
     """The 2^p * 256 system (q = 2, p <= 1)."""
-    j16 = _spin9_j_fields()
+    j16 = fixed_beta_variant(9).fields
     slots = SignedPerm.identity(16 << p)  # sedenion slots
     d = slots.kron(_D16)
     fields = [slots.kron(j) for j in j16]
@@ -281,6 +270,8 @@ def naive_s511_extra() -> SignedPerm:
 def check_scope(m: int) -> HRDecomposition:
     """hr_decompose(m) if the system on S^{m-1} is built, else ValueError:
     the paper defers q >= 3 and gives q = 2 constructions for p <= 1 only."""
+    if m > _MAX_FIELDS_DIM:
+        raise ValueError(f"m = {m} is out of scope: m <= {_MAX_FIELDS_DIM}")
     dec = hr_decompose(m)
     if dec.q > 2 or dec.q == 2 and dec.p > 1:
         raise ValueError(f"m = {m} (q = {dec.q}, p = {dec.p}) is out of scope: "

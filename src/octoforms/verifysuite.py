@@ -165,18 +165,9 @@ def _check_fields():
 
 
 def _check_census():
-    c = structure_census()
-    ok = (
-        c["spin9_pairs"] == 36
-        and c["spin9_triples"] == 84
-        and c["c6_triples"] == 35
-        and c["quaternionic_pairs"] == 10
-        and c["so16_dim"] == 120
-        and c["lie_spin9"] == 36
-        and c["lie_eiii"] == 45
-        and c["c6_triples"] > c["spin7_bound"]
-    )
-    return ok, f"counts 36/84/35/10, closures 36/45, 35 > 21"
+    expected = dict(spin9_pairs=36, spin9_triples=84, c6_triples=35, quaternionic_pairs=10,
+                    so16_dim=120, spin7_bound=21, lie_spin9=36, lie_eiii=45)
+    return structure_census() == expected, "counts 36/84/35/10, closures 36/45, 35 > 21"
 
 
 def _check_model_closures():

@@ -355,6 +355,8 @@ def test_option_ledger():
         ("fields", "--m", "4096"),
         ("fields", "--m", "1024"),
         ("fields", "--m", "3072"),
+        # in scope by its decomposition, past the size bound
+        ("fields", "--m", "65537"),
         ("fields", "--m", "0"),
         ("berger", "--samples", "0"),
         ("berger", "--samples", "10", "--workers", "0"),

@@ -140,6 +140,18 @@ def test_compose_j_properties():
         compose_J(c, (1,))
 
 
+def test_J_products_in_nested_index_order():
+    """all_J_pairs and all_J_triples are compose_J over the nested index
+    loops a < b (< g), in that order, for spin9 and its C_6 subsystem."""
+    spin9 = standard_system("spin9")
+    for c in (spin9, CliffordSystem(n=16, mats=spin9.mats[:7])):
+        idx = range(1, len(c.mats) + 1)
+        assert all_J_pairs(c) == [compose_J(c, (a, b)) for a in idx for b in idx if a < b]
+        assert all_J_triples(c) == [
+            compose_J(c, (a, b, g)) for a in idx for b in idx for g in idx if a < b < g
+        ]
+
+
 def test_independence_counts():
     c = standard_system("spin9")
     assert independence_count(all_J_pairs(c)) == 36

@@ -85,18 +85,31 @@ def test_workload_leaves_unused_modules_unloaded(row):
     assert not loaded & unused, sorted(loaded & unused)
 
 
+# The modules the mc children compile, exactly.  A text change in any of them
+# moves the mc workload's peak_rss_mb by heap layout (ROADMAP, Known defects),
+# so a module joining or leaving this set is a change to this table.
+_MC_MODULES = {"berger", "cayley_dickson", "fanout", "linalg", "serialize"}
+
+_BERGER_CLI = """
+    from octoforms import cli
+
+    assert cli.main(["berger", "--samples", "2048", "--seed", "1", "--json", "--full"]) == 0
+"""
+
+
 def test_berger_leaves_the_exact_form_stack_unloaded():
-    """The mc row: berger_mc and the float writer the berger command uses
-    load none of the exact-form modules; multivector JSON still round-trips
-    with serialize's deferred import of exterior."""
+    """The mc rows: berger_mc and the float writer the library child uses
+    load exactly _MC_MODULES, and the berger command those plus cli; none is
+    an exact-form module.  Multivector JSON still round-trips with
+    serialize's deferred import of exterior."""
     code = ("import sys; from octoforms.berger import berger_mc; berger_mc(2048, seed=1); "
             "from octoforms.serialize import float_str; "
-            "print([m for m in ('canonical', 'clifford', 'exterior', 'octform') "
-            "if 'octoforms.' + m in sys.modules]); "
+            "print(' '.join(sorted(m[10:] for m in sys.modules if m.startswith('octoforms.')))); "
             "from octoforms.canonical import spin9_form; "
             "from octoforms.serialize import multivector_from_json, multivector_to_json; "
             "print(multivector_from_json(multivector_to_json(spin9_form())) == spin9_form())")
     proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\nTrue\n"
+    assert proc.stdout == " ".join(sorted(_MC_MODULES)) + "\nTrue\n"
+    assert _octoforms_modules_after(_BERGER_CLI) == _MC_MODULES | {"cli"}

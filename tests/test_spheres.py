@@ -10,9 +10,9 @@ import pytest
 
 import octoforms.spheres as spheres
 from octoforms.cayley_dickson import CDElement, left_mult_matrix
+from octoforms.clifford import VerifyReport
 from octoforms.linalg import _INT64_SAFE, SignedPerm
 from octoforms.spheres import (
-    FieldsReport,
     VectorFieldSystem,
     _base_16,
     _integer_sample_point,
@@ -152,6 +152,16 @@ def test_q3_unsupported():
         build_fields(16**3)
 
 
+def test_fields_past_the_size_bound_are_refused():
+    """An m past spheres._MAX_FIELDS_DIM is refused before anything is built,
+    even where its decomposition is in scope; the largest q = 2 system under
+    the bound is accepted."""
+    assert spheres.check_scope(65024) == hr_decompose(65024)
+    for m in (65537, 66048):
+        with pytest.raises(ValueError, match="out of scope: m <= 65536"):
+            build_fields(m)
+
+
 def test_broken_systems_fail():
     v = build_fields(16)
     dup = VectorFieldSystem(m=16, fields=(v.fields[0], v.fields[0]))
@@ -212,7 +222,7 @@ def _fraction_point_report(v, samples, seed):
                 dot = sum(p * q for p, q in zip(images[i], images[j]))
                 if dot != (norm2 if i == j else 0):
                     failures.append(f"fields {i},{j} not orthonormal at sample point")
-    return FieldsReport(ok=not failures, failures=tuple(failures), notes=v.notes)
+    return VerifyReport(ok=not failures, failures=tuple(failures))
 
 
 def test_integer_sample_points_give_the_fraction_reports():
@@ -264,7 +274,7 @@ def _verify_system_reference(v, samples, seed):
                 want = norm2 if i == j else 0
                 if sum(p * q for p, q in zip(images[i], images[j])) != want:
                     failures.append(f"fields {i},{j} not orthonormal at sample point")
-    return FieldsReport(ok=not failures, failures=tuple(failures), notes=v.notes)
+    return VerifyReport(ok=not failures, failures=tuple(failures))
 
 
 def _flip_one_sign(a, row):
