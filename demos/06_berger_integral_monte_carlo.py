@@ -15,7 +15,8 @@ from octoforms.berger import berger_mc, phi_dense
 
 SAMPLES = 100_000
 
-# forks as many workers as the samples pay for, up to the usable CPUs
+# runs as many workers as the samples pay for, up to the usable CPUs: this
+# process and the children it forks
 form, report = berger_mc(SAMPLES, seed=0)
 phi = phi_dense()
 
@@ -34,7 +35,7 @@ for s in top:
     print(f"{s:5d}  {form.coeffs[s] / report.fitted_scale:22.3f}   {phi[s]:4d}")
 
 # reproducibility: same seed, any worker count, same bits (16384 samples
-# are enough for the default to fork two workers)
+# are enough for the default to run two workers, forking one)
 f1, _ = berger_mc(16384, seed=1, workers=1)
 f2, r2 = berger_mc(16384, seed=1)
 print(f"\nbit-identical at 1 and {r2.workers} workers:", np.array_equal(f1.coeffs, f2.coeffs))

@@ -48,12 +48,13 @@ squares of the state polynomials (``_squares``), also in int64, so the
 standard deviation a call reports is exact, and the samples are never
 squared.
 
-Workers: the samples are cut into 64 fixed block groups, and a call forks
+Workers: the samples are cut into 64 fixed block groups, and a call runs
 one worker per _MIN_GROUPS_PER_WORKER groups, up to the usable CPUs
-(``fanout.worker_count``) and to the caller's cap.  The workers are forked
-through ``fanout.fan_out`` after the plan is built, so they inherit it, and
-the parent folds each group's moments in group order as they arrive.  With
-one worker, the groups run serially in the caller.
+(``fanout.worker_count``) and to the caller's cap.  The caller is worker 0:
+``fanout.fan_out`` forks the others after the plan is built, so they
+inherit it, and runs the caller's own groups between reads of theirs.  The
+caller folds each group's moments in group order as they arrive.  With one
+worker nothing is forked and the groups run in the caller.
 
 Determinism: samples are generated by the counter-based Philox generator, 12
 uniforms per sample (so every fixed-size block starts on a counter boundary),
@@ -75,19 +76,21 @@ from itertools import chain, combinations, combinations_with_replacement, permut
 
 import numpy as np
 
-from . import fanout
+from . import _INT64_SAFE, fanout
 from .cayley_dickson import unit_signs
-from .linalg import _INT64_SAFE
 
 _BLOCK = 1024
 _GROUPS = 64
-# Forked workers pay only when each saves more block times than the fan-out
-# costs.  On a 2-vCPU VM a warm block took about 6.3 ms, two forked workers
-# returned their first one-block group after 11-15 ms, and berger_mc at 2
-# workers took 23-29 ms longer than half the 1-worker time at 6-14 blocks.
-# So a worker needs 25 / 6.3, rounded up, groups: two workers start at 8192
-# samples, where they saved about 3 ms of 55, and not at 6144, where they
-# would lose 4 ms.
+# A second worker pays only when it saves more block times than its fork
+# costs; the caller is worker 0, so two workers fork once.  On a 2-vCPU VM,
+# the first berger_mc(N, seed=1) call of a fresh process, the default (two
+# workers) against workers=1, timed inside the process in two series of 10
+# alternating pairs, was slower in 3 and 5 of 10 pairs at 8192 samples
+# (median -2.7 and -0.2 ms), in 1 and 2 of 10 at 16384 (-6.8 and -5.7 ms)
+# and in 1 of 10 at 32768 (-20.6 ms).  Whole `octoforms berger --samples N
+# --seed 1` runs, start-up included, read within their noise (default slower
+# in 6 and 6, 6 and 4, 7 and 2 of 10).  So two workers break even at 8
+# one-block groups and win from 16 on: a worker needs 4 groups.
 _MIN_GROUPS_PER_WORKER = 4
 _CHUNK = 128  # samples per monomial pass, so the monomial rows stay cache-sized
 # states whose squares exact_second_moment contracts at a time: the level-4
@@ -114,8 +117,18 @@ def _subsets(n: int, k: int) -> tuple:
 
 @lru_cache(maxsize=1)
 def slot_masks() -> np.ndarray:
-    """Bitmasks of all C(16,8) grade-8 blades, ordered lexicographically."""
-    return _subsets(16, 8)[1]
+    """Bitmasks of all C(16,8) grade-8 blades, ordered lexicographically.
+
+    Among subsets of one size, lexicographic order of the sorted index tuples
+    is descending order of the masks with their 16 bits reversed, so the
+    masks come from a popcount and one sort, not from 12870 combinations.
+    """
+    masks = np.arange(1 << 16)
+    masks = masks[np.bitwise_count(masks) == 8]
+    reversed_masks = np.zeros_like(masks)
+    for i in range(16):
+        reversed_masks |= (masks >> i & 1) << (15 - i)
+    return masks[np.argsort(-reversed_masks)]
 
 
 def _narrow(a: np.ndarray) -> np.ndarray:
@@ -462,7 +475,7 @@ def exact_mean() -> tuple:
     (``_line_moments``), and the moments go through ``_slot_sums`` in int64.
     The largest sum of |coefficients| of a state is 20 and the largest
     moment numerator 168 (the 7/66 of level 0), so no int64 sum wraps while
-    their product is below linalg._INT64_SAFE; past it, ValueError.
+    their product is below _INT64_SAFE; past it, ValueError.
     """
     plan = _plan()
     moments = np.zeros(plan["moments"], dtype=object)
@@ -487,7 +500,7 @@ def exact_second_moment() -> tuple:
     contracted at a time, so the level-4 table is never held in int64 whole.
     Each level is bounded on its own: no int64 sum wraps while the level's
     largest sum of |pair coefficients| of a state times its largest |moment|
-    is below linalg._INT64_SAFE; past it, ValueError.
+    is below _INT64_SAFE; past it, ValueError.
     """
     out = np.zeros(12870, dtype=np.int64)
     for k, lv in enumerate(_plan()["levels"]):
@@ -528,7 +541,7 @@ class SampledForm:
 class FitReport:
     samples: int
     seed: int
-    workers: int  # the worker processes that ran; 1 on the serial path
+    workers: int  # the processes that ran groups, the caller included
     fitted_scale: float
     cosine_similarity: float
     # the exact line average over Phi, slot by slot: the content of
@@ -605,17 +618,14 @@ def berger_mc(samples: int, seed: int = 0, workers: int | None = None):
     procs = fanout.worker_count(limit if workers is None else min(workers, limit))
     # built before any fork, so that the workers inherit the plan
     moments = np.zeros(_plan()["moments"], dtype=np.float64)
+    # loaded here rather than at import, which mc setup_s times, and before
+    # the fan-out, so that forked workers inherit it instead of each
+    # importing it (15-18 ms)
+    import numpy.random  # noqa: F401
+
     # group results are folded in group order as they arrive: a fixed,
     # deterministic reduction that does not hold every group's sums at once
-    if procs > 1:
-        # loaded here rather than at import, which mc setup_s times, so that
-        # the workers inherit it instead of each importing it (15-18 ms)
-        import numpy.random  # noqa: F401
-
-        parts = fanout.fan_out(_group_worker, tasks, procs, "block group")
-    else:
-        parts = map(_group_worker, tasks)
-    for part in parts:
+    for part in fanout.fan_out(_group_worker, tasks, procs, "block group"):
         moments += part
     mean = _slot_sums(moments) / samples
     # the standard deviation of the mean from the exact variance of one line

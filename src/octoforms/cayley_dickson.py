@@ -21,8 +21,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import SignedPerm
-
 UNIT_NAMES = ("1", "i", "j", "k", "e", "f", "g", "h")
 
 
@@ -174,6 +172,9 @@ def unit_signs(level: int) -> np.ndarray:
 
 
 def _unit_mults(s: np.ndarray) -> tuple:
+    # imported here, so that unit_signs, which berger uses, does not load linalg
+    from .linalg import SignedPerm
+
     i = np.arange(len(s))
     return tuple(SignedPerm(i ^ t, s[i ^ t, t]) for t in i)
 

@@ -32,9 +32,9 @@ M_s^T = (-1)^s M_s.  A step is one grouped kernel call on kernel arrays; once
 the kernel declines a step, that step and the later ones run on
 ``_wedge_reference``.  ``tau2_direct`` and ``tau4_direct`` square with
 ``wedge_square`` on the dict engine, a route independent of the kernel.
-``tau4_direct`` deals its sub-Pfaffian squares out to forked workers
-(``fanout``) once each has enough work, and adds their partial sums
-exactly; it imports ``fanout`` only when called.
+``tau4_direct`` deals its sub-Pfaffian squares out to workers, the caller
+and forked children (``fanout``), once each has enough work, and adds their
+partial sums exactly; it imports ``fanout`` only when called.
 """
 
 from __future__ import annotations
@@ -60,12 +60,15 @@ _REAL = np.ones((1, 1, 1), dtype=np.int64)
 # operand pair.
 _KERNEL_MIN_WORK = 2000
 
-# tau4_direct forks a worker per this much _tau4_work, up to the usable CPUs.
-# On a 2-vCPU VM a forked worker returned its first result 2.5-3.5 ms after
-# the fork, and two workers cost 5-10 ms more than half the serial time: on
-# spin9 quads they broke even at about 0.4-0.75 M of work (15-30 ms serial),
-# and the whole spin9 sum (4.6 M) went from 129 to 93 ms (medians of 21).
-# So two workers start at 0.8 M, past the noisy break-even.
+# tau4_direct runs a worker per this much _tau4_work, up to the usable CPUs;
+# the caller is worker 0, so two workers fork once.  On a 2-vCPU VM, in 10
+# alternating fresh-process pairs per size (tau4_direct on the leading k x k
+# blocks of spin9_psi, timed inside the process), one fork against serial
+# read +0.9 ms at 0.18 M of work (5.5 ms serial, slower in 8 of 10), -3.3
+# and -1.5 ms at 0.55 M (15-17 ms, 2 and 4 of 10 in two series), -8.4 ms at
+# 1.3 M (24 ms, 0 of 10), and 72 against 99 ms for the whole spin9 sum (4.6
+# M, 0 of 10).  So two workers break even between 0.2 and 0.55 M, and start
+# at 0.8 M, past it.
 _FORK_MIN_WORK = 400_000
 
 
@@ -679,10 +682,11 @@ def tau4_direct(f: FormMatrix) -> Multivector:
 
     For every a < b < c < d:  (f_ab ^ f_cd - f_ac ^ f_bd + f_ad ^ f_bc)^2,
     each square added into a running total by wedge_square.  Uses the dict
-    engine only, independently of the Faddeev-LeVerrier path.  With at least
-    _FORK_MIN_WORK of _tau4_work per worker, the quads are dealt out in turn
-    to forked workers, one per usable CPU at most, and their partial sums are
-    added exactly; otherwise, or without os.fork, the quads run serially.
+    engine only, independently of the Faddeev-LeVerrier path.  The quads are
+    dealt out in turn to one worker per _FORK_MIN_WORK of _tau4_work, one
+    per usable CPU at most: the caller and forked children, whose partial
+    sums are added exactly.  With one worker, or without os.fork, the caller
+    runs every quad and forks nothing.
     """
     if f.k < 4:
         raise ValueError("tau4 needs a matrix of size >= 4")
@@ -690,8 +694,6 @@ def tau4_direct(f: FormMatrix) -> Multivector:
 
     quads = list(combinations(range(f.k), 4))
     workers = worker_count(_tau4_work(f, quads) // _FORK_MIN_WORK)
-    if workers < 2:
-        return Multivector(f.n, _tau4_sum(f.entry_dict, quads))
     total: dict = {}
     shares = [quads[w::workers] for w in range(workers)]
     for part in fan_out(partial(_tau4_sum, f.entry_dict), shares, workers, "quad share"):

@@ -1,13 +1,15 @@
 """Forked workers over pipes, for exact and Monte-Carlo routes alike.
 
-``fan_out(fn, tasks, workers)`` forks `workers` children, which inherit the
-caller's state (a built plan, a form matrix), so nothing is pickled on the
-way in.  Child w runs tasks w, w + P, w + 2P, ... (P workers) and writes each
-result to its own pipe as a pickle behind an 8-byte length; the parent reads
-task i from pipe i % P, so the results come back in task order.  The parent
-starts no thread.  A child that fails leaves its pipe short: the parent then
-kills and reaps every child and raises RuntimeError naming the task.
-Closing the generator early kills and reaps the children as well.
+``fan_out(fn, tasks, workers)`` runs `workers` workers: the caller is worker
+0, and it forks `workers - 1` children, which inherit its state (a built
+plan, a form matrix), so nothing is pickled on the way in.  Worker w runs
+tasks w, w + P, w + 2P, ... (P workers).  A child writes each result to its
+own pipe as a pickle behind an 8-byte length; the caller computes its own
+tasks in turn between reads, so the results come back in task order.  With
+one worker nothing is forked.  The caller starts no thread.  A child that
+fails leaves its pipe short: the caller then kills and reaps every child
+and raises RuntimeError naming the task.  A task that raises in the caller,
+or closing the generator early, kills and reaps the children as well.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ def usable_cpus() -> int:
 
 
 def worker_count(limit: int) -> int:
-    """How many workers to fork for at most `limit`: capped at the usable
-    CPUs, and 1 (run serially) where there is no os.fork or limit < 1."""
+    """How many workers, the caller included, to run for at most `limit`:
+    capped at the usable CPUs, and 1 (the caller alone, forking nothing)
+    where there is no os.fork or limit < 1."""
     return max(1, min(limit, usable_cpus())) if hasattr(os, "fork") else 1
 
 
@@ -46,13 +49,14 @@ def _read(fd: int, size: int) -> bytearray | None:
 
 
 def fan_out(fn, tasks: list, workers: int, label: str = "task"):
-    """Yield ``fn(task)`` for each task, in order, computed by `workers`
-    forked children; a result must pickle.  A failure raises RuntimeError
-    naming ``f"{label} {index}"``."""
+    """Yield ``fn(task)`` for each task, in order, computed by the caller and
+    `workers - 1` forked children; a child's result must pickle.  A child's
+    failure raises RuntimeError naming ``f"{label} {index}"``; a task that
+    raises in the caller raises its own exception."""
     pipes, pids = [], []
     done, failed = False, None
     try:
-        for w in range(workers):
+        for w in range(1, workers):
             r, wfd = os.pipe()
             pipes.append(r)
             try:
@@ -77,8 +81,12 @@ def fan_out(fn, tasks: list, workers: int, label: str = "task"):
                     os._exit(code)
             os.close(wfd)
             pids.append(pid)
-        for i in range(len(tasks)):
-            fd = pipes[i % workers]
+        for i, task in enumerate(tasks):
+            w = i % workers
+            if w == 0:
+                yield fn(task)
+                continue
+            fd = pipes[w - 1]
             head = _read(fd, 8)
             body = head and _read(fd, int.from_bytes(head, "little"))
             if body is None:

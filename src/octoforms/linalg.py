@@ -22,8 +22,8 @@ from operator import mul
 
 import numpy as np
 
-# The int64 wedge kernel (exterior._wedge_kernel) keeps its products below this.
-_INT64_SAFE = 2**62
+from . import _INT64_SAFE
+
 _INT64 = np.dtype(np.int64)
 
 

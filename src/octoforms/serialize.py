@@ -9,12 +9,13 @@ Monte-Carlo floats are emitted with 17 significant digits.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
-# exterior is imported only where a Multivector is built, so that float_str,
-# which the berger command uses, does not load the wedge engine
+# exterior and fractions are imported only where they are used, so that
+# float_str, which the berger command uses, loads neither
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .exterior import Multivector
     from .linalg import SignedPerm
 
@@ -22,11 +23,15 @@ if TYPE_CHECKING:
 def rational_str(x) -> str:
     if type(x) is int:
         return str(x)
+    from fractions import Fraction
+
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
 def parse_rational(s: str) -> Fraction:
+    from fractions import Fraction
+
     return Fraction(s)
 
 

@@ -1,5 +1,6 @@
-"""Shared test helpers: a child-process guard for the forking routes, a
-deadline, and the environment for running the package in a subprocess."""
+"""Shared test helpers: a child-process guard and a fork counter for the
+forking routes, a deadline, and the environment for running the package in
+a subprocess."""
 
 import os
 import signal
@@ -27,6 +28,21 @@ def no_child_left():
     """Fail the test if it leaves a child process behind."""
     yield
     check_no_child()
+
+
+def fork_counter(monkeypatch) -> list:
+    """Record the pid of every child os.fork starts in this process from now
+    on, for the rest of the test; the list's length counts the forks."""
+    forks, real = [], os.fork
+
+    def counting():
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
 
 
 @contextmanager

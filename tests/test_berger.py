@@ -26,6 +26,7 @@ from octoforms.berger import (
     _slot_sums,
     _squares,
     _stage,
+    _subsets,
     berger_mc,
     exact_mean,
     exact_second_moment,
@@ -35,7 +36,7 @@ from octoforms.berger import (
 )
 from octoforms.canonical import spin9_form
 from octoforms.linalg import _INT64_SAFE
-from conftest import deadline, subprocess_env
+from conftest import deadline, fork_counter, subprocess_env
 from tests_util_det import exact_det
 
 
@@ -44,6 +45,15 @@ def test_slot_ordering():
     assert len(masks) == 12870
     assert slot_blade(0) == (1, 2, 3, 4, 5, 6, 7, 8)
     assert slot_blade(12869) == (9, 10, 11, 12, 13, 14, 15, 16)
+
+
+def test_slot_masks_are_the_lexicographic_combinations():
+    """The masks read off a popcount and a sort are the masks of the
+    lexicographic 8-subsets of range(16), in order and dtype."""
+    want = _subsets(16, 8)[1]
+    got = slot_masks()
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 def test_eps_signs_against_exact_determinants():
@@ -189,103 +199,94 @@ def test_groups_fold_in_index_order(monkeypatch, no_child_left):
 
 
 def test_pool_capped_by_cpu_affinity(monkeypatch):
-    """A process allowed one CPU runs the serial path, with the same bits, at
-    a size where two CPUs would fork workers, and reports the one worker
+    """A process allowed one CPU forks nothing, with the same bits, at a
+    size where two CPUs would fork a worker, and reports the one worker
     that ran."""
     samples = 2 * _MIN_GROUPS_PER_WORKER * _BLOCK
     want, _ = berger_mc(samples, seed=42, workers=1)
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("workers were forked on a 1-CPU affinity")
-
     monkeypatch.setattr(fanout.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(fanout, "fan_out", no_pool)
+    forks = fork_counter(monkeypatch)
     got, rep = berger_mc(samples, seed=42, workers=2)
+    assert forks == [], "workers were forked on a 1-CPU affinity"
     assert rep.workers == 1
     assert np.array_equal(got.coeffs, want.coeffs)
     assert np.array_equal(got.sigma, want.sigma)
 
 
 def test_pool_started_only_for_enough_groups(monkeypatch, no_child_left):
-    """Workers are forked only when each gets _MIN_GROUPS_PER_WORKER
-    groups, up to the usable CPUs, by default as under a cap; the report
-    counts the workers that ran, and the bits do not depend on whether they
-    were forked."""
-    real_fan_out = fanout.fan_out
-    started = []
-
-    def spy(fn, tasks, workers, label):
-        started.append(workers)
-        return real_fan_out(fn, tasks, workers, label)
-
+    """A second worker runs only when each gets _MIN_GROUPS_PER_WORKER
+    groups, up to the usable CPUs, by default as under a cap: the caller is
+    one worker and forks the other.  The report counts the workers that ran,
+    and the bits do not depend on whether one was forked."""
+    forks = fork_counter(monkeypatch)
     monkeypatch.setattr(fanout, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(fanout, "fan_out", spy)
     edge = 2 * _MIN_GROUPS_PER_WORKER * _BLOCK
-    for samples, pools in ((2048, []), (edge - _BLOCK, []), (edge, [2]), (65536, [2])):
-        started.clear()
+    for samples, forked in ((2048, 0), (edge - _BLOCK, 0), (edge, 1), (65536, 1)):
+        forks.clear()
         want, rep = berger_mc(samples, seed=2, workers=1)
-        assert (started, rep.workers) == ([], 1), samples
+        assert (len(forks), rep.workers) == (0, 1), samples
         for cap in ({}, {"workers": 2}, {"workers": 3}):
             got, rep = berger_mc(samples, seed=2, **cap)
-            assert started == pools and rep.workers == (pools or [1])[0], (samples, cap)
+            assert len(forks) == forked and rep.workers == forked + 1, (samples, cap)
             assert np.array_equal(got.coeffs, want.coeffs), (samples, cap)
             assert np.array_equal(got.sigma, want.sigma), (samples, cap)
-            started.clear()
+            forks.clear()
 
 
 def test_serial_without_fork(monkeypatch):
-    """Where os.fork is missing the groups run serially, with the same bits."""
+    """Where os.fork is missing the groups run in the caller, with the same
+    bits, and nothing tries to fork."""
     samples = 2 * _MIN_GROUPS_PER_WORKER * _BLOCK
     want, _ = berger_mc(samples, seed=8, workers=1)
 
-    def no_fan_out(*args, **kwargs):
-        raise AssertionError("workers were forked without os.fork")
-
+    forks = fork_counter(monkeypatch)
     monkeypatch.delattr(fanout.os, "fork")
-    monkeypatch.setattr(fanout, "fan_out", no_fan_out)
-    got, _ = berger_mc(samples, seed=8, workers=2)
+    got, rep = berger_mc(samples, seed=8, workers=2)
+    assert forks == [] and rep.workers == 1
     assert np.array_equal(got.coeffs, want.coeffs)
     assert np.array_equal(got.sigma, want.sigma)
 
 
 def test_failed_worker_raises_after_reaping(monkeypatch, no_child_left):
-    """A group worker that raises makes berger_mc raise RuntimeError naming
-    the group, without hanging, starting a thread or leaving a child; the
-    other worker is killed in the 30 s group it has started, not waited
-    for."""
+    """A forked group worker that raises makes berger_mc raise RuntimeError
+    naming the group, without hanging, starting a thread or leaving a child;
+    the other forked worker is killed in the 30 s group it has started, not
+    waited for.  With three workers, groups 4 and 5 are the two children's."""
 
     def failing(args):
+        if args[1].start == 4:
+            raise ValueError("group 4 fails")
         if args[1].start == 5:
-            raise ValueError("group 5 fails")
-        if args[1].start == 6:
             time.sleep(30)
         return np.zeros(_plan()["moments"])
 
-    monkeypatch.setattr(fanout, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(fanout, "usable_cpus", lambda: 3)
     monkeypatch.setattr(berger, "_group_worker", failing)
     threads = threading.active_count()
-    with deadline(10), pytest.raises(RuntimeError, match="group 5 "):
-        berger_mc(64 * _BLOCK, seed=0, workers=2)
+    with deadline(10), pytest.raises(RuntimeError, match="group 4 "):
+        berger_mc(64 * _BLOCK, seed=0, workers=3)
     assert threading.active_count() == threads
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 def test_forked_workers_inherit_numpy_random():
-    """numpy.random is loaded by the first call that forks, so its workers
-    inherit it, and not by importing the module, which mc setup_s times."""
+    """numpy.random is loaded by berger_mc before it forks, so its workers
+    inherit it, and not by importing the module, which mc setup_s times.
+    The spy on os.fork records whether it was loaded at each fork."""
     import subprocess
     import sys
 
-    code = ("import sys; from octoforms import berger, fanout; "
+    code = ("import os, sys; from octoforms import berger, fanout; "
             "print('numpy.random' in sys.modules); berger._plan(); "
-            "fanout.usable_cpus = lambda: 2; forked = []; real = fanout.fan_out; "
-            "fanout.fan_out = lambda *a: forked.append(a[2]) or real(*a); "
-            "berger.berger_mc(8192, workers=2); print(forked, 'numpy.random' in sys.modules)")
+            "fanout.usable_cpus = lambda: 2; loaded = []; real = os.fork; "
+            "os.fork = lambda: loaded.append('numpy.random' in sys.modules) or real(); "
+            "berger.berger_mc(8192, workers=2); print(loaded)")
     proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n[2] True\n"
+    assert proc.stdout == "False\n[True]\n"
 
 
 def test_phi_dense_is_the_charpoly_form():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import deadline
+from conftest import deadline, fork_counter
 from octoforms import exterior, fanout
 from octoforms.canonical import spin9_psi, spin9_taus
 from octoforms.clifford import standard_system
@@ -506,69 +506,57 @@ def test_tau4_coefficient_matches_charpoly():
         assert tau4_coefficient(f, blade) == tau4.coefficient(blade), blade
 
 
-def _fork_spy(monkeypatch):
-    """Record the worker count of every fan-out tau4_direct starts."""
-    started, real = [], fanout.fan_out
-
-    def spy(fn, tasks, workers, label):
-        started.append(workers)
-        return real(fn, tasks, workers, label)
-
-    monkeypatch.setattr(fanout, "fan_out", spy)
-    return started
-
-
 def test_tau4_direct_forked_equals_serial(monkeypatch, no_child_left):
-    """On two CPUs spin9 forks two workers and gives the charpoly tau_4; a
-    random Fraction matrix, below the threshold unless it is lowered, gives
-    the same exact form forked over 2 or 3 workers as serially."""
-    started = _fork_spy(monkeypatch)
+    """On two CPUs spin9 runs two workers, the caller and one forked child,
+    and gives the charpoly tau_4; a random Fraction matrix, below the
+    threshold unless it is lowered, gives the same exact form over 2 or 3
+    workers as serially."""
+    forks = fork_counter(monkeypatch)
     monkeypatch.setattr(fanout, "usable_cpus", lambda: 2)
     assert tau4_direct(spin9_psi()) == spin9_taus()[3]
-    assert started == [2]
+    assert len(forks) == 1
     f = _random_fraction_matrix(5)
-    started.clear()
+    forks.clear()
     serial = tau4_direct(f)
-    assert started == []
+    assert forks == []
     assert serial == charpoly_coeffs(f)[3]
     assert any(isinstance(c, Fraction) and c.denominator > 1 for _, c in serial.terms())
     monkeypatch.setattr(exterior, "_FORK_MIN_WORK", 1)
     for cpus in (2, 3):
         monkeypatch.setattr(fanout, "usable_cpus", lambda: cpus)
-        started.clear()
+        forks.clear()
         assert tau4_direct(f) == serial
-        assert started == [cpus]
+        assert len(forks) == cpus - 1
 
 
 def test_tau4_direct_serial_on_one_cpu_or_without_fork(monkeypatch):
     """A 1-CPU affinity, or a platform without os.fork, runs the quads
-    serially, with the same form."""
+    serially in the caller, with the same form, and forks nothing."""
     want = spin9_taus()[3]
-
-    def no_fork(*args):
-        raise AssertionError("tau4_direct forked")
-
-    monkeypatch.setattr(fanout, "fan_out", no_fork)
+    forks = fork_counter(monkeypatch)
     monkeypatch.setattr(fanout.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert tau4_direct(spin9_psi()) == want
+    assert forks == [], "tau4_direct forked on a 1-CPU affinity"
     monkeypatch.setattr(fanout.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.delattr(fanout.os, "fork")
     assert tau4_direct(spin9_psi()) == want
+    assert forks == []
 
 
 def test_tau4_direct_fork_threshold_edge(monkeypatch, no_child_left):
-    """Workers are work // _FORK_MIN_WORK, capped at the CPUs: exactly twice
-    the threshold forks two, one unit less runs serially."""
+    """Workers are work // _FORK_MIN_WORK, capped at the CPUs, and the
+    caller is one of them: exactly twice the threshold forks one child, one
+    unit less runs serially."""
     f, want = spin9_psi(), spin9_taus()[3]
     work = exterior._tau4_work(f, list(combinations(range(9), 4)))
     assert work == 126 * (3 * 8 * 8) ** 2  # every spin9 entry has 8 blades
-    started = _fork_spy(monkeypatch)
+    forks = fork_counter(monkeypatch)
     monkeypatch.setattr(fanout, "usable_cpus", lambda: 4)
-    for threshold, workers in ((work // 2 + 1, []), (work // 2, [2]), (work // 3, [3]), (1, [4])):
+    for threshold, workers in ((work // 2 + 1, 1), (work // 2, 2), (work // 3, 3), (1, 4)):
         monkeypatch.setattr(exterior, "_FORK_MIN_WORK", threshold)
-        started.clear()
+        forks.clear()
         assert tau4_direct(f) == want
-        assert started == workers, threshold
+        assert len(forks) == workers - 1, threshold
 
 
 def test_tau4_direct_failed_worker_names_its_share(monkeypatch, no_child_left):

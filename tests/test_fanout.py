@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import check_no_child, deadline
+from conftest import check_no_child, deadline, fork_counter
 from octoforms import fanout
 from octoforms.berger import _BLOCK, _group_tasks, _group_worker, _plan
 
@@ -41,9 +41,31 @@ def test_fan_out_returns_any_picklable_result(no_child_left):
 
 
 def test_failed_child_names_its_task(no_child_left):
-    """A child that raises makes the parent raise RuntimeError naming the
-    task, without starting a thread; the other child, in a 30 s task, is
-    killed rather than waited for."""
+    """A child that raises makes the caller raise RuntimeError naming the
+    task, without starting a thread.  Task P + 1 is child 1's second (P
+    workers); at 3 workers the next task is child 2's, a 30 s one that is
+    killed rather than waited for (at 2 it is the caller's, never reached)."""
+    for workers in (2, 3):
+        failing_task = workers + 1
+
+        def failing(t):
+            if t == failing_task:
+                raise ValueError(f"task {t} fails")
+            if t == failing_task + 1:
+                time.sleep(30)
+            return t
+
+        threads = threading.active_count()
+        with deadline(10), pytest.raises(RuntimeError,
+                                         match=f"the worker of share {failing_task} exited"):
+            list(fanout.fan_out(failing, list(range(3 * workers)), workers, "share"))
+        assert threading.active_count() == threads
+        check_no_child()
+
+
+def test_failed_caller_task_raises_its_own_error(no_child_left):
+    """A task that raises in the caller propagates its own exception, after
+    the children, one of them in a 30 s task, are killed and reaped."""
 
     def failing(t):
         if t == 3:
@@ -52,15 +74,26 @@ def test_failed_child_names_its_task(no_child_left):
             time.sleep(30)
         return t
 
-    threads = threading.active_count()
-    with deadline(10), pytest.raises(RuntimeError, match="the worker of share 3 exited"):
-        list(fanout.fan_out(failing, list(range(6)), 2, "share"))
-    assert threading.active_count() == threads
+    with deadline(10), pytest.raises(ValueError, match="task 3 fails"):
+        list(fanout.fan_out(failing, list(range(9)), 3))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_one_worker_forks_nothing(monkeypatch):
+    """With one worker the caller runs every task: nothing is forked, and
+    the results are exactly map(fn, tasks), unpickled."""
+    forks = fork_counter(monkeypatch)
+    tasks = [[t] * t for t in range(5)]
+    got = list(fanout.fan_out(lambda t: t, tasks, 1))
+    assert forks == []
+    assert got == tasks and all(g is t for g, t in zip(got, tasks))
 
 
 def test_closed_fan_out_leaves_no_child():
-    """Closing the fan-out after its first group kills and reaps the
-    workers; none of it starts a thread."""
+    """Closing the fan-out after its first group, which the caller
+    computes, kills and reaps the forked worker; none of it starts a
+    thread."""
     tasks = _group_tasks(64 * _BLOCK, 3)
     threads = threading.active_count()
     with deadline(60):

@@ -88,28 +88,36 @@ def test_workload_leaves_unused_modules_unloaded(row):
 # The modules the mc children compile, exactly.  A text change in any of them
 # moves the mc workload's peak_rss_mb by heap layout (ROADMAP, Known defects),
 # so a module joining or leaving this set is a change to this table.
-_MC_MODULES = {"berger", "cayley_dickson", "fanout", "linalg", "serialize"}
+_MC_MODULES = {"berger", "cayley_dickson", "fanout", "serialize"}
+# the exact linear algebra and the rationals, which no mc child loads
+_MC_UNLOADED = ("fractions", "octoforms.linalg")
 
-_BERGER_CLI = """
+_BERGER_CLI = f"""
+    import sys
+
     from octoforms import cli
 
     assert cli.main(["berger", "--samples", "2048", "--seed", "1", "--json", "--full"]) == 0
+    loaded = [m for m in {_MC_UNLOADED!r} if m in sys.modules]
+    assert not loaded, loaded
 """
 
 
 def test_berger_leaves_the_exact_form_stack_unloaded():
     """The mc rows: berger_mc and the float writer the library child uses
     load exactly _MC_MODULES, and the berger command those plus cli; none is
-    an exact-form module.  Multivector JSON still round-trips with
-    serialize's deferred import of exterior."""
+    an exact-form module, and neither loads linalg or fractions.
+    Multivector JSON still round-trips with serialize's deferred imports of
+    exterior and fractions."""
     code = ("import sys; from octoforms.berger import berger_mc; berger_mc(2048, seed=1); "
             "from octoforms.serialize import float_str; "
             "print(' '.join(sorted(m[10:] for m in sys.modules if m.startswith('octoforms.')))); "
+            f"print([m for m in {_MC_UNLOADED!r} if m in sys.modules]); "
             "from octoforms.canonical import spin9_form; "
             "from octoforms.serialize import multivector_from_json, multivector_to_json; "
             "print(multivector_from_json(multivector_to_json(spin9_form())) == spin9_form())")
     proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == " ".join(sorted(_MC_MODULES)) + "\nTrue\n"
+    assert proc.stdout == " ".join(sorted(_MC_MODULES)) + "\n[]\nTrue\n"
     assert _octoforms_modules_after(_BERGER_CLI) == _MC_MODULES | {"cli"}
